@@ -5,15 +5,18 @@ a click only inside a window of width `window` centered on the expected
 arrival. Photons from the neighboring slots of the pulse train sit one
 period off-center and leak into the window once dispersion plus jitter have
 smeared them enough; exactly one such leak produces a wrong bit.
+
+Window masses use the standard library's `math.erf` and `math.erfc`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import erf, erfc
 from typing import Callable
 
-from .numerics import QuadratureSpec, erf, integrate
+from .numerics import QuadratureSpec, integrate
 
 __all__ = [
     "Detector",
@@ -124,6 +127,9 @@ def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float
 
     The two neighbors sit at +-period; by symmetry of the centered window
     both see the same mass, so one number serves for q_plus and q_minus.
+    The mass is a difference of upper tails, erfc((P-h)/s) - erfc((P+h)/s),
+    which keeps its relative accuracy where the window edges sit many
+    sigma out and the equivalent difference of erf values would cancel.
     """
     if not sigma_tot > 0:
         raise ValueError(f"sigma_tot must be > 0, got {sigma_tot}")
@@ -133,9 +139,8 @@ def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float
         raise ValueError(f"period must be > 0, got {period}")
     scale = _SQRT2 * sigma_tot
     half = 0.5 * window
-    mass = 0.5 * (erf((period + half) / scale) - erf((period - half) / scale))
-    # both erf terms saturate for small sigma_tot; cancellation can dip
-    # a few ulp below zero
+    mass = 0.5 * (erfc((period - half) / scale) - erfc((period + half) / scale))
+    # where the two tails nearly coincide, rounding can dip a few ulp below 0
     return max(0.0, mass)
 
 

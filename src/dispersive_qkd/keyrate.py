@@ -13,16 +13,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .detection import (
-    Detector,
-    PulseTrain,
-    detected_sigma,
-    p_signal,
-    p_wrong,
-    shifted_window_mass,
-)
+from .detection import detected_sigma, p_signal, p_wrong, shifted_window_mass
 from .numerics import binary_entropy
-from .twf import Medium, Pulse, broadened_sigma
+from .twf import broadened_sigma
 
 __all__ = [
     "TransmittanceConvention",
@@ -80,9 +73,15 @@ class DarkCounts:
 
 def transmittance(channel: Channel) -> float:
     """Photon survival probability over the channel."""
-    if channel.convention is TransmittanceConvention.LITERAL:
-        return 10.0 ** (-channel.alpha * channel.length)
-    return 10.0 ** (-channel.alpha * channel.length / 10.0)
+    return _transmittance(channel.alpha, channel.length, channel.convention)
+
+
+def _transmittance(
+    alpha: float, length: float, convention: TransmittanceConvention
+) -> float:
+    if convention is TransmittanceConvention.LITERAL:
+        return 10.0 ** (-alpha * length)
+    return 10.0 ** (-alpha * length / 10.0)
 
 
 def p_detect(eta: float, p_sig: float, p_w: float) -> float:
@@ -98,8 +97,12 @@ def dark_probs(dark: DarkCounts, window: float) -> tuple[float, float]:
     """(p_zero, p_one): no dark count / exactly one dark count per window."""
     if not window > 0:
         raise ValueError(f"window must be > 0 seconds, got {window}")
-    x = dark.rate * window
-    if dark.model is DarkCountModel.EXACT_POISSON:
+    return _dark_probs(dark.rate * window, dark.model)
+
+
+def _dark_probs(x: float, model: DarkCountModel) -> tuple[float, float]:
+    """dark_probs for a mean of x dark counts per window."""
+    if model is DarkCountModel.EXACT_POISSON:
         e = math.exp(-x)
         return e, x * e
     if x >= 1.0:
@@ -167,37 +170,22 @@ class ScenarioParams:
     transmittance_convention: TransmittanceConvention = TransmittanceConvention.DB
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
+        if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be > 0 seconds, got {self.sigma}")
         if not math.isfinite(self.chirp):
             raise ValueError(f"chirp must be finite, got {self.chirp}")
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
-        if self.alpha < 0:
+        if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.dark_rate < 0:
+        if not (self.dark_rate >= 0 and math.isfinite(self.dark_rate)):
             raise ValueError(f"dark_rate must be >= 0 Hz, got {self.dark_rate}")
         if not self.period > 0:
             raise ValueError(f"period must be > 0 seconds, got {self.period}")
-        if self.jitter < 0:
+        if not (self.jitter >= 0 and math.isfinite(self.jitter)):
             raise ValueError(f"jitter must be >= 0 seconds, got {self.jitter}")
         if not self.window > 0:
             raise ValueError(f"window must be > 0 seconds, got {self.window}")
-
-    def pulse(self) -> Pulse:
-        return Pulse(sigma=self.sigma, chirp=self.chirp)
-
-    def medium(self) -> Medium:
-        return Medium(beta=self.beta)
-
-    def detector(self) -> Detector:
-        return Detector(jitter=self.jitter, window=self.window)
-
-    def train(self) -> PulseTrain:
-        return PulseTrain(period=self.period)
-
-    def dark_counts(self) -> DarkCounts:
-        return DarkCounts(rate=self.dark_rate, model=self.dark_model)
 
 
 @dataclass(frozen=True)
@@ -220,19 +208,23 @@ class ProtocolPoint:
 
 
 def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
-    """Run the full pipeline at one propagation distance (meters)."""
+    """Run the full pipeline at one propagation distance (meters).
+
+    params was validated when it was built, so its scalars feed the
+    formulas directly and no per-call record is built.
+    """
     if distance < 0 or not math.isfinite(distance):
         raise ValueError(f"distance must be >= 0 meters, got {distance}")
-    sigma_l = broadened_sigma(params.pulse(), params.medium(), distance)
+    sigma_l = broadened_sigma(params, params, distance)
     sigma_tot = detected_sigma(sigma_l, params.jitter)
     p_sig = p_signal(sigma_tot, params.window)
     q = shifted_window_mass(sigma_tot, params.window, params.period)
     p_w = p_wrong(q, q)
-    eta = transmittance(
-        Channel(params.alpha, distance / 1000.0, params.transmittance_convention)
+    eta = _transmittance(
+        params.alpha, distance / 1000.0, params.transmittance_convention
     )
     p_det = p_detect(eta, p_sig, p_w)
-    p_zero, p_one = dark_probs(params.dark_counts(), params.window)
+    p_zero, p_one = _dark_probs(params.dark_rate * params.window, params.dark_model)
     p_raw = p_raw_key(p_det, p_zero, p_one)
     if p_raw == 0.0:
         return ProtocolPoint(

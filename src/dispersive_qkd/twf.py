@@ -164,6 +164,10 @@ def broadened_sigma(pulse: Pulse, medium: Medium, length: float) -> float:
     at L = chirp*sigma^2/((1+chirp^2)*beta), then re-broadens; otherwise it
     broadens monotonically. The test suite gates this expression against
     quadrature moments of the propagator integral.
+
+    Only pulse.sigma, pulse.chirp and medium.beta are read, so an already
+    validated ScenarioParams, which carries all three, may stand in for
+    both records.
     """
     if length < 0:
         raise ValueError(f"propagation distance must be >= 0, got {length}")

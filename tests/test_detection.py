@@ -143,6 +143,26 @@ def test_shifted_window_mass_against_quadrature():
         assert abs(got - ref) <= 1e-8 * ref
 
 
+@pytest.mark.parametrize(
+    "sigma_tot, window, period",
+    [
+        (10 * PS, 50 * PS, 100 * PS),
+        (1.0, 2.0, 8.0),
+        (4 * PS, 25 * PS, 100 * PS),  # mass ~2e-106
+    ],
+)
+def test_shifted_window_mass_saturated_relative_accuracy(sigma_tot, window, period):
+    # window edges many sigma out: a difference of erf values near 1 would
+    # lose every digit here, the difference of upper tails keeps them
+    tight = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
+    lo = (period - window / 2.0) / sigma_tot
+    hi = (period + window / 2.0) / sigma_tot
+    ref = integrate(gaussian(1.0), lo, hi, tight).real
+    got = shifted_window_mass(sigma_tot, window, period)
+    assert ref > 0.0
+    assert abs(got - ref) <= 1e-9 * ref
+
+
 def test_window_mass_closed_forms_match_quadrature_random():
     rng = random.Random(1183)
     for _ in range(12):

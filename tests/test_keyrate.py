@@ -7,6 +7,12 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dispersive_qkd.detection import (
+    detected_sigma,
+    p_signal,
+    p_wrong,
+    shifted_window_mass,
+)
 from dispersive_qkd.keyrate import (
     Channel,
     DarkCountModel,
@@ -22,6 +28,7 @@ from dispersive_qkd.keyrate import (
     qber,
     transmittance,
 )
+from dispersive_qkd.twf import Medium, Pulse, broadened_sigma
 
 PS = 1e-12
 KM = 1e3
@@ -141,6 +148,15 @@ def test_scenario_params_defaults():
         {"jitter": -1e-12},
         {"dark_rate": -1.0},
         {"alpha": -0.2},
+        # non-finite values the per-call records used to reject
+        {"sigma": math.inf},
+        {"sigma": math.nan},
+        {"alpha": math.inf},
+        {"alpha": math.nan},
+        {"dark_rate": math.inf},
+        {"dark_rate": math.nan},
+        {"jitter": math.inf},
+        {"jitter": math.nan},
     ],
 )
 def test_scenario_params_validation(kwargs):
@@ -247,3 +263,82 @@ def test_point_bounds_hold_everywhere(
         assert 0.0 <= value <= 1.0
     assert 0.0 <= point.key_rate <= point.p_raw <= 0.5
     assert 0.0 <= point.qber <= 0.5 + 1e-12
+
+
+def _composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
+    """The pipeline rebuilt from the public helpers and per-call records."""
+    sigma_l = broadened_sigma(
+        Pulse(params.sigma, params.chirp), Medium(params.beta), distance
+    )
+    sigma_tot = detected_sigma(sigma_l, params.jitter)
+    p_sig = p_signal(sigma_tot, params.window)
+    q = shifted_window_mass(sigma_tot, params.window, params.period)
+    p_w = p_wrong(q, q)
+    eta = transmittance(
+        Channel(params.alpha, distance / KM, params.transmittance_convention)
+    )
+    p_det = p_detect(eta, p_sig, p_w)
+    p_zero, p_one = dark_probs(
+        DarkCounts(params.dark_rate, params.dark_model), params.window
+    )
+    p_raw = p_raw_key(p_det, p_zero, p_one)
+    if p_raw == 0.0:
+        return ProtocolPoint(
+            p_sig, p_w, p_det, p_zero, p_one, p_raw, 0.5, 0.0, degenerate=True
+        )
+    q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw)
+    return ProtocolPoint(
+        p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
+    )
+
+
+def _decades(lo: float, hi: float):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(
+        lambda e: 10.0 ** e
+    )
+
+
+@st.composite
+def _domain_params(draw) -> ScenarioParams:
+    """ScenarioParams over the documented robustness domain: sigma, jitter,
+    window and period across three decades (windows may overlap), beta = 0
+    and jitter = 0 included, |C| up to 10, dark_rate * window up to and past
+    1 under both dark models, both transmittance conventions."""
+    window = draw(_decades(1.0, 1000.0)) * PS
+    exposure = draw(_decades(1e-9, 2.0))
+    return ScenarioParams(
+        sigma=draw(_decades(1.0, 1000.0)) * PS,
+        chirp=draw(st.floats(min_value=-10.0, max_value=10.0)),
+        beta=draw(
+            st.one_of(
+                st.just(0.0),
+                st.builds(
+                    lambda mag, sign: sign * mag * 1e-26,
+                    _decades(0.1, 10.0),
+                    st.sampled_from((-1.0, 1.0)),
+                ),
+            )
+        ),
+        alpha=draw(st.floats(min_value=0.15, max_value=0.3)),
+        dark_rate=exposure / window,
+        period=draw(_decades(10.0, 10000.0)) * PS,
+        jitter=draw(st.one_of(st.just(0.0), _decades(0.1, 100.0))) * PS,
+        window=window,
+        dark_model=draw(st.sampled_from(DarkCountModel)),
+        transmittance_convention=draw(st.sampled_from(TransmittanceConvention)),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(params=_domain_params(), l_km=st.floats(min_value=0.0, max_value=500.0))
+def test_evaluate_point_equals_composed_helpers(params, l_km):
+    # dual route: the lean core must reproduce, bit for bit, the pipeline
+    # assembled from the public helpers, including the linearized-dark error
+    try:
+        expected = _composed_point(params, l_km * KM)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match="rate\\*window"):
+            evaluate_point(params, l_km * KM)
+        assert "rate*window" in str(exc)
+        return
+    assert evaluate_point(params, l_km * KM) == expected
