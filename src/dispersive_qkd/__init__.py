@@ -15,42 +15,28 @@ from .analysis import (
     scan_chirp,
     sweep_distance,
 )
-from .detection import Detector, PulseTrain, WindowProbabilities
 from .keyrate import (
-    Channel,
     DarkCountModel,
-    DarkCounts,
     ProtocolPoint,
     ScenarioParams,
     TransmittanceConvention,
     evaluate_point,
 )
-from .numerics import Bracket, BracketError, NonConvergenceError, QuadratureSpec
-from .twf import GaussianState, Medium, Moments, Pulse
+from .numerics import Bracket, BracketError, NonConvergenceError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Bracket",
     "BracketError",
-    "Channel",
     "ChirpScanResult",
     "DarkCountModel",
-    "DarkCounts",
-    "Detector",
-    "GaussianState",
-    "Medium",
-    "Moments",
     "NonConvergenceError",
     "ProtocolPoint",
-    "Pulse",
-    "PulseTrain",
-    "QuadratureSpec",
     "ScenarioParams",
     "ScenarioResult",
     "SweepResult",
     "TransmittanceConvention",
-    "WindowProbabilities",
     "evaluate_point",
     "max_distance",
     "run_scenario",

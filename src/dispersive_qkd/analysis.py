@@ -19,7 +19,7 @@ __all__ = [
     "max_distance",
     "scan_chirp",
     "default_chirp_grid",
-    "default_l_grid",
+    "distance_grid",
     "run_scenario",
 ]
 
@@ -60,16 +60,22 @@ class ChirpScanResult:
     at_boundary: bool = False
 
 
-def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResult:
-    """Evaluate the pipeline on a strictly increasing grid of distances (km)."""
-    grid = [float(l) for l in l_grid]
+def _increasing(values: Iterable[float], what: str) -> list[float]:
+    """values as a list of floats, checked non-empty and strictly increasing."""
+    grid = [float(v) for v in values]
     if not grid:
-        raise GridError("distance grid is empty")
-    if grid[0] < 0:
-        raise GridError(f"distances must be >= 0 km, got {grid[0]}")
+        raise GridError(f"{what} grid is empty")
     for a, b in zip(grid, grid[1:]):
         if not a < b:
-            raise GridError(f"distance grid must be strictly increasing, got {a} then {b}")
+            raise GridError(f"{what} grid must be strictly increasing, got {a} then {b}")
+    return grid
+
+
+def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResult:
+    """Evaluate the pipeline on a strictly increasing grid of distances (km)."""
+    grid = _increasing(l_grid, "distance")
+    if grid[0] < 0:
+        raise GridError(f"distances must be >= 0 km, got {grid[0]}")
     rows = tuple((l, evaluate_point(params, l * _M_PER_KM)) for l in grid)
     return SweepResult(rows=rows)
 
@@ -123,12 +129,7 @@ def scan_chirp(
     point's neighbors, then keeps whichever of (refined, best sample) has
     the larger range, so the reported maximum never falls below the grid.
     """
-    grid = [float(c) for c in c_grid]
-    if not grid:
-        raise GridError("chirp grid is empty")
-    for a, b in zip(grid, grid[1:]):
-        if not a < b:
-            raise GridError(f"chirp grid must be strictly increasing, got {a} then {b}")
+    grid = _increasing(c_grid, "chirp")
     if not tol > 0:
         raise ValueError(f"tol must be > 0, got {tol}")
 
@@ -164,15 +165,26 @@ def default_chirp_grid(
     return [c_min + k * c_step for k in range(n + 1)]
 
 
-def default_l_grid(params: ScenarioParams, steps: int = 400) -> list[float]:
-    """0 to 1.2x the secure range (km), inclusive, in `steps` intervals."""
+def distance_grid(
+    variants: Sequence[ScenarioParams],
+    steps: int,
+    l_min: float = 0.0,
+    l_max: float | None = None,
+) -> list[float]:
+    """Distances (km) from l_min to l_max in `steps` equal intervals, ends
+    included.
+
+    Without l_max the top is 1.2x the longest secure range among the
+    variants, or l_min + 1 km where that does not lie above l_min (every
+    variant dead at the source, say).
+    """
     if steps < 1:
         raise GridError(f"steps must be >= 1, got {steps}")
-    l_max = max_distance(params)
-    if l_max <= 0.0:
-        return [0.0]
-    top = 1.2 * l_max
-    return [top * i / steps for i in range(steps + 1)]
+    if l_max is None:
+        l_max = 1.2 * max(max_distance(p) for p in variants)
+        if not l_max > l_min:
+            l_max = l_min + 1.0
+    return [l_min + (l_max - l_min) * i / steps for i in range(steps + 1)]
 
 
 Curve = Union[SweepResult, ChirpScanResult]
@@ -189,19 +201,41 @@ class ScenarioResult:
 SCENARIOS = ("fig1", "fig2", "fig3a", "fig3b", "fig4a", "fig4b")
 
 _PS = 1e-12
+_JITTERS = (4e-12, 25e-12)
 
 
 def _ps_label(value_s: float) -> str:
     return f"{round(value_s / _PS, 6):g}"
 
 
-def _shared_l_grid(variants: Sequence[ScenarioParams], steps: int) -> list[float]:
-    """One grid covering every variant: 1.2x the longest secure range."""
-    best = max(max_distance(p) for p in variants)
-    if best <= 0.0:
-        return [0.0]
-    top = 1.2 * best
-    return [top * i / steps for i in range(steps + 1)]
+def _variants(
+    family: str, params: ScenarioParams, fourth_window: float, third_jitter: float
+) -> list[tuple[str, ScenarioParams]]:
+    """(label, params) of each curve in a figure family, fig1 to fig4."""
+    if family == "fig1":
+        windows = sorted({5e-12, 50e-12, 125e-12, fourth_window})
+        return [
+            (f"v{_ps_label(v)}ps_j{_ps_label(j)}ps",
+             replace(params, chirp=0.0, window=v, jitter=j))
+            for j in _JITTERS
+            for v in windows
+        ]
+    at_50 = replace(params, window=50e-12)
+    if family == "fig2":
+        return [
+            (f"C{c:g}_j{_ps_label(j)}ps", replace(at_50, chirp=c, jitter=j))
+            for j in _JITTERS
+            for c in (-1.0, 0.0, 1.0)
+        ]
+    if family == "fig3":
+        return [
+            (f"j{_ps_label(j)}ps", replace(at_50, jitter=j))
+            for j in sorted({4e-12, 25e-12, third_jitter})
+        ]
+    return [
+        (f"beta{round(b / 1e-26, 6):g}", replace(at_50, jitter=25e-12, beta=b))
+        for b in (-1.15e-26, -1.5e-26, -0.7e-26)
+    ]
 
 
 def run_scenario(
@@ -224,75 +258,21 @@ def run_scenario(
     25 ps jitter. Scenario-defining fields override `params`; the rest
     (sigma, alpha, dark rate, period, conventions) carry through.
     """
-    grid = list(c_grid) if c_grid is not None else default_chirp_grid()
-    jitters = (4e-12, 25e-12)
-    window_50 = 50e-12
-
-    if name == "fig1":
-        windows = sorted({5e-12, 50e-12, 125e-12, fourth_window})
-        variants = [
-            (f"v{_ps_label(v)}ps_j{_ps_label(j)}ps",
-             replace(params, chirp=0.0, window=v, jitter=j))
-            for j in jitters
-            for v in windows
-        ]
-        l_grid = _shared_l_grid([p for _, p in variants], l_steps)
-        curves = tuple((label, sweep_distance(p, l_grid)) for label, p in variants)
-        return ScenarioResult(name=name, curves=curves)
-
-    if name == "fig2":
-        variants = [
-            (f"C{c:g}_j{_ps_label(j)}ps",
-             replace(params, chirp=c, window=window_50, jitter=j))
-            for j in jitters
-            for c in (-1.0, 0.0, 1.0)
-        ]
-        l_grid = _shared_l_grid([p for _, p in variants], l_steps)
-        curves = tuple((label, sweep_distance(p, l_grid)) for label, p in variants)
-        return ScenarioResult(name=name, curves=curves)
-
-    if name in ("fig3a", "fig3b"):
-        scan_jitters = sorted({4e-12, 25e-12, third_jitter})
-        scans = [
-            (f"j{_ps_label(j)}ps",
-             replace(params, window=window_50, jitter=j),
-             scan_chirp(replace(params, window=window_50, jitter=j), grid, tol=chirp_tol))
-            for j in scan_jitters
-        ]
-        if name == "fig3a":
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; choose one of {SCENARIOS}")
+    variants = _variants(name[:4], params, fourth_window, third_jitter)
+    if name.startswith(("fig3", "fig4")):
+        grid = list(c_grid) if c_grid is not None else default_chirp_grid()
+        scans = [(label, p, scan_chirp(p, grid, tol=chirp_tol)) for label, p in variants]
+        if name.endswith("a"):
             return ScenarioResult(
                 name=name, curves=tuple((label, scan) for label, _, scan in scans)
             )
-        variants = []
-        for label, base, scan in scans:
-            variants.append((f"{label}_C0", replace(base, chirp=0.0)))
-            variants.append((f"{label}_Copt", replace(base, chirp=scan.c_star)))
-        l_grid = _shared_l_grid([p for _, p in variants], l_steps)
-        curves = tuple((label, sweep_distance(p, l_grid)) for label, p in variants)
-        return ScenarioResult(name=name, curves=curves)
-
-    if name in ("fig4a", "fig4b"):
-        betas = (-1.15e-26, -1.5e-26, -0.7e-26)
-        scans = [
-            (f"beta{round(b / 1e-26, 6):g}",
-             replace(params, window=window_50, jitter=25e-12, beta=b),
-             scan_chirp(
-                 replace(params, window=window_50, jitter=25e-12, beta=b),
-                 grid,
-                 tol=chirp_tol,
-             ))
-            for b in betas
+        variants = [
+            (f"{label}_{tag}", replace(p, chirp=c))
+            for label, p, scan in scans
+            for tag, c in (("C0", 0.0), ("Copt", scan.c_star))
         ]
-        if name == "fig4a":
-            return ScenarioResult(
-                name=name, curves=tuple((label, scan) for label, _, scan in scans)
-            )
-        variants = []
-        for label, base, scan in scans:
-            variants.append((f"{label}_C0", replace(base, chirp=0.0)))
-            variants.append((f"{label}_Copt", replace(base, chirp=scan.c_star)))
-        l_grid = _shared_l_grid([p for _, p in variants], l_steps)
-        curves = tuple((label, sweep_distance(p, l_grid)) for label, p in variants)
-        return ScenarioResult(name=name, curves=curves)
-
-    raise ValueError(f"unknown scenario {name!r}; choose one of {SCENARIOS}")
+    distances = distance_grid([p for _, p in variants], l_steps)
+    curves = tuple((label, sweep_distance(p, distances)) for label, p in variants)
+    return ScenarioResult(name=name, curves=curves)

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
 from . import analysis
 from .chart import Series, render_chart
 from .config import KM, PS, Config, ConfigError, parse_config, to_params
-from .keyrate import ProtocolPoint, evaluate_point
+from .keyrate import evaluate_point
 from .numerics import NonConvergenceError
 
 __all__ = ["main", "build_parser", "CSV_HEADER", "SCAN_CSV_HEADER"]
@@ -78,20 +77,6 @@ def _emit(content: str, out: str | None) -> None:
         _write_text(out, content)
 
 
-def _l_grid(cfg: Config, params) -> list[float]:
-    """Sweep grid in km; auto-scales the top end unless l_max_km is set."""
-    if cfg.l_max_km >= 0:
-        lo, hi = cfg.l_min_km, cfg.l_max_km
-    else:
-        lo = cfg.l_min_km
-        l_max = analysis.max_distance(params)
-        hi = 1.2 * l_max if l_max > 0 else lo + 1.0
-        if not hi > lo:
-            hi = lo + 1.0
-    steps = cfg.l_steps
-    return [lo + (hi - lo) * i / steps for i in range(steps + 1)]
-
-
 def _chirp_grid(cfg: Config) -> list[float]:
     return analysis.default_chirp_grid(cfg.c_min, cfg.c_max, cfg.c_step)
 
@@ -123,7 +108,9 @@ def cmd_point(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
     params = to_params(cfg)
-    sweep = analysis.sweep_distance(params, _l_grid(cfg, params))
+    l_max = cfg.l_max_km if cfg.l_max_km >= 0 else None  # negative: auto-scale
+    grid = analysis.distance_grid([params], cfg.l_steps, cfg.l_min_km, l_max)
+    sweep = analysis.sweep_distance(params, grid)
     scale = _rate_scale(cfg)
     _emit(_sweep_csv(sweep, scale), args.out)
     if args.svg:

@@ -10,6 +10,7 @@ the QBER for error correction and privacy amplification.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,8 +21,6 @@ from .twf import broadened_sigma
 __all__ = [
     "TransmittanceConvention",
     "DarkCountModel",
-    "Channel",
-    "DarkCounts",
     "ScenarioParams",
     "ProtocolPoint",
     "transmittance",
@@ -44,44 +43,13 @@ class DarkCountModel(str, Enum):
     EXACT_POISSON = "exact_poisson"  # p_zero = e^(-d*v), p_one = d*v*e^(-d*v)
 
 
-@dataclass(frozen=True)
-class Channel:
-    """Fiber of `length` km with attenuation `alpha` (dB/km by default)."""
-
-    alpha: float
-    length: float
-    convention: TransmittanceConvention = TransmittanceConvention.DB
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.length < 0 or not math.isfinite(self.length):
-            raise ValueError(f"length must be >= 0 km, got {self.length}")
-
-
-@dataclass(frozen=True)
-class DarkCounts:
-    """Detector dark-count rate (Hz) and the per-window count model."""
-
-    rate: float
-    model: DarkCountModel = DarkCountModel.PAPER_LINEARIZED
-
-    def __post_init__(self) -> None:
-        if self.rate < 0 or not math.isfinite(self.rate):
-            raise ValueError(f"dark rate must be >= 0 Hz, got {self.rate}")
-
-
-def transmittance(channel: Channel) -> float:
-    """Photon survival probability over the channel."""
-    return _transmittance(channel.alpha, channel.length, channel.convention)
-
-
-def _transmittance(
-    alpha: float, length: float, convention: TransmittanceConvention
+def transmittance(
+    alpha: float, length_km: float, convention: TransmittanceConvention
 ) -> float:
+    """Photon survival probability over `length_km` of fiber."""
     if convention is TransmittanceConvention.LITERAL:
-        return 10.0 ** (-alpha * length)
-    return 10.0 ** (-alpha * length / 10.0)
+        return 10.0 ** (-alpha * length_km)
+    return 10.0 ** (-alpha * length_km / 10.0)
 
 
 def p_detect(eta: float, p_sig: float, p_w: float) -> float:
@@ -93,24 +61,18 @@ def p_detect(eta: float, p_sig: float, p_w: float) -> float:
     return eta * (p_sig + p_w * (1.0 - eta * p_sig))
 
 
-def dark_probs(dark: DarkCounts, window: float) -> tuple[float, float]:
-    """(p_zero, p_one): no dark count / exactly one dark count per window."""
-    if not window > 0:
-        raise ValueError(f"window must be > 0 seconds, got {window}")
-    return _dark_probs(dark.rate * window, dark.model)
-
-
-def _dark_probs(x: float, model: DarkCountModel) -> tuple[float, float]:
-    """dark_probs for a mean of x dark counts per window."""
+def dark_probs(mean_count: float, model: DarkCountModel) -> tuple[float, float]:
+    """(p_zero, p_one): no dark count / exactly one dark count in a window
+    that holds `mean_count` = rate * window dark counts on average."""
     if model is DarkCountModel.EXACT_POISSON:
-        e = math.exp(-x)
-        return e, x * e
-    if x >= 1.0:
+        e = math.exp(-mean_count)
+        return e, mean_count * e
+    if mean_count >= 1.0:
         raise ValueError(
-            f"linearized dark model needs rate*window < 1, got {x}; "
+            f"linearized dark model needs rate*window < 1, got {mean_count}; "
             "use the exact_poisson model for this regime"
         )
-    return 1.0 - x, x * (1.0 - x)
+    return 1.0 - mean_count, mean_count * (1.0 - mean_count)
 
 
 def p_raw_key(p_det: float, p_zero: float, p_one: float) -> float:
@@ -170,8 +132,13 @@ class ScenarioParams:
     transmittance_convention: TransmittanceConvention = TransmittanceConvention.DB
 
     def __post_init__(self) -> None:
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be > 0 seconds, got {self.sigma}")
+        # the width formula squares sigma^2 and divides by it: sigma^4 must be
+        # a normal finite float, or the width underflows to 0 or overflows
+        s2 = self.sigma * self.sigma
+        if not (self.sigma > 0 and sys.float_info.min <= s2 * s2 < math.inf):
+            raise ValueError(
+                f"sigma must lie in about [1.2e-77, 1.2e77] seconds, got {self.sigma}"
+            )
         if not math.isfinite(self.chirp):
             raise ValueError(f"chirp must be finite, got {self.chirp}")
         if not math.isfinite(self.beta):
@@ -184,7 +151,7 @@ class ScenarioParams:
             raise ValueError(f"period must be > 0 seconds, got {self.period}")
         if not (self.jitter >= 0 and math.isfinite(self.jitter)):
             raise ValueError(f"jitter must be >= 0 seconds, got {self.jitter}")
-        if not self.window > 0:
+        if not (self.window > 0 and math.isfinite(self.window)):
             raise ValueError(f"window must be > 0 seconds, got {self.window}")
 
 
@@ -211,20 +178,18 @@ def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     """Run the full pipeline at one propagation distance (meters).
 
     params was validated when it was built, so its scalars feed the
-    formulas directly and no per-call record is built.
+    formulas directly.
     """
     if distance < 0 or not math.isfinite(distance):
         raise ValueError(f"distance must be >= 0 meters, got {distance}")
-    sigma_l = broadened_sigma(params, params, distance)
+    sigma_l = broadened_sigma(params.sigma, params.chirp, params.beta, distance)
     sigma_tot = detected_sigma(sigma_l, params.jitter)
     p_sig = p_signal(sigma_tot, params.window)
     q = shifted_window_mass(sigma_tot, params.window, params.period)
     p_w = p_wrong(q, q)
-    eta = _transmittance(
-        params.alpha, distance / 1000.0, params.transmittance_convention
-    )
+    eta = transmittance(params.alpha, distance / 1000.0, params.transmittance_convention)
     p_det = p_detect(eta, p_sig, p_w)
-    p_zero, p_one = _dark_probs(params.dark_rate * params.window, params.dark_model)
+    p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
     p_raw = p_raw_key(p_det, p_zero, p_one)
     if p_raw == 0.0:
         return ProtocolPoint(

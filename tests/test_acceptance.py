@@ -27,18 +27,13 @@ from dispersive_qkd.keyrate import (
     evaluate_point,
     key_rate,
 )
-from dispersive_qkd.numerics import (
-    Bracket,
+from dispersive_qkd.numerics import Bracket, binary_entropy
+from dispersive_qkd.twf import broadened_sigma
+from oracles import (
     QuadratureSpec,
-    binary_entropy,
     find_root,
-    integrate,
-)
-from dispersive_qkd.twf import (
-    Medium,
-    Pulse,
-    broadened_sigma,
     initial_state,
+    integrate,
     moments,
     pdf,
     propagate_closed_form,
@@ -55,38 +50,38 @@ def _draw_pulse(rng):
     while beta == 0.0:
         beta = rng.uniform(-2e-26, 2e-26)
     length = rng.uniform(0.0, 300e3)
-    return Pulse(sigma=sigma, chirp=chirp), Medium(beta=beta), length
+    return sigma, chirp, beta, length
 
 
 @pytest.fixture(scope="module")
 def propagated_moments():
-    """200 random draws shared by the norm/mean and broadening criteria."""
+    """200 random draws shared by the norm/mean and broadening criteria:
+    ((sigma, chirp, beta, length), (norm, mean, variance))."""
     rng = random.Random(20260814)
     entries = []
     for _ in range(200):
-        pulse, medium, length = _draw_pulse(rng)
-        state = propagate_closed_form(pulse, medium, length)
-        entries.append((pulse, medium, length, moments(state)))
+        draw = _draw_pulse(rng)
+        entries.append((draw, moments(propagate_closed_form(*draw))))
     return entries
 
 
 def test_criterion_01_density_norm_and_mean(propagated_moments):
     bad = []
-    for pulse, medium, length, m in propagated_moments:
-        if abs(m.norm - 1.0) > 1e-9 or abs(m.mean) > 1e-25:
-            bad.append((pulse, medium, length, m))
+    for draw, (norm, mean, _) in propagated_moments:
+        if abs(norm - 1.0) > 1e-9 or abs(mean) > 1e-25:
+            bad.append((draw, norm, mean))
     # source conditions: unit norm, centered, variance sigma^2
     rng = random.Random(9)
     for _ in range(25):
-        pulse, _, _ = _draw_pulse(rng)
-        m0 = moments(initial_state(pulse))
-        s2 = pulse.sigma**2
+        sigma, chirp, _, _ = _draw_pulse(rng)
+        norm, mean, variance = moments(initial_state(sigma, chirp))
+        s2 = sigma**2
         if (
-            abs(m0.norm - 1.0) > 1e-9
-            or abs(m0.mean) > 1e-25
-            or abs(m0.variance - s2) > 1e-8 * s2
+            abs(norm - 1.0) > 1e-9
+            or abs(mean) > 1e-25
+            or abs(variance - s2) > 1e-8 * s2
         ):
-            bad.append((pulse, None, 0.0, m0))
+            bad.append(((sigma, chirp), norm, mean, variance))
     ok = not bad
     record(
         1,
@@ -106,14 +101,13 @@ def test_criterion_02_closed_form_matches_propagator_integral():
         chirp = rng.uniform(-2.0, 2.0)
         mag = rng.uniform(0.3e-26, 2e-26)
         beta = mag if i % 2 == 0 else -mag
-        pulse, medium = Pulse(sigma=sigma, chirp=chirp), Medium(beta=beta)
         length = min(rng.uniform(0.2, 1.5) * sigma**2 / mag, 300e3)
-        state = propagate_closed_form(pulse, medium, length)
+        state = propagate_closed_form(sigma, chirp, beta, length)
         s_l = state.pdf_sigma
         for k in range(21):
             t = -4.0 * s_l + 8.0 * s_l * k / 20.0
             dens_closed = pdf(state, t)
-            dens_numeric = abs(propagate_numeric(pulse, medium, length, t)) ** 2
+            dens_numeric = abs(propagate_numeric(sigma, chirp, beta, length, t)) ** 2
             rel = abs(dens_closed - dens_numeric) / dens_numeric
             worst = max(worst, rel)
             if rel > 1e-6:
@@ -131,12 +125,12 @@ def test_criterion_02_closed_form_matches_propagator_integral():
 def test_criterion_03_broadening_formula_gate(propagated_moments):
     worst = 0.0
     bad = []
-    for pulse, medium, length, m in propagated_moments:
-        expected = broadened_sigma(pulse, medium, length) ** 2
-        rel = abs(m.variance - expected) / expected
+    for draw, (_, _, variance) in propagated_moments:
+        expected = broadened_sigma(*draw) ** 2
+        rel = abs(variance - expected) / expected
         worst = max(worst, rel)
         if rel > 1e-8:
-            bad.append((pulse, medium, length, rel))
+            bad.append((draw, rel))
     ok = not bad
     record(
         3,

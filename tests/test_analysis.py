@@ -7,7 +7,7 @@ from dispersive_qkd.analysis import (
     GridError,
     SweepResult,
     default_chirp_grid,
-    default_l_grid,
+    distance_grid,
     max_distance,
     run_scenario,
     scan_chirp,
@@ -127,15 +127,23 @@ def test_default_chirp_grid_shape():
         default_chirp_grid(c_step=0.0)
 
 
-def test_default_l_grid_covers_secure_range():
+def test_distance_grid_covers_secure_range():
     params = ScenarioParams()
-    grid = default_l_grid(params)
+    grid = distance_grid([params], 400)
     assert len(grid) == 401
     assert grid[0] == 0.0
     l_max = max_distance(params)
     assert abs(grid[-1] - 1.2 * l_max) <= 1e-9 * grid[-1]
+    # several variants share the grid of the longest range
+    short = replace(params, window=5 * PS, jitter=25 * PS, beta=-1.5e-26)
+    assert distance_grid([short, params], 400) == grid
+    # dead at the source, or a floor beyond 1.2 L_max: one km past the floor
     dead = ScenarioParams(jitter=200 * PS)
-    assert default_l_grid(dead) == [0.0]
+    assert distance_grid([dead], 4) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert distance_grid([params], 2, l_min=50.0) == [50.0, 50.5, 51.0]
+    assert distance_grid([], 2, l_min=10.0, l_max=30.0) == [10.0, 20.0, 30.0]
+    with pytest.raises(GridError):
+        distance_grid([params], 0)
 
 
 def test_run_scenario_fig1_shape():

@@ -163,6 +163,15 @@ def test_sweep_csv_contract(tmp_path, capsys):
     assert fields[6] == f"{point.key_rate:.10g}"
 
 
+def test_sweep_dead_at_source_spans_one_km(capsys):
+    # the auto-scaled top falls back to 1 km past l_min when L_max = 0
+    assert main(["sweep", "--set", "jitter_ps=200"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [i / 400 for i in range(401)]
+    assert all(line.endswith(",0") for line in lines[1:])
+
+
 def test_sweep_rerun_is_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -283,6 +292,14 @@ def test_exit_code_2_on_bad_set(capsys):
 def test_exit_code_2_on_validation(capsys):
     assert main(["lmax", "--set", "sigma_ps=-1"]) == 2
     assert "sigma_ps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma_ps", ["1e-158", "1e-88", "1e112", "1e172"])
+def test_exit_code_2_on_sigma_out_of_range(capsys, sigma_ps):
+    # sigma^2 or sigma^4 underflows or overflows: rejected up front, not
+    # a traceback or a misleading error from deep in the pipeline
+    assert main(["point", "--set", f"sigma_ps={sigma_ps}"]) == 2
+    assert "sigma" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_non_convergence(capsys):

@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dispersive_qkd.detection import (
-    Detector,
-    PulseTrain,
-    convolve_numeric,
     detected_sigma,
     p_signal,
     p_wrong,
     shifted_window_mass,
-    window_probabilities,
 )
-from dispersive_qkd.numerics import QuadratureSpec, integrate
+from dispersive_qkd.keyrate import ScenarioParams, evaluate_point
+from oracles import QuadratureSpec, convolve_numeric, integrate
 
 PS = 1e-12
 
@@ -26,19 +23,6 @@ def gaussian(sigma):
         )
 
     return density
-
-
-def test_detector_validation():
-    with pytest.raises(ValueError):
-        Detector(jitter=-1e-12, window=50e-12)
-    with pytest.raises(ValueError):
-        Detector(jitter=25e-12, window=0.0)
-    assert Detector(jitter=0.0, window=50e-12).jitter == 0.0
-
-
-def test_pulse_train_validation():
-    with pytest.raises(ValueError):
-        PulseTrain(period=0.0)
 
 
 def test_detected_sigma_identity_and_pythagoras():
@@ -214,18 +198,20 @@ def test_p_wrong_peaks_at_half():
 
 def test_overlap_regime_stays_probabilistic():
     # window wider than the period: neighbors overlap the acceptance window
-    bundle = window_probabilities(
-        115.434 * PS, Detector(jitter=25 * PS, window=125 * PS), PulseTrain(100 * PS)
-    )
-    for value in (bundle.p_sig, bundle.q_plus, bundle.q_minus, bundle.p_w):
+    sigma_tot = detected_sigma(115.434 * PS, 25 * PS)
+    q = shifted_window_mass(sigma_tot, 125 * PS, 100 * PS)
+    for value in (p_signal(sigma_tot, 125 * PS), q, p_wrong(q, q)):
         assert 0.0 <= value <= 1.0
 
 
 def test_window_probabilities_consistency():
-    bundle = window_probabilities(
-        50 * PS, Detector(jitter=25 * PS, window=50 * PS), PulseTrain(100 * PS)
-    )
+    # evaluate_point composes the window helpers on the detected spread;
+    # one shifted mass serves both neighbors, which by symmetry see the same
+    params = ScenarioParams(sigma=50 * PS, jitter=25 * PS, window=50 * PS, period=100 * PS)
+    point = evaluate_point(params, 0.0)
     sigma_tot = detected_sigma(50 * PS, 25 * PS)
-    assert bundle.p_sig == p_signal(sigma_tot, 50 * PS)
-    assert bundle.q_plus == bundle.q_minus
-    assert bundle.p_w == p_wrong(bundle.q_plus, bundle.q_minus)
+    q = shifted_window_mass(sigma_tot, 50 * PS, 100 * PS)
+    assert point.p_sig == p_signal(sigma_tot, 50 * PS)
+    assert point.p_w == p_wrong(q, q)
+    q_minus = integrate(gaussian(sigma_tot), -125 * PS, -75 * PS).real
+    assert abs(q - q_minus) <= 1e-9

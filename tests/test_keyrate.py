@@ -2,7 +2,6 @@
 per-distance pipeline."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +13,7 @@ from dispersive_qkd.detection import (
     shifted_window_mass,
 )
 from dispersive_qkd.keyrate import (
-    Channel,
     DarkCountModel,
-    DarkCounts,
     ProtocolPoint,
     ScenarioParams,
     TransmittanceConvention,
@@ -28,32 +25,27 @@ from dispersive_qkd.keyrate import (
     qber,
     transmittance,
 )
-from dispersive_qkd.twf import Medium, Pulse, broadened_sigma
+from dispersive_qkd.twf import broadened_sigma
 
 PS = 1e-12
 KM = 1e3
-
-
-def test_channel_validation():
-    with pytest.raises(ValueError):
-        Channel(alpha=-0.1, length=10.0)
-    with pytest.raises(ValueError):
-        Channel(alpha=0.2, length=-1.0)
+DB = TransmittanceConvention.DB
+LITERAL = TransmittanceConvention.LITERAL
+LINEARIZED = DarkCountModel.PAPER_LINEARIZED
+POISSON = DarkCountModel.EXACT_POISSON
+WINDOW = 50 * PS
 
 
 def test_transmittance_db_convention():
-    assert transmittance(Channel(alpha=0.2, length=0.0)) == 1.0
-    assert abs(transmittance(Channel(alpha=0.2, length=50.0)) - 0.1) <= 1e-15
-    assert abs(transmittance(Channel(alpha=0.2, length=100.0)) - 0.01) <= 1e-16
+    assert transmittance(0.2, 0.0, DB) == 1.0
+    assert abs(transmittance(0.2, 50.0, DB) - 0.1) <= 1e-15
+    assert abs(transmittance(0.2, 100.0, DB) - 0.01) <= 1e-16
 
 
 def test_transmittance_literal_convention():
-    ch = Channel(alpha=0.2, length=1.0, convention=TransmittanceConvention.LITERAL)
-    assert abs(transmittance(ch) - 10.0 ** -0.2) <= 1e-15
+    assert abs(transmittance(0.2, 1.0, LITERAL) - 10.0 ** -0.2) <= 1e-15
     # face-value exponent: 10 dB-convention kilometers collapse to one
-    lit = Channel(alpha=0.2, length=5.0, convention=TransmittanceConvention.LITERAL)
-    db = Channel(alpha=0.2, length=50.0)
-    assert transmittance(lit) == transmittance(db)
+    assert transmittance(0.2, 5.0, LITERAL) == transmittance(0.2, 50.0, DB)
 
 
 def test_p_detect_reference():
@@ -66,25 +58,23 @@ def test_p_detect_reference():
 
 
 def test_dark_probs_reference():
-    assert dark_probs(DarkCounts(rate=0.0), 50 * PS) == (1.0, 0.0)
-    p_zero, p_one = dark_probs(DarkCounts(rate=1000.0), 50 * PS)
+    assert dark_probs(0.0 * WINDOW, LINEARIZED) == (1.0, 0.0)
+    p_zero, p_one = dark_probs(1000.0 * WINDOW, LINEARIZED)
     assert p_zero == 1.0 - 5e-8
     assert abs(p_one - 5e-8) <= 1e-14
 
 
 def test_dark_models_agree_at_small_exposure():
-    lin = dark_probs(DarkCounts(1000.0, DarkCountModel.PAPER_LINEARIZED), 50 * PS)
-    poi = dark_probs(DarkCounts(1000.0, DarkCountModel.EXACT_POISSON), 50 * PS)
+    lin = dark_probs(1000.0 * WINDOW, LINEARIZED)
+    poi = dark_probs(1000.0 * WINDOW, POISSON)
     assert abs(lin[0] - poi[0]) <= 2.5e-15
     assert abs(lin[1] - poi[1]) <= 2.5e-15
 
 
 def test_dark_probs_linearized_domain():
-    hot = DarkCounts(rate=2e9, model=DarkCountModel.PAPER_LINEARIZED)
     with pytest.raises(ValueError):
-        dark_probs(hot, 1e-9)  # d*v = 2
-    exact = DarkCounts(rate=2e9, model=DarkCountModel.EXACT_POISSON)
-    p_zero, p_one = dark_probs(exact, 1e-9)
+        dark_probs(2e9 * 1e-9, LINEARIZED)  # d*v = 2
+    p_zero, p_one = dark_probs(2e9 * 1e-9, POISSON)
     assert 0.0 < p_zero < 1.0 and 0.0 < p_one < 1.0
 
 
@@ -143,12 +133,16 @@ def test_scenario_params_defaults():
     "kwargs",
     [
         {"sigma": 0.0},
+        {"sigma": -1e-12},
+        {"chirp": math.inf},
+        {"beta": math.nan},
         {"period": 0.0},
         {"window": -1e-12},
+        {"window": 0.0},
         {"jitter": -1e-12},
         {"dark_rate": -1.0},
         {"alpha": -0.2},
-        # non-finite values the per-call records used to reject
+        # non-finite values
         {"sigma": math.inf},
         {"sigma": math.nan},
         {"alpha": math.inf},
@@ -157,11 +151,28 @@ def test_scenario_params_defaults():
         {"dark_rate": math.nan},
         {"jitter": math.inf},
         {"jitter": math.nan},
+        {"window": math.inf},
+        # sigma^2 or sigma^4 underflows or overflows in the width formula
+        {"sigma": 1e-170},
+        {"sigma": 1e160},
+        {"sigma": 1e-100},
+        {"sigma": 1e100},
     ],
 )
 def test_scenario_params_validation(kwargs):
     with pytest.raises(ValueError):
         ScenarioParams(**kwargs)
+
+
+def test_scenario_params_accepts_domain_edges():
+    # no dispersion, no jitter, and an isolated pulse (no neighbor leakage)
+    params = ScenarioParams(beta=0.0, jitter=0.0, period=math.inf)
+    point = evaluate_point(params, 10 * KM)
+    assert point.p_w == 0.0
+    assert point.key_rate > 0.0
+    # the extreme widths whose fourth power is still a normal float
+    for sigma in (1e-76, 1e76):
+        assert evaluate_point(ScenarioParams(sigma=sigma), 0.0).key_rate >= 0.0
 
 
 def test_evaluate_point_at_source():
@@ -204,7 +215,7 @@ def test_no_noise_reduction():
     for l_m in (0.0, 10 * KM, 30 * KM):
         point = evaluate_point(params, l_m)
         assert point.p_w == 0.0
-        eta = transmittance(Channel(alpha=0.2, length=l_m / KM))
+        eta = transmittance(0.2, l_m / KM, DB)
         assert point.key_rate == eta * point.p_sig / 2.0
 
 
@@ -266,21 +277,15 @@ def test_point_bounds_hold_everywhere(
 
 
 def _composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
-    """The pipeline rebuilt from the public helpers and per-call records."""
-    sigma_l = broadened_sigma(
-        Pulse(params.sigma, params.chirp), Medium(params.beta), distance
-    )
+    """The pipeline rebuilt from the public helpers."""
+    sigma_l = broadened_sigma(params.sigma, params.chirp, params.beta, distance)
     sigma_tot = detected_sigma(sigma_l, params.jitter)
     p_sig = p_signal(sigma_tot, params.window)
     q = shifted_window_mass(sigma_tot, params.window, params.period)
     p_w = p_wrong(q, q)
-    eta = transmittance(
-        Channel(params.alpha, distance / KM, params.transmittance_convention)
-    )
+    eta = transmittance(params.alpha, distance / KM, params.transmittance_convention)
     p_det = p_detect(eta, p_sig, p_w)
-    p_zero, p_one = dark_probs(
-        DarkCounts(params.dark_rate, params.dark_model), params.window
-    )
+    p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
     p_raw = p_raw_key(p_det, p_zero, p_one)
     if p_raw == 0.0:
         return ProtocolPoint(

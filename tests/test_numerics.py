@@ -8,13 +8,11 @@ from dispersive_qkd.numerics import (
     Bracket,
     BracketError,
     NonConvergenceError,
-    QuadratureSpec,
     binary_entropy,
     erf,
-    find_root,
-    integrate,
     maximize_scalar,
 )
+from oracles import QuadratureSpec, find_root, integrate
 
 
 def test_quadrature_spec_defaults():

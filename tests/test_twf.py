@@ -7,13 +7,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dispersive_qkd.numerics import QuadratureSpec, integrate
-from dispersive_qkd.twf import (
+from dispersive_qkd.twf import broadened_sigma
+from oracles import (
     GaussianState,
-    Medium,
-    Pulse,
-    broadened_sigma,
+    QuadratureSpec,
     initial_state,
+    integrate,
     moments,
     pdf,
     propagate_closed_form,
@@ -25,130 +24,104 @@ KM = 1e3
 TABLE_BETA = -1.15e-26
 
 
-def test_pulse_validation():
-    with pytest.raises(ValueError):
-        Pulse(sigma=0.0)
-    with pytest.raises(ValueError):
-        Pulse(sigma=-1e-12)
-    with pytest.raises(ValueError):
-        Pulse(sigma=10e-12, chirp=math.inf)
-
-
-def test_medium_validation():
-    with pytest.raises(ValueError):
-        Medium(beta=math.nan)
-    assert Medium(beta=0.0).beta == 0.0  # dispersionless medium is legal
-
-
 def test_gaussian_state_requires_positive_real_exponent():
     with pytest.raises(ValueError):
         GaussianState(exponent_real=0.0, exponent_imag=1.0, norm=1.0 + 0j)
 
 
 def test_initial_state_exponent():
-    st0 = initial_state(Pulse(sigma=10 * PS, chirp=0.0))
+    st0 = initial_state(10 * PS, 0.0)
     assert st0.exponent_real == 2.5e21
     assert st0.exponent_imag == 0.0
-    st1 = initial_state(Pulse(sigma=10 * PS, chirp=1.0))
+    st1 = initial_state(10 * PS, 1.0)
     assert st1.exponent_imag == st1.exponent_real == 2.5e21
 
 
 def test_initial_state_moments_any_chirp():
-    m = moments(initial_state(Pulse(sigma=10 * PS, chirp=3.0)))
-    assert abs(m.norm - 1.0) <= 1e-9
-    assert abs(m.mean) <= 1e-25
-    assert abs(m.variance - 1e-22) <= 1e-28
+    norm, mean, variance = moments(initial_state(10 * PS, 3.0))
+    assert abs(norm - 1.0) <= 1e-9
+    assert abs(mean) <= 1e-25
+    assert abs(variance - 1e-22) <= 1e-28
 
 
 def test_propagate_zero_distance_is_identity():
-    pulse = Pulse(sigma=10 * PS, chirp=0.7)
-    medium = Medium(beta=TABLE_BETA)
-    out = propagate_closed_form(pulse, medium, 0.0)
-    assert out == initial_state(pulse)
+    out = propagate_closed_form(10 * PS, 0.7, TABLE_BETA, 0.0)
+    assert out == initial_state(10 * PS, 0.7)
 
 
 def test_propagate_zero_beta_is_identity():
-    pulse = Pulse(sigma=10 * PS, chirp=-0.4)
-    out = propagate_closed_form(pulse, Medium(beta=0.0), 80 * KM)
-    assert out == initial_state(pulse)
+    out = propagate_closed_form(10 * PS, -0.4, 0.0, 80 * KM)
+    assert out == initial_state(10 * PS, -0.4)
 
 
 def test_propagate_rejects_negative_distance():
     with pytest.raises(ValueError):
-        propagate_closed_form(Pulse(10 * PS), Medium(TABLE_BETA), -1.0)
+        propagate_closed_form(10 * PS, 0.0, TABLE_BETA, -1.0)
 
 
 def test_broadened_sigma_at_zero():
-    assert broadened_sigma(Pulse(sigma=7 * PS), Medium(TABLE_BETA), 0.0) == 7 * PS
+    assert broadened_sigma(7 * PS, 0.0, TABLE_BETA, 0.0) == 7 * PS
 
 
 def test_broadened_sigma_100km():
-    got = broadened_sigma(Pulse(sigma=10 * PS, chirp=0.0), Medium(TABLE_BETA), 100 * KM)
+    got = broadened_sigma(10 * PS, 0.0, TABLE_BETA, 100 * KM)
     assert abs(got - 115.434 * PS) <= 1e-3 * PS
 
 
 def test_broadened_sigma_focusing_point():
     # chirp*beta > 0: the quadratic term vanishes at L = sigma^2/(chirp*beta)
-    got = broadened_sigma(
-        Pulse(sigma=10 * PS, chirp=-0.25), Medium(TABLE_BETA), 34.783 * KM
-    )
+    got = broadened_sigma(10 * PS, -0.25, TABLE_BETA, 34.783 * KM)
     assert abs(got - 40.0 * PS) <= 0.1 * PS
 
 
 def test_broadened_sigma_sign_symmetry():
-    pulse_a = Pulse(sigma=8 * PS, chirp=1.3)
-    pulse_b = Pulse(sigma=8 * PS, chirp=-1.3)
     for l in (0.0, 10 * KM, 47 * KM, 200 * KM):
-        assert broadened_sigma(pulse_a, Medium(-1.2e-26), l) == broadened_sigma(
-            pulse_b, Medium(1.2e-26), l
+        assert broadened_sigma(8 * PS, 1.3, -1.2e-26, l) == broadened_sigma(
+            8 * PS, -1.3, 1.2e-26, l
         )
 
 
 def test_broadened_sigma_matches_closed_form_state():
-    pulse = Pulse(sigma=10 * PS, chirp=0.5)
-    medium = Medium(TABLE_BETA)
     for l in (1 * KM, 20 * KM, 150 * KM):
-        state = propagate_closed_form(pulse, medium, l)
-        ref = broadened_sigma(pulse, medium, l)
+        state = propagate_closed_form(10 * PS, 0.5, TABLE_BETA, l)
+        ref = broadened_sigma(10 * PS, 0.5, TABLE_BETA, l)
         assert abs(state.pdf_sigma - ref) <= 1e-12 * ref
 
 
 def test_focusing_iff_chirp_beta_positive():
     # chirp*beta > 0 narrows the pulse to sigma/sqrt(1+C^2) at
     # L_min = C sigma^2 / ((1+C^2) beta) before re-broadening
-    sigma, chirp = 10 * PS, -0.8
-    medium = Medium(TABLE_BETA)
-    pulse = Pulse(sigma=sigma, chirp=chirp)
-    l_min = chirp * sigma * sigma / ((1.0 + chirp * chirp) * medium.beta)
+    sigma, chirp, beta = 10 * PS, -0.8, TABLE_BETA
+    l_min = chirp * sigma * sigma / ((1.0 + chirp * chirp) * beta)
     assert l_min > 0
-    w_min = broadened_sigma(pulse, medium, l_min)
+    w_min = broadened_sigma(sigma, chirp, beta, l_min)
     ref = sigma / math.sqrt(1.0 + chirp * chirp)
     assert abs(w_min - ref) <= 1e-12 * ref
     for frac in (0.5, 1.0, 1.5):
-        assert broadened_sigma(pulse, medium, frac * l_min) < sigma
-    assert broadened_sigma(pulse, medium, 2.5 * l_min) > sigma
+        assert broadened_sigma(sigma, chirp, beta, frac * l_min) < sigma
+    assert broadened_sigma(sigma, chirp, beta, 2.5 * l_min) > sigma
     # opposite chirp sign: monotone broadening
-    anti = Pulse(sigma=sigma, chirp=-chirp)
-    widths = [broadened_sigma(anti, medium, f * l_min) for f in (0.0, 0.5, 1.0, 2.0)]
+    widths = [
+        broadened_sigma(sigma, -chirp, beta, f * l_min) for f in (0.0, 0.5, 1.0, 2.0)
+    ]
     assert all(a < b for a, b in zip(widths, widths[1:]))
 
 
 def test_vanishing_term_point_and_chirp_advantage_window():
     # at L* = sigma^2/(C beta) the quadratic term dies: sigma_L = |beta| L*/sigma,
     # and the chirped width stays below the unchirped one out to 2 L*
-    sigma, chirp = 10 * PS, -0.25
-    medium = Medium(TABLE_BETA)
-    pulse = Pulse(sigma=sigma, chirp=chirp)
-    flat = Pulse(sigma=sigma, chirp=0.0)
-    l_star = sigma * sigma / (chirp * medium.beta)
-    got = broadened_sigma(pulse, medium, l_star)
-    ref = abs(medium.beta) * l_star / sigma
+    sigma, chirp, beta = 10 * PS, -0.25, TABLE_BETA
+    l_star = sigma * sigma / (chirp * beta)
+    got = broadened_sigma(sigma, chirp, beta, l_star)
+    ref = abs(beta) * l_star / sigma
     assert abs(got - ref) <= 1e-12 * ref
     for frac in (0.1, 0.5, 1.0, 1.9):
         l = frac * l_star
-        assert broadened_sigma(pulse, medium, l) < broadened_sigma(flat, medium, l)
+        assert broadened_sigma(sigma, chirp, beta, l) < broadened_sigma(sigma, 0.0, beta, l)
     beyond = 2.2 * l_star
-    assert broadened_sigma(pulse, medium, beyond) > broadened_sigma(flat, medium, beyond)
+    assert broadened_sigma(sigma, chirp, beta, beyond) > broadened_sigma(
+        sigma, 0.0, beta, beyond
+    )
 
 
 @given(
@@ -160,88 +133,81 @@ def test_vanishing_term_point_and_chirp_advantage_window():
 def test_broadened_sigma_lower_bound(sigma_ps, chirp, beta_e26, l_km):
     # sigma_L^2 * sigma^2 >= (beta L)^2 for any chirp
     sigma = sigma_ps * PS
-    got = broadened_sigma(Pulse(sigma=sigma, chirp=chirp), Medium(beta_e26 * 1e-26), l_km * KM)
+    got = broadened_sigma(sigma, chirp, beta_e26 * 1e-26, l_km * KM)
     assert got * sigma >= abs(beta_e26 * 1e-26 * l_km * KM) * (1.0 - 1e-12)
 
 
 def test_pdf_peak_value():
-    state = initial_state(Pulse(sigma=10 * PS))
+    state = initial_state(10 * PS, 0.0)
     peak = pdf(state, 0.0)
     assert abs(peak - 1.0 / (math.sqrt(2.0 * math.pi) * 10 * PS)) <= 1e-4
     assert abs(peak - 3.989e10) <= 5e6
 
 
 def test_pdf_ignores_chirp_at_source():
-    flat = initial_state(Pulse(sigma=10 * PS, chirp=0.0))
-    chirped = initial_state(Pulse(sigma=10 * PS, chirp=3.0))
+    flat = initial_state(10 * PS, 0.0)
+    chirped = initial_state(10 * PS, 3.0)
     for t in (-25 * PS, -3 * PS, 0.0, 14 * PS):
         assert pdf(flat, t) == pdf(chirped, t)
 
 
 def test_pdf_normalization():
-    state = propagate_closed_form(Pulse(10 * PS, 1.0), Medium(TABLE_BETA), 60 * KM)
+    state = propagate_closed_form(10 * PS, 1.0, TABLE_BETA, 60 * KM)
     s = state.pdf_sigma
     val = integrate(lambda t: pdf(state, t), -12 * s, 12 * s).real
     assert abs(val - 1.0) <= 1e-10
 
 
 def test_moments_track_broadening():
-    pulse = Pulse(sigma=10 * PS, chirp=0.0)
-    state = propagate_closed_form(pulse, Medium(TABLE_BETA), 100 * KM)
-    m = moments(state)
-    assert abs(m.norm - 1.0) <= 1e-9
-    assert abs(m.mean) <= 1e-25
+    state = propagate_closed_form(10 * PS, 0.0, TABLE_BETA, 100 * KM)
+    norm, mean, variance = moments(state)
+    assert abs(norm - 1.0) <= 1e-9
+    assert abs(mean) <= 1e-25
     ref = (115.434 * PS) ** 2
-    assert abs(m.variance - ref) <= 1e-6 * ref
+    assert abs(variance - ref) <= 1e-6 * ref
 
 
 def test_moments_normalization_random_draws():
     rng = random.Random(41)
     for _ in range(10):
-        pulse = Pulse(
-            sigma=rng.uniform(1.0, 50.0) * PS, chirp=rng.uniform(-3.0, 3.0)
-        )
-        medium = Medium(-rng.uniform(0.5, 2.0) * 1e-26)
-        state = propagate_closed_form(pulse, medium, rng.uniform(0.0, 300.0) * KM)
-        m = moments(state)
-        assert abs(m.norm - 1.0) <= 1e-9
-        assert abs(m.mean) <= 1e-25
-        assert abs(m.variance - state.pdf_sigma ** 2) <= 1e-8 * state.pdf_sigma ** 2
+        sigma = rng.uniform(1.0, 50.0) * PS
+        chirp = rng.uniform(-3.0, 3.0)
+        beta = -rng.uniform(0.5, 2.0) * 1e-26
+        state = propagate_closed_form(sigma, chirp, beta, rng.uniform(0.0, 300.0) * KM)
+        norm, mean, variance = moments(state)
+        assert abs(norm - 1.0) <= 1e-9
+        assert abs(mean) <= 1e-25
+        assert abs(variance - state.pdf_sigma ** 2) <= 1e-8 * state.pdf_sigma ** 2
 
 
 def test_propagate_numeric_requires_positive_length_and_dispersion():
     with pytest.raises(ValueError):
-        propagate_numeric(Pulse(10 * PS), Medium(TABLE_BETA), 0.0, 0.0)
+        propagate_numeric(10 * PS, 0.0, TABLE_BETA, 0.0, 0.0)
     with pytest.raises(ValueError):
-        propagate_numeric(Pulse(10 * PS), Medium(0.0), 10 * KM, 0.0)
+        propagate_numeric(10 * PS, 0.0, 0.0, 10 * KM, 0.0)
 
 
 def test_propagate_numeric_matches_closed_form_at_peak():
-    pulse = Pulse(sigma=10 * PS, chirp=0.0)
-    medium = Medium(TABLE_BETA)
-    closed = propagate_closed_form(pulse, medium, 50 * KM)
-    amp = propagate_numeric(pulse, medium, 50 * KM, 0.0)
+    closed = propagate_closed_form(10 * PS, 0.0, TABLE_BETA, 50 * KM)
+    amp = propagate_numeric(10 * PS, 0.0, TABLE_BETA, 50 * KM, 0.0)
     ref = pdf(closed, 0.0)
     assert abs(abs(amp) ** 2 - ref) <= 1e-6 * ref
 
 
 def test_propagate_numeric_beta_sign_symmetry_unchirped():
-    pulse = Pulse(sigma=10 * PS, chirp=0.0)
     for t in (0.0, 20 * PS, 55 * PS):
-        plus = abs(propagate_numeric(pulse, Medium(1.15e-26), 40 * KM, t)) ** 2
-        minus = abs(propagate_numeric(pulse, Medium(-1.15e-26), 40 * KM, t)) ** 2
+        plus = abs(propagate_numeric(10 * PS, 0.0, 1.15e-26, 40 * KM, t)) ** 2
+        minus = abs(propagate_numeric(10 * PS, 0.0, -1.15e-26, 40 * KM, t)) ** 2
         assert abs(plus - minus) <= 1e-8 * max(plus, minus)
 
 
 def test_propagate_numeric_unitarity():
-    pulse = Pulse(sigma=10 * PS, chirp=1.0)
-    medium = Medium(TABLE_BETA)
     l = 50 * KM
-    sigma_l = broadened_sigma(pulse, medium, l)
+    sigma_l = broadened_sigma(10 * PS, 1.0, TABLE_BETA, l)
     outer = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
 
     def density(t):
-        return abs(propagate_numeric(pulse, medium, l, t)) ** 2
+        return abs(propagate_numeric(10 * PS, 1.0, TABLE_BETA, l, t)) ** 2
 
     val = integrate(density, -12 * sigma_l, 12 * sigma_l, outer).real
     assert abs(val - 1.0) <= 1e-8
@@ -259,11 +225,9 @@ def test_closed_form_gated_by_oracle(sigma_ps, chirp, beta_e26, flip):
     sigma = sigma_ps * PS
     beta = (-beta_e26 if flip else beta_e26) * 1e-26
     length = min(1.5 * sigma * sigma / abs(beta), 300 * KM)
-    pulse = Pulse(sigma=sigma, chirp=chirp)
-    medium = Medium(beta)
-    closed = propagate_closed_form(pulse, medium, length)
+    closed = propagate_closed_form(sigma, chirp, beta, length)
     sigma_l = closed.pdf_sigma
     for t in (-2.0 * sigma_l, 0.0, 1.5 * sigma_l):
-        num = abs(propagate_numeric(pulse, medium, length, t)) ** 2
+        num = abs(propagate_numeric(sigma, chirp, beta, length, t)) ** 2
         ref = pdf(closed, t)
         assert abs(num - ref) <= 1e-6 * ref
