@@ -23,10 +23,23 @@ def broadened_sigma(sigma: float, chirp: float, beta: float, length: float) -> f
     chirp*beta > 0 the pulse first narrows, down to sigma/sqrt(1+chirp^2)
     at L = chirp*sigma^2/((1+chirp^2)*beta), then re-broadens; otherwise it
     broadens monotonically. The test suite gates this expression against
-    quadrature moments of the propagator integral.
+    quadrature moments of the propagator integral. Raises ValueError where
+    the squared focusing term overflows a float.
     """
     if length < 0:
         raise ValueError(f"propagation distance must be >= 0, got {length}")
     s2 = sigma * sigma
     bl = beta * length
-    return math.sqrt(((s2 - chirp * bl) ** 2 + bl * bl) / s2)
+    try:
+        focus = (s2 - chirp * bl) ** 2
+    except OverflowError:
+        raise _width_overflow(sigma, chirp, beta, length) from None
+    return math.sqrt((focus + bl * bl) / s2)
+
+
+def _width_overflow(sigma: float, chirp: float, beta: float, length: float) -> ValueError:
+    """The error for a width whose square overflows a float."""
+    return ValueError(
+        f"broadened width overflows a float at sigma={sigma:g} s, chirp={chirp:g}, "
+        f"beta={beta:g} s^2/m, L={length:g} m"
+    )

@@ -4,7 +4,10 @@ Only the tests call these. Each recomputes a quantity the package gets in
 closed form by an independent route: the propagator integral for the
 propagated pulse, quadrature moments for its width, a jitter convolution
 for the detected spread, and adaptive Gauss-Kronrod quadrature plus a
-bisection root finder underneath them all.
+bisection root finder underneath them all. `composed_point` rebuilds the
+per-distance pipeline from the public helpers, the reference for the
+package's hoisted kernel, and `domain_params` draws `ScenarioParams` over
+the documented robustness domain.
 """
 
 from __future__ import annotations
@@ -15,7 +18,28 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable
 
+from hypothesis import strategies as st
+
+from dispersive_qkd.detection import (
+    detected_sigma,
+    p_signal,
+    p_wrong,
+    shifted_window_mass,
+)
+from dispersive_qkd.keyrate import (
+    DarkCountModel,
+    ProtocolPoint,
+    ScenarioParams,
+    TransmittanceConvention,
+    dark_probs,
+    key_rate,
+    p_detect,
+    p_raw_key,
+    qber,
+    transmittance,
+)
 from dispersive_qkd.numerics import Bracket, BracketError, NonConvergenceError
+from dispersive_qkd.twf import broadened_sigma
 
 
 @dataclass(frozen=True)
@@ -329,3 +353,61 @@ def moments(
     ).real
     var_u = integrate(lambda u: (u - mean_u) ** 2 * density(u), -r, r, spec).real
     return norm, s * mean_u, s * s * var_u
+
+
+def composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
+    """The pipeline rebuilt from the public helpers."""
+    sigma_l = broadened_sigma(params.sigma, params.chirp, params.beta, distance)
+    sigma_tot = detected_sigma(sigma_l, params.jitter)
+    p_sig = p_signal(sigma_tot, params.window)
+    q = shifted_window_mass(sigma_tot, params.window, params.period)
+    p_w = p_wrong(q, q)
+    eta = transmittance(params.alpha, distance / 1000.0, params.transmittance_convention)
+    p_det = p_detect(eta, p_sig, p_w)
+    p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
+    p_raw = p_raw_key(p_det, p_zero, p_one)
+    if p_raw == 0.0:
+        return ProtocolPoint(
+            p_sig, p_w, p_det, p_zero, p_one, p_raw, 0.5, 0.0, degenerate=True
+        )
+    q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw)
+    return ProtocolPoint(
+        p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
+    )
+
+
+def _decades(lo: float, hi: float):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(
+        lambda e: 10.0 ** e
+    )
+
+
+@st.composite
+def domain_params(draw) -> ScenarioParams:
+    """ScenarioParams over the documented robustness domain: sigma, jitter,
+    window and period across three decades (windows may overlap), beta = 0
+    and jitter = 0 included, |C| up to 10, dark_rate * window up to and past
+    1 under both dark models, both transmittance conventions."""
+    window = draw(_decades(1.0, 1000.0)) * 1e-12
+    exposure = draw(_decades(1e-9, 2.0))
+    return ScenarioParams(
+        sigma=draw(_decades(1.0, 1000.0)) * 1e-12,
+        chirp=draw(st.floats(min_value=-10.0, max_value=10.0)),
+        beta=draw(
+            st.one_of(
+                st.just(0.0),
+                st.builds(
+                    lambda mag, sign: sign * mag * 1e-26,
+                    _decades(0.1, 10.0),
+                    st.sampled_from((-1.0, 1.0)),
+                ),
+            )
+        ),
+        alpha=draw(st.floats(min_value=0.15, max_value=0.3)),
+        dark_rate=exposure / window,
+        period=draw(_decades(10.0, 10000.0)) * 1e-12,
+        jitter=draw(st.one_of(st.just(0.0), _decades(0.1, 100.0))) * 1e-12,
+        window=window,
+        dark_model=draw(st.sampled_from(DarkCountModel)),
+        transmittance_convention=draw(st.sampled_from(TransmittanceConvention)),
+    )

@@ -1,6 +1,8 @@
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dispersive_qkd.analysis import (
     ChirpScanResult,
@@ -15,6 +17,7 @@ from dispersive_qkd.analysis import (
 )
 from dispersive_qkd.keyrate import ScenarioParams, evaluate_point
 from dispersive_qkd.numerics import NonConvergenceError
+from oracles import composed_point, domain_params
 
 PS = 1e-12
 KM = 1e3
@@ -26,6 +29,22 @@ def test_sweep_single_point_delegates():
     assert len(result.rows) == 1
     assert result.rows[0][0] == 0.0
     assert result.rows[0][1] == evaluate_point(params, 0.0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    params=domain_params(),
+    stops=st.lists(st.floats(min_value=0.0, max_value=500.0), min_size=1, max_size=8, unique=True),
+)
+def test_sweep_rows_equal_composed_points(params, stops):
+    grid = sorted(stops)
+    try:
+        expected = tuple((l, composed_point(params, l * KM)) for l in grid)
+    except ValueError:
+        with pytest.raises(ValueError):
+            sweep_distance(params, grid)
+        return
+    assert sweep_distance(params, grid).rows == expected
 
 
 def test_sweep_rate_non_increasing_unchirped():
@@ -80,6 +99,60 @@ def test_max_distance_no_extinction_raises():
         max_distance(params)
 
 
+def _reference_range(params: ScenarioParams, l_hint: float = 50.0, tol: float = 0.01) -> float:
+    """max_distance's documented search, over the pipeline composed from the
+    public helpers: 0.0 if dead at the source, else double l_hint until the
+    rate dies (giving up past 1e7 km), then bisect the bracket to tol."""
+
+    def secure(l_km: float) -> bool:
+        return composed_point(params, l_km * KM).key_rate > 0.0
+
+    if not secure(0.0):
+        return 0.0
+    lo, hi = 0.0, l_hint
+    while secure(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e7:
+            raise NonConvergenceError(f"rate still positive at {lo} km")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if secure(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _outcome(run):
+    """run()'s value, or the type of the search error it raised."""
+    try:
+        return run()
+    except (NonConvergenceError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(deadline=None, max_examples=100)
+@given(params=domain_params())
+def test_max_distance_equals_reference_bisection(params):
+    # dual route, bit for bit, over every outcome: a range, 0.0 when dead at
+    # the source, NonConvergenceError, and the linearized-dark ValueError
+    got = _outcome(lambda: max_distance(params))
+    assert got == _outcome(lambda: _reference_range(params))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    params=domain_params(),
+    chirps=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=3, unique=True),
+)
+def test_scan_chirp_samples_equal_replaced_params(params, chirps):
+    # the scan overrides the chirp inside its kernel; that must equal
+    # rebuilding the params with each chirp
+    grid = sorted(chirps)
+    expected = _outcome(lambda: tuple((c, max_distance(replace(params, chirp=c))) for c in grid))
+    assert _outcome(lambda: scan_chirp(params, grid, tol=0.5).samples) == expected
+
+
 def test_max_distance_validation():
     with pytest.raises(ValueError):
         max_distance(ScenarioParams(), l_hint=0.0)
@@ -116,6 +189,10 @@ def test_scan_chirp_grid_validation():
         scan_chirp(ScenarioParams(), [])
     with pytest.raises(GridError):
         scan_chirp(ScenarioParams(), [0.2, 0.1])
+    # a non-finite chirp, which ScenarioParams rejects too
+    for grid in ([0.0, math.inf], [-math.inf, 0.0], [math.nan]):
+        with pytest.raises(ValueError):
+            scan_chirp(ScenarioParams(), grid)
 
 
 def test_default_chirp_grid_shape():

@@ -302,6 +302,13 @@ def test_exit_code_2_on_sigma_out_of_range(capsys, sigma_ps):
     assert "sigma" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_width_overflow(capsys):
+    # (sigma^2 - C*beta*L)^2 overflows a float: one error line, no traceback
+    args = ["point", "--set", "beta_e26=1e180", "--set", "chirp=1", "--set", "distance_km=1"]
+    assert main(args) == 2
+    assert "width overflows" in capsys.readouterr().err
+
+
 def test_exit_code_3_on_non_convergence(capsys):
     # lossless dispersionless channel: the secure range never ends
     args = ["lmax", "--set", "alpha_db_per_km=0", "--set", "beta_e26=0"]

@@ -63,6 +63,12 @@ def test_broadened_sigma_at_zero():
     assert broadened_sigma(7 * PS, 0.0, TABLE_BETA, 0.0) == 7 * PS
 
 
+def test_broadened_sigma_overflow_is_value_error():
+    # sigma^2 - C*beta*L = -1e157 s^2 cannot be squared in a float
+    with pytest.raises(ValueError, match="width overflows"):
+        broadened_sigma(10 * PS, 1.0, 1e154, 1 * KM)
+
+
 def test_broadened_sigma_100km():
     got = broadened_sigma(10 * PS, 0.0, TABLE_BETA, 100 * KM)
     assert abs(got - 115.434 * PS) <= 1e-3 * PS
