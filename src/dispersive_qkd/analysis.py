@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
-from .keyrate import ProtocolPoint, ScenarioParams, _pipeline
+from .keyrate import ProtocolPoint, ScenarioParams, evaluate_point
 from .numerics import Bracket, NonConvergenceError, maximize_scalar
 
 __all__ = [
@@ -61,18 +61,13 @@ class ChirpScanResult:
 
 
 def _increasing(values: Iterable[float], what: str) -> list[float]:
-    """values as a list of floats, checked non-empty, finite and strictly
-    increasing."""
+    """values as a list of floats, checked non-empty and strictly increasing."""
     grid = [float(v) for v in values]
     if not grid:
         raise GridError(f"{what} grid is empty")
     for a, b in zip(grid, grid[1:]):
         if not a < b:
             raise GridError(f"{what} grid must be strictly increasing, got {a} then {b}")
-    # increasing, so only an end can be infinite, and a nan only stands alone
-    for v in (grid[0], grid[-1]):
-        if not math.isfinite(v):
-            raise GridError(f"{what} grid must be finite, got {v}")
     return grid
 
 
@@ -81,8 +76,7 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
     grid = _increasing(l_grid, "distance")
     if grid[0] < 0:
         raise GridError(f"distances must be >= 0 km, got {grid[0]}")
-    point = _pipeline(params)
-    rows = tuple((l, ProtocolPoint(*point(l * _M_PER_KM))) for l in grid)
+    rows = tuple((l, evaluate_point(params, l * _M_PER_KM)) for l in grid)
     return SweepResult(rows=rows)
 
 
@@ -94,21 +88,13 @@ def max_distance(params: ScenarioParams, l_hint: float = 50.0, tol: float = 0.01
     part clips), so sign bisection is the robust choice over any
     derivative-based root finder.
     """
-    return _secure_range(params, None, l_hint, tol)
-
-
-def _secure_range(
-    params: ScenarioParams, chirp: float | None, l_hint: float, tol: float
-) -> float:
-    """max_distance of params with its chirp overridden by `chirp` if given."""
     if not l_hint > 0:
         raise ValueError(f"l_hint must be > 0 km, got {l_hint}")
     if not tol > 0:
         raise ValueError(f"tol must be > 0 km, got {tol}")
-    point = _pipeline(params, chirp)
 
     def secure(l_km: float) -> bool:
-        return point(l_km * _M_PER_KM)[7] > 0.0  # key_rate
+        return evaluate_point(params, l_km * _M_PER_KM).key_rate > 0.0
 
     if not secure(0.0):
         return 0.0
@@ -148,8 +134,7 @@ def scan_chirp(
         raise ValueError(f"tol must be > 0, got {tol}")
 
     def range_at(c: float) -> float:
-        # max_distance(replace(params, chirp=c)) without rebuilding params
-        return _secure_range(params, c, l_hint, l_tol)
+        return max_distance(replace(params, chirp=c), l_hint=l_hint, tol=l_tol)
 
     samples = tuple((c, range_at(c)) for c in grid)
     best = max(range(len(samples)), key=lambda i: samples[i][1])

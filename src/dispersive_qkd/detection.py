@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from math import erf, erfc
 
+from .numerics import _probability_error
+
 __all__ = ["detected_sigma", "p_signal", "shifted_window_mass", "p_wrong"]
 
 _SQRT2 = math.sqrt(2.0)
@@ -56,7 +58,7 @@ def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float
     half = 0.5 * window
     mass = 0.5 * (erfc((period - half) / scale) - erfc((period + half) / scale))
     # where the two tails nearly coincide, rounding can dip a few ulp below 0
-    return max(0.0, mass)
+    return mass if mass > 0.0 else 0.0
 
 
 def p_wrong(q_plus: float, q_minus: float) -> float:
@@ -65,7 +67,6 @@ def p_wrong(q_plus: float, q_minus: float) -> float:
     Both neighbors clicking is a discarded double count, hence the exclusive
     combination q+(1-q-) + q-(1-q+).
     """
-    for name, q in (("q_plus", q_plus), ("q_minus", q_minus)):
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"{name} must be a probability in [0, 1], got {q}")
+    if not (0.0 <= q_plus <= 1.0 and 0.0 <= q_minus <= 1.0):
+        raise _probability_error(q_plus=q_plus, q_minus=q_minus)
     return q_plus * (1.0 - q_minus) + q_minus * (1.0 - q_plus)

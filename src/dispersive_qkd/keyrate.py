@@ -5,15 +5,6 @@ arrival PDF, the acceptance window captures signal mass p_sig and neighbor
 leakage p_w, fiber loss passes the photon with probability eta, dark counts
 floor the error rate, and the sifted rate pays twice the binary entropy of
 the QBER for error correction and privacy amplification.
-
-Each stage is a public helper of the scalars it reads (`transmittance`,
-`p_detect`, `dark_probs`, `p_raw_key`, `qber`, `key_rate`, with
-`twf.broadened_sigma` and the `detection` masses). The runtime path is one
-kernel, `_pipeline`: it hoists what does not depend on distance once per
-scenario and inlines the helpers' formulas in the same order and form, so
-`evaluate_point`, sweeps and the secure-range search all return, bit for
-bit, what the composed helpers return. The helpers are its reference in
-the tests.
 """
 
 from __future__ import annotations
@@ -22,11 +13,10 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from math import erf, erfc, hypot, log2, sqrt
-from typing import Callable
 
-from .numerics import binary_entropy
-from .twf import _width_overflow
+from .detection import detected_sigma, p_signal, p_wrong, shifted_window_mass
+from .numerics import _probability_error, binary_entropy
+from .twf import broadened_sigma
 
 __all__ = [
     "TransmittanceConvention",
@@ -53,11 +43,17 @@ class DarkCountModel(str, Enum):
     EXACT_POISSON = "exact_poisson"  # p_zero = e^(-d*v), p_one = d*v*e^(-d*v)
 
 
+# Looking a member up on its Enum class takes about as long as a helper's
+# arithmetic, so the per-distance helpers compare against these.
+_LITERAL = TransmittanceConvention.LITERAL
+_EXACT_POISSON = DarkCountModel.EXACT_POISSON
+
+
 def transmittance(
     alpha: float, length_km: float, convention: TransmittanceConvention
 ) -> float:
     """Photon survival probability over `length_km` of fiber."""
-    if convention is TransmittanceConvention.LITERAL:
+    if convention is _LITERAL:
         return 10.0 ** (-alpha * length_km)
     return 10.0 ** (-alpha * length_km / 10.0)
 
@@ -65,16 +61,15 @@ def transmittance(
 def p_detect(eta: float, p_sig: float, p_w: float) -> float:
     """Click probability in the window: the signal photon, else a leaked
     neighbor that survived while the signal missed."""
-    for name, p in (("eta", eta), ("p_sig", p_sig), ("p_w", p_w)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
+    if not (0.0 <= eta <= 1.0 and 0.0 <= p_sig <= 1.0 and 0.0 <= p_w <= 1.0):
+        raise _probability_error(eta=eta, p_sig=p_sig, p_w=p_w)
     return eta * (p_sig + p_w * (1.0 - eta * p_sig))
 
 
 def dark_probs(mean_count: float, model: DarkCountModel) -> tuple[float, float]:
     """(p_zero, p_one): no dark count / exactly one dark count in a window
     that holds `mean_count` = rate * window dark counts on average."""
-    if model is DarkCountModel.EXACT_POISSON:
+    if model is _EXACT_POISSON:
         e = math.exp(-mean_count)
         return e, mean_count * e
     if mean_count >= 1.0:
@@ -87,9 +82,8 @@ def dark_probs(mean_count: float, model: DarkCountModel) -> tuple[float, float]:
 
 def p_raw_key(p_det: float, p_zero: float, p_one: float) -> float:
     """Raw-key bit probability per window; the 1/2 sifts basis mismatches."""
-    for name, p in (("p_det", p_det), ("p_zero", p_zero), ("p_one", p_one)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name} must be a probability in [0, 1], got {p}")
+    if not (0.0 <= p_det <= 1.0 and 0.0 <= p_zero <= 1.0 and 0.0 <= p_one <= 1.0):
+        raise _probability_error(p_det=p_det, p_zero=p_zero, p_one=p_one)
     return (p_det * p_zero + (1.0 - p_det) * p_one) / 2.0
 
 
@@ -118,7 +112,8 @@ def key_rate(p_raw: float, q: float) -> float:
     """Secret bits per window: max{0, p_raw * (1 - 2 H(q))}."""
     if p_raw < 0:
         raise ValueError(f"p_raw must be >= 0, got {p_raw}")
-    return max(0.0, p_raw * (1.0 - 2.0 * binary_entropy(q)))
+    rate = p_raw * (1.0 - 2.0 * binary_entropy(q))
+    return rate if rate > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -165,7 +160,7 @@ class ScenarioParams:
             raise ValueError(f"window must be > 0 seconds, got {self.window}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProtocolPoint:
     """Every intermediate of the pipeline at one distance.
 
@@ -183,105 +178,54 @@ class ProtocolPoint:
     key_rate: float
     degenerate: bool = False
 
-
-_SQRT2 = math.sqrt(2.0)
-
-# (p_sig, p_w, p_det, p_zero, p_one, p_raw, qber, key_rate, degenerate),
-# the fields of ProtocolPoint in order
-_PointTuple = tuple[float, float, float, float, float, float, float, float, bool]
-
-
-def _probability_error(*named: tuple[str, float]) -> ValueError:
-    """The error a helper raises for the first value outside [0, 1]."""
-    for name, p in named:
-        if not 0.0 <= p <= 1.0:
-            break
-    return ValueError(f"{name} must be a probability in [0, 1], got {p}")
-
-
-def _pipeline(
-    params: ScenarioParams, chirp: float | None = None
-) -> Callable[[float], _PointTuple]:
-    """The per-distance pipeline of `params`, as distance (m) -> _PointTuple.
-
-    `chirp`, if given, overrides `params.chirp`; it must be finite, as
-    `ScenarioParams` requires. Everything that does not depend on distance
-    (dark-count probabilities, sigma^2, the window edges seen from a
-    neighbor, the loss exponent) is computed here once. The closure inlines
-    `broadened_sigma`, `detected_sigma`, `p_signal`, `shifted_window_mass`,
-    `p_wrong`, `transmittance`, `p_detect`, `p_raw_key`, `qber` and
-    `key_rate` with the same operations in the same order, so its floats
-    equal theirs bit for bit. Their checks stay, as combined range tests
-    whose precise message is built only when one fails. Not repeated are
-    the checks of inputs that `ScenarioParams` has validated and those that
-    follow from others: sigma_tot > 0 from sigma_l > 0, and p_raw >= 0 from
-    the probabilities it combines.
-    """
-    sigma, beta, jitter, window = params.sigma, params.beta, params.jitter, params.window
-    if chirp is None:
-        chirp = params.chirp
-    p_zero, p_one = dark_probs(params.dark_rate * window, params.dark_model)
-    if not (0.0 <= p_zero <= 1.0 and 0.0 <= p_one <= 1.0):
-        raise _probability_error(("p_zero", p_zero), ("p_one", p_one))
-    s2 = sigma * sigma
-    signal_scale = 2.0 * _SQRT2
-    half = 0.5 * window
-    near, far = params.period - half, params.period + half
-    neg_alpha = -params.alpha
-    literal = params.transmittance_convention is TransmittanceConvention.LITERAL
-
-    def point(distance: float) -> _PointTuple:
-        if not 0.0 <= distance < math.inf:
-            raise ValueError(f"distance must be >= 0 meters, got {distance}")
-        bl = beta * distance
-        try:
-            focus = (s2 - chirp * bl) ** 2
-        except OverflowError:
-            raise _width_overflow(sigma, chirp, beta, distance) from None
-        sigma_l = sqrt((focus + bl * bl) / s2)
-        if not sigma_l > 0:
-            raise ValueError(f"sigma_l must be > 0, got {sigma_l}")
-        sigma_tot = hypot(sigma_l, jitter)
-        p_sig = erf(window / (signal_scale * sigma_tot))
-        scale = _SQRT2 * sigma_tot
-        q = 0.5 * (erfc(near / scale) - erfc(far / scale))
-        if not q > 0.0:
-            q = 0.0
-        p_w = q * (1.0 - q) + q * (1.0 - q)
-        length_km = distance / 1000.0
-        if literal:
-            eta = 10.0 ** (neg_alpha * length_km)
-        else:
-            eta = 10.0 ** (neg_alpha * length_km / 10.0)
-        p_det = eta * (p_sig + p_w * (1.0 - eta * p_sig))
-        if not (
-            q <= 1.0
-            and 0.0 <= eta <= 1.0
-            and 0.0 <= p_sig <= 1.0
-            and 0.0 <= p_w <= 1.0
-            and 0.0 <= p_det <= 1.0
-        ):
-            raise _probability_error(
-                ("q_plus", q), ("eta", eta), ("p_sig", p_sig), ("p_w", p_w), ("p_det", p_det)
-            )
-        p_raw = (p_det * p_zero + (1.0 - p_det) * p_one) / 2.0
-        if p_raw == 0.0:
-            return p_sig, p_w, p_det, p_zero, p_one, p_raw, 0.5, 0.0, True
-        err_mass = eta * p_w * (1.0 - eta * p_sig) * p_zero + (1.0 - p_det) * p_one
-        q_err = 0.25 * err_mass / p_raw
-        if q_err == 0.0 or q_err == 1.0:
-            h = 0.0
-        elif 0.0 < q_err < 1.0:
-            p = 1.0 - q_err
-            h = -q_err * log2(q_err) - p * log2(p)
-        else:
-            raise ValueError(f"binary_entropy argument must lie in [0, 1], got {q_err}")
-        rate = p_raw * (1.0 - 2.0 * h)
-        return p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, rate if rate > 0.0 else 0.0, False
-
-    return point
+    def __init__(
+        self,
+        p_sig: float,
+        p_w: float,
+        p_det: float,
+        p_zero: float,
+        p_one: float,
+        p_raw: float,
+        qber: float,
+        key_rate: float,
+        degenerate: bool = False,
+    ) -> None:
+        # one dict update in place of the generated frozen __init__'s
+        # object.__setattr__ call per field, which cost more than twice as
+        # much; every sweep row and every search step builds a point
+        self.__dict__.update(
+            p_sig=p_sig,
+            p_w=p_w,
+            p_det=p_det,
+            p_zero=p_zero,
+            p_one=p_one,
+            p_raw=p_raw,
+            qber=qber,
+            key_rate=key_rate,
+            degenerate=degenerate,
+        )
 
 
 def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
-    """Run the full pipeline at one propagation distance (meters)."""
-    return ProtocolPoint(*_pipeline(params)(distance))
+    """Run the full pipeline at one propagation distance (meters).
+
+    params was validated when it was built, so its scalars feed the
+    formulas directly.
+    """
+    if not 0.0 <= distance < math.inf:
+        raise ValueError(f"distance must be >= 0 meters, got {distance}")
+    sigma_l = broadened_sigma(params.sigma, params.chirp, params.beta, distance)
+    sigma_tot = detected_sigma(sigma_l, params.jitter)
+    p_sig = p_signal(sigma_tot, params.window)
+    q = shifted_window_mass(sigma_tot, params.window, params.period)
+    p_w = p_wrong(q, q)
+    eta = transmittance(params.alpha, distance / 1000.0, params.transmittance_convention)
+    p_det = p_detect(eta, p_sig, p_w)
+    p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
+    p_raw = p_raw_key(p_det, p_zero, p_one)
+    if p_raw == 0.0:
+        return ProtocolPoint(p_sig, p_w, p_det, p_zero, p_one, p_raw, 0.5, 0.0, True)
+    q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw)
+    return ProtocolPoint(
+        p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
+    )

@@ -42,6 +42,16 @@ class Bracket:
             raise BracketError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
 
 
+def _probability_error(**named: float) -> ValueError:
+    """The error for the first of `named` outside [0, 1].
+
+    The probability helpers test their inputs with one chained comparison
+    and build this message only when it fails.
+    """
+    name, p = next((name, p) for name, p in named.items() if not 0.0 <= p <= 1.0)
+    return ValueError(f"{name} must be a probability in [0, 1], got {p}")
+
+
 def binary_entropy(q: float) -> float:
     """H(q) = -q log2 q - (1-q) log2 (1-q), with H(0) = H(1) = 0."""
     if not 0.0 <= q <= 1.0:

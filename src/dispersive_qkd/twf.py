@@ -33,13 +33,8 @@ def broadened_sigma(sigma: float, chirp: float, beta: float, length: float) -> f
     try:
         focus = (s2 - chirp * bl) ** 2
     except OverflowError:
-        raise _width_overflow(sigma, chirp, beta, length) from None
+        raise ValueError(
+            f"broadened width overflows a float at sigma={sigma:g} s, chirp={chirp:g}, "
+            f"beta={beta:g} s^2/m, L={length:g} m"
+        ) from None
     return math.sqrt((focus + bl * bl) / s2)
-
-
-def _width_overflow(sigma: float, chirp: float, beta: float, length: float) -> ValueError:
-    """The error for a width whose square overflows a float."""
-    return ValueError(
-        f"broadened width overflows a float at sigma={sigma:g} s, chirp={chirp:g}, "
-        f"beta={beta:g} s^2/m, L={length:g} m"
-    )

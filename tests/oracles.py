@@ -5,8 +5,8 @@ closed form by an independent route: the propagator integral for the
 propagated pulse, quadrature moments for its width, a jitter convolution
 for the detected spread, and adaptive Gauss-Kronrod quadrature plus a
 bisection root finder underneath them all. `composed_point` rebuilds the
-per-distance pipeline from the public helpers, the reference for the
-package's hoisted kernel, and `domain_params` draws `ScenarioParams` over
+per-distance pipeline from the public helpers, the reference for
+`evaluate_point`, and `domain_params` draws `ScenarioParams` over
 the documented robustness domain.
 """
 

@@ -146,8 +146,7 @@ def test_max_distance_equals_reference_bisection(params):
     chirps=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=3, unique=True),
 )
 def test_scan_chirp_samples_equal_replaced_params(params, chirps):
-    # the scan overrides the chirp inside its kernel; that must equal
-    # rebuilding the params with each chirp
+    # each sample is the secure range of the params rebuilt with that chirp
     grid = sorted(chirps)
     expected = _outcome(lambda: tuple((c, max_distance(replace(params, chirp=c))) for c in grid))
     assert _outcome(lambda: scan_chirp(params, grid, tol=0.5).samples) == expected
@@ -189,7 +188,7 @@ def test_scan_chirp_grid_validation():
         scan_chirp(ScenarioParams(), [])
     with pytest.raises(GridError):
         scan_chirp(ScenarioParams(), [0.2, 0.1])
-    # a non-finite chirp, which ScenarioParams rejects too
+    # a non-finite chirp, which ScenarioParams rejects
     for grid in ([0.0, math.inf], [-math.inf, 0.0], [math.nan]):
         with pytest.raises(ValueError):
             scan_chirp(ScenarioParams(), grid)

@@ -183,6 +183,12 @@ def test_p_wrong_domain(bad):
         p_wrong(*bad)
 
 
+def test_p_wrong_names_the_first_bad_mass():
+    for bad, name in (((-0.1, 0.5), "q_plus"), ((0.5, 1.2), "q_minus"), ((1.5, math.nan), "q_plus")):
+        with pytest.raises(ValueError, match=f"{name} must be a probability"):
+            p_wrong(*bad)
+
+
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_p_wrong_symmetric_case(q):
     val = p_wrong(q, q)

@@ -1,6 +1,8 @@
 """Key-rate assembly: channel loss, dark counts, QBER, and the full
 per-distance pipeline."""
 
+import dataclasses
+import inspect
 import math
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dispersive_qkd.keyrate import (
     DarkCountModel,
+    ProtocolPoint,
     ScenarioParams,
     TransmittanceConvention,
     dark_probs,
@@ -44,10 +47,12 @@ def test_transmittance_literal_convention():
 def test_p_detect_reference():
     assert abs(p_detect(0.1, 0.9, 0.01) - 0.090910) <= 1e-9
     assert p_detect(0.0, 0.9, 0.01) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eta must be a probability"):
         p_detect(1.1, 0.5, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p_sig must be a probability"):
         p_detect(0.5, -0.1, 0.5)
+    with pytest.raises(ValueError, match="p_w must be a probability in \\[0, 1\\], got nan"):
+        p_detect(0.5, 0.5, math.nan)
 
 
 def test_dark_probs_reference():
@@ -76,8 +81,12 @@ def test_p_raw_key_reference():
     assert p_raw_key(0.0, 1.0, 0.0) == 0.0
     # the detected and undetected dark terms cancel exactly at p_det = 1/2
     assert p_raw_key(0.5, 1.0 - 5e-8, 5e-8) == 0.25
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="p_zero must be a probability"):
         p_raw_key(0.5, 1.5, 0.0)
+    with pytest.raises(ValueError, match="p_det must be a probability"):
+        p_raw_key(-0.5, 1.5, 2.0)
+    with pytest.raises(ValueError, match="p_one must be a probability"):
+        p_raw_key(0.5, 1.0, 1.5)
 
 
 def test_qber_reference():
@@ -227,6 +236,26 @@ def test_no_noise_reduction():
         assert point.key_rate == eta * point.p_sig / 2.0
 
 
+def test_protocol_point_is_a_frozen_record_of_its_fields():
+    # ProtocolPoint writes its own __init__: it must take exactly the
+    # dataclass fields, in order, with their defaults
+    names = [f.name for f in dataclasses.fields(ProtocolPoint)]
+    params = inspect.signature(ProtocolPoint).parameters
+    assert list(params) == names
+    assert [p.default for p in params.values()] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        for f in dataclasses.fields(ProtocolPoint)
+    ]
+    values = [0.5, 0.01, 0.4, 0.99, 1e-8, 0.2, 0.03, 0.1]
+    point = ProtocolPoint(*values)
+    assert [getattr(point, n) for n in names] == values + [False]
+    assert point == ProtocolPoint(**dict(zip(names, values)), degenerate=False)
+    assert hash(point) == hash(ProtocolPoint(*values))
+    assert dataclasses.replace(point, qber=0.5).qber == 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.key_rate = 1.0
+
+
 def test_degenerate_point_sentinel():
     # eta underflows to exactly 0 at an absurd distance; with darks off the
     # raw-key probability hits 0 and the sentinel engages
@@ -287,7 +316,7 @@ def test_point_bounds_hold_everywhere(
 @settings(deadline=None, max_examples=300)
 @given(params=domain_params(), l_km=st.floats(min_value=0.0, max_value=500.0))
 def test_evaluate_point_equals_composed_helpers(params, l_km):
-    # dual route: the hoisted kernel must reproduce, bit for bit, the pipeline
+    # dual route: evaluate_point must reproduce, bit for bit, the pipeline
     # assembled from the public helpers, including the linearized-dark error
     try:
         expected = composed_point(params, l_km * KM)
