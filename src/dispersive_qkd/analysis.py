@@ -117,11 +117,7 @@ def max_distance(params: ScenarioParams, l_hint: float = 50.0, tol: float = 0.01
 
 
 def scan_chirp(
-    params: ScenarioParams,
-    c_grid: Iterable[float],
-    tol: float = 1e-3,
-    l_hint: float = 50.0,
-    l_tol: float = 0.01,
+    params: ScenarioParams, c_grid: Iterable[float], tol: float = 1e-3
 ) -> ChirpScanResult:
     """Secure range over a chirp grid, refined around the best sample.
 
@@ -134,7 +130,7 @@ def scan_chirp(
         raise ValueError(f"tol must be > 0, got {tol}")
 
     def range_at(c: float) -> float:
-        return max_distance(replace(params, chirp=c), l_hint=l_hint, tol=l_tol)
+        return max_distance(replace(params, chirp=c))
 
     samples = tuple((c, range_at(c)) for c in grid)
     best = max(range(len(samples)), key=lambda i: samples[i][1])
@@ -246,7 +242,6 @@ def run_scenario(
     third_jitter: float = 10e-12,
     l_steps: int = 400,
     c_grid: Sequence[float] | None = None,
-    chirp_tol: float = 1e-3,
 ) -> ScenarioResult:
     """Materialize one standard figure configuration.
 
@@ -263,7 +258,7 @@ def run_scenario(
     variants = _variants(name[:4], params, fourth_window, third_jitter)
     if name.startswith(("fig3", "fig4")):
         grid = list(c_grid) if c_grid is not None else default_chirp_grid()
-        scans = [(label, p, scan_chirp(p, grid, tol=chirp_tol)) for label, p in variants]
+        scans = [(label, p, scan_chirp(p, grid)) for label, p in variants]
         if name.endswith("a"):
             return ScenarioResult(
                 name=name, curves=tuple((label, scan) for label, _, scan in scans)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import analysis
 from .chart import Series, render_chart
-from .config import KM, PS, Config, ConfigError, parse_config, to_params
+from .config import KM, PS, Config, parse_config, to_params
 from .keyrate import evaluate_point
 from .numerics import NonConvergenceError
 
@@ -38,51 +38,48 @@ def _rate_scale(cfg: Config) -> float:
     return 1.0
 
 
-def _sweep_csv(sweep: analysis.SweepResult, scale: float) -> str:
-    lines = [CSV_HEADER]
-    for l_km, p in sweep.rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    l_km,
-                    p.p_sig,
-                    p.p_w,
-                    p.p_det,
-                    p.p_raw,
-                    p.qber,
-                    p.key_rate * scale,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _scan_csv(scan: analysis.ChirpScanResult) -> str:
-    lines = [SCAN_CSV_HEADER]
-    for c, l_max in scan.samples:
-        lines.append(f"{_fmt(c)},{_fmt(l_max)}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_text(path: str, content: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(content)
-
-
-def _emit(content: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(content)
-    else:
-        _write_text(out, content)
-
-
 def _chirp_grid(cfg: Config) -> list[float]:
     return analysis.default_chirp_grid(cfg.c_min, cfg.c_max, cfg.c_step)
 
 
-def _rate_label(cfg: Config) -> str:
-    return "key rate (bits/s)" if cfg.rate_units == "per_second" else "key rate (bits/window)"
+def _csv(curve: analysis.Curve, scale: float) -> str:
+    """CSV of a distance sweep (key rate times scale) or of a chirp scan."""
+    if isinstance(curve, analysis.ChirpScanResult):
+        header, rows = SCAN_CSV_HEADER, curve.samples
+    else:
+        header = CSV_HEADER
+        rows = tuple(
+            (l_km, p.p_sig, p.p_w, p.p_det, p.p_raw, p.qber, p.key_rate * scale)
+            for l_km, p in curve.rows
+        )
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _chart(curves: Sequence[tuple[str, analysis.Curve]], title: str, cfg: Config) -> str:
+    """SVG of labeled curves: rate vs distance on a log axis, or range vs chirp."""
+    if isinstance(curves[0][1], analysis.ChirpScanResult):
+        series = [
+            Series(label=label, x=[c for c, _ in scan.samples],
+                   y=[l for _, l in scan.samples])
+            for label, scan in curves
+        ]
+        axes = ("chirp", "max secure distance (km)", False)
+    else:
+        scale = _rate_scale(cfg)
+        series = [
+            Series(label=label, x=sweep.distances(),
+                   y=[k * scale for k in sweep.key_rates()])
+            for label, sweep in curves
+        ]
+        units = "bits/s" if cfg.rate_units == "per_second" else "bits/window"
+        axes = ("distance (km)", f"key rate ({units})", True)
+    return render_chart(series, title, *axes)
+
+
+def _write_text(path: str | Path, content: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(content)
 
 
 def cmd_point(cfg: Config, args: argparse.Namespace) -> int:
@@ -111,19 +108,13 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
     l_max = cfg.l_max_km if cfg.l_max_km >= 0 else None  # negative: auto-scale
     grid = analysis.distance_grid([params], cfg.l_steps, cfg.l_min_km, l_max)
     sweep = analysis.sweep_distance(params, grid)
-    scale = _rate_scale(cfg)
-    _emit(_sweep_csv(sweep, scale), args.out)
+    csv = _csv(sweep, _rate_scale(cfg))
+    if args.out is None:
+        sys.stdout.write(csv)
+    else:
+        _write_text(args.out, csv)
     if args.svg:
-        xs = sweep.distances()
-        ys = [k * scale for k in sweep.key_rates()]
-        svg = render_chart(
-            [Series(label="key rate", x=xs, y=ys)],
-            title="Key rate vs distance",
-            x_label="distance (km)",
-            y_label=_rate_label(cfg),
-            log_y=True,
-        )
-        _write_text(args.svg, svg)
+        _write_text(args.svg, _chart([("key rate", sweep)], "Key rate vs distance", cfg))
     return 0
 
 
@@ -144,46 +135,10 @@ def cmd_optimize_chirp(cfg: Config, args: argparse.Namespace) -> int:
             "warning: maximum sits on the scan boundary; widen [c_min, c_max]\n"
         )
     if args.out:
-        _write_text(args.out, _scan_csv(scan))
+        _write_text(args.out, _csv(scan, 1.0))
     if args.svg:
-        svg = render_chart(
-            [
-                Series(
-                    label="secure range",
-                    x=[c for c, _ in scan.samples],
-                    y=[l for _, l in scan.samples],
-                )
-            ],
-            title="Secure range vs chirp",
-            x_label="chirp",
-            y_label="max secure distance (km)",
-            log_y=False,
-        )
-        _write_text(args.svg, svg)
+        _write_text(args.svg, _chart([("secure range", scan)], "Secure range vs chirp", cfg))
     return 0
-
-
-def _scenario_series(
-    result: analysis.ScenarioResult, scale: float
-) -> tuple[list[Series], bool]:
-    """Chart series for a scenario; second value: log-scale y axis."""
-    first = result.curves[0][1]
-    if isinstance(first, analysis.ChirpScanResult):
-        series = [
-            Series(label=label, x=[c for c, _ in scan.samples],
-                   y=[l for _, l in scan.samples])
-            for label, scan in result.curves
-        ]
-        return series, False
-    series = [
-        Series(
-            label=label,
-            x=sweep.distances(),
-            y=[k * scale for k in sweep.key_rates()],
-        )
-        for label, sweep in result.curves
-    ]
-    return series, True
 
 
 def cmd_reproduce(cfg: Config, args: argparse.Namespace) -> int:
@@ -202,21 +157,10 @@ def cmd_reproduce(cfg: Config, args: argparse.Namespace) -> int:
     written: list[Path] = []
     for label, curve in result.curves:
         path = outdir / f"{result.name}_{label}.csv"
-        if isinstance(curve, analysis.ChirpScanResult):
-            _write_text(str(path), _scan_csv(curve))
-        else:
-            _write_text(str(path), _sweep_csv(curve, scale))
+        _write_text(path, _csv(curve, scale))
         written.append(path)
-    series, log_y = _scenario_series(result, scale)
-    svg = render_chart(
-        series,
-        title=result.name,
-        x_label="distance (km)" if log_y else "chirp",
-        y_label=_rate_label(cfg) if log_y else "max secure distance (km)",
-        log_y=log_y,
-    )
     svg_path = Path(args.svg) if args.svg else outdir / f"{result.name}.svg"
-    _write_text(str(svg_path), svg)
+    _write_text(svg_path, _chart(result.curves, result.name, cfg))
     written.append(svg_path)
     for path in written:
         sys.stderr.write(f"wrote {path}\n")
@@ -272,10 +216,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NonConvergenceError as exc:
         sys.stderr.write(f"error: did not converge: {exc}\n")
         return 3
-    except (ConfigError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

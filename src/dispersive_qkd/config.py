@@ -98,11 +98,6 @@ _PARSERS: Mapping[str, Callable[[str], object]] = {
 _FIELD_NAMES = tuple(f.name for f in fields(Config))
 
 
-def _parse_value(key: str, raw: str) -> object:
-    parser = _PARSERS.get(key, _parse_float)
-    return parser(raw)
-
-
 def _validate(cfg: Config) -> None:
     positives = ("sigma_ps", "period_ps", "window_ps", "c_step")
     non_negatives = (
@@ -132,21 +127,31 @@ def _validate(cfg: Config) -> None:
         raise ConfigError("fig3_third_jitter_ps must be >= 0")
 
 
-def parse_assignments(items: Sequence[str], origin: str = "--set") -> dict[str, object]:
+def _assign(values: dict[str, object], text: str, where: str) -> None:
+    """Parse one `key=value` into values; errors start with `where`.
+
+    A key may be set once per source: a repeat is an error, not a silent
+    override.
+    """
+    key, eq, raw = text.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+    if key not in _FIELD_NAMES:
+        raise ConfigError(f"{where}: unknown configuration key {key!r}")
+    if key in values:
+        raise ConfigError(f"{where}: {key} is set twice")
+    try:
+        values[key] = _PARSERS.get(key, _parse_float)(raw.strip())
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {key}: {exc}") from None
+
+
+def parse_assignments(items: Sequence[str]) -> dict[str, object]:
     """Parse `key=value` strings (command-line overrides)."""
     values: dict[str, object] = {}
     for item in items:
-        if "=" not in item:
-            raise ConfigError(f"{origin} expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in _FIELD_NAMES:
-            raise ConfigError(f"unknown configuration key {key!r} (from {origin})")
-        try:
-            values[key] = _parse_value(key, raw)
-        except ConfigError as exc:
-            raise ConfigError(f"{origin} {key}: {exc}") from None
+        _assign(values, item, "--set")
     return values
 
 
@@ -165,19 +170,8 @@ def parse_config(path: str | None = None, overrides: Sequence[str] = ()) -> Conf
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
         for lineno, line in enumerate(lines, start=1):
             text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key = value, got {text!r}")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in _FIELD_NAMES:
-                raise ConfigError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            try:
-                values[key] = _parse_value(key, raw)
-            except ConfigError as exc:
-                raise ConfigError(f"{path}:{lineno}: {key}: {exc}") from None
+            if text:
+                _assign(values, text, f"{path}:{lineno}")
     values.update(parse_assignments(overrides))
     cfg = Config(**values)  # type: ignore[arg-type]
     _validate(cfg)

@@ -24,17 +24,19 @@ def broadened_sigma(sigma: float, chirp: float, beta: float, length: float) -> f
     at L = chirp*sigma^2/((1+chirp^2)*beta), then re-broadens; otherwise it
     broadens monotonically. The test suite gates this expression against
     quadrature moments of the propagator integral. Raises ValueError where
-    the squared focusing term overflows a float.
+    the width is not a finite float (beta*L or a square overflows).
     """
     if length < 0:
         raise ValueError(f"propagation distance must be >= 0, got {length}")
     s2 = sigma * sigma
     bl = beta * length
     try:
-        focus = (s2 - chirp * bl) ** 2
+        width = math.sqrt(((s2 - chirp * bl) ** 2 + bl * bl) / s2)
     except OverflowError:
+        width = math.inf
+    if not width < math.inf:  # also the nan of 0 * inf
         raise ValueError(
             f"broadened width overflows a float at sigma={sigma:g} s, chirp={chirp:g}, "
             f"beta={beta:g} s^2/m, L={length:g} m"
-        ) from None
-    return math.sqrt((focus + bl * bl) / s2)
+        )
+    return width

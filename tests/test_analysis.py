@@ -255,7 +255,7 @@ def test_run_scenario_fig2_deterministic():
 
 def test_run_scenario_fig3a_shape():
     grid = [round(-0.5 + 0.1 * i, 10) for i in range(7)]
-    result = run_scenario("fig3a", c_grid=grid, chirp_tol=1e-2)
+    result = run_scenario("fig3a", c_grid=grid)
     assert len(result.curves) == 3
     labels = [label for label, _ in result.curves]
     assert labels == ["j4ps", "j10ps", "j25ps"]
@@ -266,7 +266,7 @@ def test_run_scenario_fig3a_shape():
 
 def test_run_scenario_fig3b_pairs_optimum_with_baseline():
     grid = [round(-0.5 + 0.1 * i, 10) for i in range(7)]
-    result = run_scenario("fig3b", c_grid=grid, chirp_tol=1e-2, l_steps=50)
+    result = run_scenario("fig3b", c_grid=grid, l_steps=50)
     labels = [label for label, _ in result.curves]
     assert len(labels) == 6
     assert "j4ps_C0" in labels and "j4ps_Copt" in labels
@@ -274,7 +274,7 @@ def test_run_scenario_fig3b_pairs_optimum_with_baseline():
 
 def test_run_scenario_fig4a_beta_ordering():
     grid = [round(-0.5 + 0.1 * i, 10) for i in range(7)]
-    result = run_scenario("fig4a", c_grid=grid, chirp_tol=1e-2)
+    result = run_scenario("fig4a", c_grid=grid)
     curves = dict(result.curves)
     assert set(curves) == {"beta-1.15", "beta-1.5", "beta-0.7"}
     best_at_c0 = {

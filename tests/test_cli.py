@@ -1,6 +1,10 @@
+import tempfile
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dispersive_qkd.cli import CSV_HEADER, SCAN_CSV_HEADER, main
 from dispersive_qkd.config import (
@@ -13,7 +17,7 @@ from dispersive_qkd.config import (
     parse_config,
     to_params,
 )
-from dispersive_qkd.keyrate import evaluate_point
+from dispersive_qkd.keyrate import DarkCountModel, TransmittanceConvention, evaluate_point
 
 
 def test_parse_config_defaults():
@@ -48,6 +52,10 @@ def test_parse_config_bad_value_names_line(tmp_path):
     path.write_text("jitter_ps = fast\n")
     with pytest.raises(ConfigError, match=r"run\.cfg:1.*jitter_ps"):
         parse_config(str(path))
+    # a key repeated in one file is an error at the repeat, not a silent win
+    path.write_text("jitter_ps = 4\n# detector B\njitter_ps = 4\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:3: jitter_ps is set twice$"):
+        parse_config(str(path))
 
 
 def test_parse_config_missing_file():
@@ -62,6 +70,71 @@ def test_overrides_beat_file(tmp_path):
     assert cfg.distance_km == 25.0
 
 
+_ANY = st.floats(allow_nan=False, allow_infinity=False)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_NEGATIVE = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
+
+
+@st.composite
+def valid_configs(draw) -> Config:
+    """Any Config that parse_config accepts, enum choices and l_steps included."""
+    c_min, c_max = sorted(draw(st.lists(_ANY, min_size=2, max_size=2)))
+    l_min, l_top = sorted(draw(st.lists(_NON_NEGATIVE, min_size=2, max_size=2)))
+    auto_top = l_top == l_min or draw(st.booleans())
+    return Config(
+        sigma_ps=draw(_POSITIVE),
+        chirp=draw(_ANY),
+        beta_e26=draw(_ANY),
+        alpha_db_per_km=draw(_NON_NEGATIVE),
+        dark_rate_hz=draw(_NON_NEGATIVE),
+        period_ps=draw(_POSITIVE),
+        jitter_ps=draw(_NON_NEGATIVE),
+        window_ps=draw(_POSITIVE),
+        dark_model=draw(st.sampled_from([m.value for m in DarkCountModel])),
+        transmittance_convention=draw(
+            st.sampled_from([c.value for c in TransmittanceConvention])
+        ),
+        distance_km=draw(_NON_NEGATIVE),
+        l_min_km=l_min,
+        l_max_km=draw(_NEGATIVE) if auto_top else l_top,
+        l_steps=draw(st.integers(min_value=1, max_value=10**6)),
+        c_min=c_min,
+        c_max=c_max,
+        c_step=draw(_POSITIVE),
+        fig1_fourth_window_ps=draw(_POSITIVE),
+        fig3_third_jitter_ps=draw(_NON_NEGATIVE),
+        rate_units=draw(st.sampled_from(["per_window", "per_second"])),
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(cfg=valid_configs(), data=st.data())
+def test_config_round_trips_through_file_and_set(cfg, data):
+    # one parser serves both routes: a config written as key = value lines,
+    # in any order between comments and blank lines, or given as --set
+    # items, reads back as the same Config
+    pairs = data.draw(st.permutations(
+        [(key, value if isinstance(value, str) else repr(value))
+         for key, value in asdict(cfg).items()]
+    ))
+    filler = st.lists(st.sampled_from(["", "   ", "# note", "  #x = 1"]), max_size=2)
+    lines = []
+    for key, value in pairs:
+        lines += data.draw(filler)
+        eq = data.draw(st.sampled_from(["=", " = ", "  =\t"]))
+        trailer = data.draw(st.sampled_from(["", " ", "  # trailing", "#=2 # x=3"]))
+        lines.append(f"{key}{eq}{value}{trailer}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        from_file = parse_config(str(path))
+    from_set = parse_config(None, [f"{key}={value}" for key, value in pairs])
+    for parsed in (from_file, from_set):
+        assert parsed == cfg
+        assert repr(parsed) == repr(cfg)  # same types and float bits too
+
+
 def test_parse_assignments_errors():
     with pytest.raises(ConfigError, match="key=value"):
         parse_assignments(["distance_km"])
@@ -69,6 +142,10 @@ def test_parse_assignments_errors():
         parse_assignments(["speed=3"])
     with pytest.raises(ConfigError, match="l_steps"):
         parse_assignments(["l_steps=many"])
+    with pytest.raises(ConfigError, match="^--set: jitter_ps is set twice$"):
+        parse_assignments(["jitter_ps=4", "sigma_ps=3", "jitter_ps=4"])
+    with pytest.raises(ConfigError, match="^--set: unknown configuration key 'speed'$"):
+        parse_config(None, ["speed=3"])
 
 
 @pytest.mark.parametrize(
@@ -303,10 +380,19 @@ def test_exit_code_2_on_sigma_out_of_range(capsys, sigma_ps):
 
 
 def test_exit_code_2_on_width_overflow(capsys):
-    # (sigma^2 - C*beta*L)^2 overflows a float: one error line, no traceback
-    args = ["point", "--set", "beta_e26=1e180", "--set", "chirp=1", "--set", "distance_km=1"]
-    assert main(args) == 2
-    assert "width overflows" in capsys.readouterr().err
+    # a width that leaves the float range is one error line and exit 2,
+    # whether the square raises, overflows to inf or beta*L is inf (nan)
+    commands = [
+        ["point", "--set", "beta_e26=1e180", "--set", "chirp=1", "--set", "distance_km=1"],
+        ["lmax", "--set", "beta_e26=1e180"],
+        ["lmax", "--set", "beta_e26=1e180", "--set", "chirp=1"],
+        ["point", "--set", "beta_e26=1e30", "--set", "distance_km=1e305"],
+    ]
+    for args in commands:
+        assert main(args) == 2, args
+        err = capsys.readouterr().err
+        assert err.startswith("error: broadened width overflows"), err
+        assert err.count("\n") == 1
 
 
 def test_exit_code_3_on_non_convergence(capsys):

@@ -5,10 +5,17 @@
 A pure refactor must leave every one of them unchanged; a change that moves
 the numerics on purpose regenerates the digests, from the figure directory,
 with `sha256sum * > tests/golden_figures.sha256`, and says so.
+
+`CLI_DIGESTS` pins the other subcommands the same way: the `point` table,
+the `sweep` CSV and chart (per window and per second) and the
+`optimize-chirp` scan CSV and chart, all with the default config. Regenerate
+them by running the commands below and `sha256sum` on what they write.
 """
 
 import hashlib
 from pathlib import Path
+
+import pytest
 
 from dispersive_qkd.analysis import SCENARIOS
 from dispersive_qkd.cli import main
@@ -30,3 +37,32 @@ def test_reproduce_matches_golden_digests(tmp_path):
     assert sorted(got) == sorted(expected)
     differing = sorted(name for name in expected if got[name] != expected[name])
     assert not differing, f"figure files differ from the snapshot: {differing}"
+
+
+CLI_DIGESTS = {
+    "point --set distance_km=20": {
+        "stdout": "da33622fdd5373ed9b4b01f5b7c17ef56a2e02d26aed7cbb3dd60453836f1928",
+    },
+    "sweep --out sweep.csv --svg sweep.svg": {
+        "sweep.csv": "d908750ff3b8e01f15f97ba73c554ef1e5a999ef85f3dafb638e26cbef531fb2",
+        "sweep.svg": "ec7eae68cc02a9acb0f2dd19f11bf349a6c660f9e5b8c38cae2044c780f762ff",
+    },
+    "sweep --set rate_units=per_second --out sweep.csv --svg sweep.svg": {
+        "sweep.csv": "a2ac01a14beffb6a46184806c92356df1c9100da11e9a53602925f5cc1702945",
+        "sweep.svg": "34bd5d1653172db29ee89c0a1e3a94d28f856bf917aff071237d10eef3350318",
+    },
+    "optimize-chirp --out scan.csv --svg scan.svg": {
+        "scan.csv": "a0347555b4d93845725a3a8546794433ae0a5ce1d8c5c30177f776ef158c8e1f",
+        "scan.svg": "02813027606efe6a5d5f8ce6e0d02825307aeab8f3fd22dd0c08c57491159843",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_DIGESTS))
+def test_cli_outputs_match_golden_digests(command, tmp_path, monkeypatch, capsysbinary):
+    monkeypatch.chdir(tmp_path)
+    assert main(command.split()) == 0
+    got = {"stdout": capsysbinary.readouterr().out}
+    got.update((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    digests = {name: hashlib.sha256(got[name]).hexdigest() for name in CLI_DIGESTS[command]}
+    assert digests == CLI_DIGESTS[command]

@@ -64,9 +64,18 @@ def test_broadened_sigma_at_zero():
 
 
 def test_broadened_sigma_overflow_is_value_error():
-    # sigma^2 - C*beta*L = -1e157 s^2 cannot be squared in a float
-    with pytest.raises(ValueError, match="width overflows"):
-        broadened_sigma(10 * PS, 1.0, 1e154, 1 * KM)
+    cases = [
+        # sigma^2 - C*beta*L = -1e157 s^2 cannot be squared in a float
+        (1.0, 1e154, 1 * KM),
+        # chirp 0: (beta*L)^2 = 1e314 overflows without an exception
+        (0.0, 1e154, 1 * KM),
+        # beta*L itself is inf, and 0 * inf is nan
+        (0.0, 1e4, 1e305),
+        (1.0, -1e4, 1e305),
+    ]
+    for chirp, beta, length in cases:
+        with pytest.raises(ValueError, match="width overflows"):
+            broadened_sigma(10 * PS, chirp, beta, length)
 
 
 def test_broadened_sigma_100km():
