@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Print how much secure range the optimal chirp buys per configuration.
 
-For each (jitter, dispersion) pair: range at C = 0, the scanned optimum
-c_star, range at c_star, and the relative gain.
+For each (jitter, dispersion) pair: range at C = 0, the scan's best chirp
+c_star (the closed-form optimum, or a grid sample that reaches farther),
+range at c_star, and the relative gain.
 """
 
 import argparse

@@ -22,13 +22,11 @@ from .keyrate import (
     TransmittanceConvention,
     evaluate_point,
 )
-from .numerics import Bracket, BracketError, NonConvergenceError
+from .numerics import NonConvergenceError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bracket",
-    "BracketError",
     "ChirpScanResult",
     "DarkCountModel",
     "NonConvergenceError",

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .keyrate import ProtocolPoint, ScenarioParams, evaluate_point
-from .numerics import Bracket, NonConvergenceError, maximize_scalar
+from .numerics import NonConvergenceError
 
 __all__ = [
     "GridError",
@@ -17,6 +17,7 @@ __all__ = [
     "SCENARIOS",
     "sweep_distance",
     "max_distance",
+    "optimal_chirp",
     "scan_chirp",
     "default_chirp_grid",
     "distance_grid",
@@ -24,6 +25,10 @@ __all__ = [
 ]
 
 _M_PER_KM = 1000.0
+# bench/worker.py traces a layer under this name, the golden-section
+# refinement that optimal_chirp replaced; None reads there as an untraced
+# attribute. Drop it together with that layer.
+maximize_scalar = None
 # hard stop for the secure-range bracket: far beyond any physical fiber
 _BRACKET_CEILING_KM = 1e7
 
@@ -49,9 +54,10 @@ class SweepResult:
 class ChirpScanResult:
     """Secure range across a chirp grid; samples are (chirp, L_max_km).
 
-    c_star/l_max_star refine the best grid cell by golden section.
-    at_boundary flags a maximum pinned to a grid edge, where the refined
-    value is only as good as the grid allows.
+    c_star is the closed-form best chirp over the grid's span (see
+    optimal_chirp), or the best sample where that is strictly longer, and
+    l_max_star the secure range there. at_boundary flags a c_star on a grid
+    edge, where a wider grid may do better.
     """
 
     samples: tuple[tuple[float, float], ...]
@@ -80,22 +86,11 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
     return SweepResult(rows=rows)
 
 
-def max_distance(params: ScenarioParams, l_hint: float = 50.0, tol: float = 0.01) -> float:
-    """Largest secure distance in km; 0.0 if the rate is dead at L = 0.
+def _edge(secure: Callable[[float], bool], l_hint: float, tol: float) -> float:
+    """Far edge (km) of the secure set; 0.0 if secure(0) fails.
 
-    Grows a bracket geometrically from l_hint, then bisects the indicator
-    key_rate > 0. The rate itself has a kink at the boundary (the positive
-    part clips), so sign bisection is the robust choice over any
-    derivative-based root finder.
+    Grows a bracket geometrically from l_hint, then bisects the indicator.
     """
-    if not l_hint > 0:
-        raise ValueError(f"l_hint must be > 0 km, got {l_hint}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0 km, got {tol}")
-
-    def secure(l_km: float) -> bool:
-        return evaluate_point(params, l_km * _M_PER_KM).key_rate > 0.0
-
     if not secure(0.0):
         return 0.0
     lo = 0.0
@@ -116,36 +111,79 @@ def max_distance(params: ScenarioParams, l_hint: float = 50.0, tol: float = 0.01
     return 0.5 * (lo + hi)
 
 
-def scan_chirp(
-    params: ScenarioParams, c_grid: Iterable[float], tol: float = 1e-3
-) -> ChirpScanResult:
-    """Secure range over a chirp grid, refined around the best sample.
+def max_distance(params: ScenarioParams, l_hint: float = 50.0, tol: float = 0.01) -> float:
+    """Largest secure distance in km; 0.0 if the rate is dead at L = 0.
 
-    The refinement runs golden section on the cell spanning the best grid
-    point's neighbors, then keeps whichever of (refined, best sample) has
-    the larger range, so the reported maximum never falls below the grid.
+    Bisects the indicator key_rate > 0 (see _edge). The rate itself has a
+    kink at the boundary (the positive part clips), so sign bisection is the
+    robust choice over any derivative-based root finder.
+    """
+    if not l_hint > 0:
+        raise ValueError(f"l_hint must be > 0 km, got {l_hint}")
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0 km, got {tol}")
+    return _edge(
+        lambda l_km: evaluate_point(params, l_km * _M_PER_KM).key_rate > 0.0, l_hint, tol
+    )
+
+
+def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
+    """The chirp in [c_min, c_max] with the longest secure range, in closed
+    form along one secure-range search.
+
+    At a fixed distance L the width ((sigma^2 - C beta L)^2 + (beta L)^2) /
+    sigma^2 is smallest at C = sigma^2 / (beta L), the pre-chirp that
+    compensates the fiber's dispersion (Agrawal, Nonlinear Fiber Optics,
+    ch. 3). Where the key rate falls as the detected width grows, the best
+    chirp at L is c(L) = clip(sigma^2 / (beta L), c_min, c_max), the best
+    range L* is the far edge of the secure set along c(L), and this returns
+    c(L*). With beta = 0 the chirp has no effect and this returns the value
+    nearest 0; where the rate is dead at the source, c(0), the edge on
+    beta's side.
+
+    The rate falls with the width while one dark count per window is no
+    likelier than none (p_one <= p_zero). Beyond that a missed signal photon
+    yields a raw-key bit more often than a detected one, a wider pulse can
+    reach farther, and c(L*) may fall short of another chirp; scan_chirp
+    keeps its grid samples for this case.
+    """
+    if not c_min <= c_max:
+        raise GridError(f"need c_min <= c_max, got [{c_min}, {c_max}]")
+    if params.beta == 0.0:
+        return min(max(0.0, c_min), c_max)
+    s2 = params.sigma * params.sigma
+
+    def chirp_at(l_km: float) -> float:
+        bl = params.beta * (l_km * _M_PER_KM)
+        c = s2 / bl if bl else math.copysign(math.inf, params.beta)
+        return min(max(c, c_min), c_max)
+
+    def secure(l_km: float) -> bool:
+        at_best = replace(params, chirp=chirp_at(l_km))
+        return evaluate_point(at_best, l_km * _M_PER_KM).key_rate > 0.0
+
+    return chirp_at(_edge(secure, 50.0, 0.01))  # max_distance's defaults
+
+
+def scan_chirp(params: ScenarioParams, c_grid: Iterable[float]) -> ChirpScanResult:
+    """Secure range at each chirp of a grid, plus the best chirp overall.
+
+    The best chirp is optimal_chirp's over the grid's span, with its
+    max_distance as l_max_star; a grid sample that is strictly longer
+    replaces it, so the reported maximum never falls below the grid.
     """
     grid = _increasing(c_grid, "chirp")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-
-    def range_at(c: float) -> float:
-        return max_distance(replace(params, chirp=c))
-
-    samples = tuple((c, range_at(c)) for c in grid)
-    best = max(range(len(samples)), key=lambda i: samples[i][1])
-    c_star, l_star = samples[best]
-    at_boundary = best in (0, len(grid) - 1)
-    if len(grid) > 1:
-        lo = grid[max(best - 1, 0)]
-        hi = grid[min(best + 1, len(grid) - 1)]
-        c_ref, l_ref = maximize_scalar(range_at, Bracket(lo, hi), tol)
-        if l_ref > l_star:
-            c_star, l_star = c_ref, l_ref
-    else:
-        at_boundary = True
+    samples = tuple((c, max_distance(replace(params, chirp=c))) for c in grid)
+    c_star = optimal_chirp(params, grid[0], grid[-1])
+    l_star = max_distance(replace(params, chirp=c_star))
+    c_best, l_best = max(samples, key=lambda s: s[1])
+    if l_best > l_star:
+        c_star, l_star = c_best, l_best
     return ChirpScanResult(
-        samples=samples, c_star=c_star, l_max_star=l_star, at_boundary=at_boundary
+        samples=samples,
+        c_star=c_star,
+        l_max_star=l_star,
+        at_boundary=c_star in (grid[0], grid[-1]),
     )
 
 
@@ -248,7 +286,8 @@ def run_scenario(
     fig1: rate vs distance for four windows x two jitters, unchirped.
     fig2: rate vs distance for chirp in {-1, 0, 1} x two jitters, 50 ps
     window. fig3a: secure range vs chirp for three jitters; fig3b: the
-    per-jitter optimally chirped rate curve against the unchirped one.
+    per-jitter rate curve at the scan's best chirp (scan_chirp's c_star)
+    against the unchirped one.
     fig4a/fig4b: the same pair across three dispersion strengths at fixed
     25 ps jitter. Scenario-defining fields override `params`; the rest
     (sigma, alpha, dark rate, period, conventions) carry through.

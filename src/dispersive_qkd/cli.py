@@ -2,7 +2,8 @@
 
 Subcommands: `point` (single-distance table), `sweep` (CSV of the pipeline
 along a distance grid), `lmax` (secure range), `optimize-chirp` (grid scan
-plus refinement), `reproduce` (standard figure datasets and charts).
+plus the closed-form best chirp), `reproduce` (standard figure datasets and
+charts).
 
 Exit codes: 0 success, 2 configuration or validation error, 3 a numeric
 routine failed to converge.
@@ -130,7 +131,12 @@ def cmd_optimize_chirp(cfg: Config, args: argparse.Namespace) -> int:
     scan = analysis.scan_chirp(params, _chirp_grid(cfg))
     sys.stdout.write(f"c_star = {_fmt(scan.c_star)}\n")
     sys.stdout.write(f"L_max_km = {_fmt(scan.l_max_star)}\n")
-    if scan.at_boundary:
+    if scan.l_max_star == 0.0:
+        sys.stderr.write(
+            "warning: the key rate is zero at the source, where chirp has no effect; "
+            "widening [c_min, c_max] cannot help\n"
+        )
+    elif scan.at_boundary:
         sys.stderr.write(
             "warning: maximum sits on the scan boundary; widen [c_min, c_max]\n"
         )

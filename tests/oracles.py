@@ -6,15 +6,17 @@ propagated pulse, quadrature moments for its width, a jitter convolution
 for the detected spread, and adaptive Gauss-Kronrod quadrature plus a
 bisection root finder underneath them all. `composed_point` rebuilds the
 per-distance pipeline from the public helpers, the reference for
-`evaluate_point`, and `domain_params` draws `ScenarioParams` over
-the documented robustness domain.
+`evaluate_point`; `reference_range` repeats `max_distance`'s search over
+it, and `best_grid_range` takes the best of that over a chirp grid, the
+brute-force reference for the best chirp. `domain_params` draws
+`ScenarioParams` over the documented robustness domain.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -38,7 +40,7 @@ from dispersive_qkd.keyrate import (
     qber,
     transmittance,
 )
-from dispersive_qkd.numerics import Bracket, BracketError, NonConvergenceError
+from dispersive_qkd.numerics import NonConvergenceError
 from dispersive_qkd.twf import broadened_sigma
 
 
@@ -155,6 +157,20 @@ def integrate(
         count += 1
     # re-sum the panels once; the running total accumulates update noise
     return sum(item[3] for item in heap)
+
+
+class BracketError(ValueError):
+    """A root bracket is inverted or has no sign change."""
+
+
+@dataclass(frozen=True)
+class Bracket:
+    lo: float
+    hi: float
+
+    def __post_init__(self) -> None:
+        if not self.lo < self.hi:
+            raise BracketError(f"bracket needs lo < hi, got [{self.lo}, {self.hi}]")
 
 
 def find_root(f: Callable[[float], float], bracket: Bracket, tol: float) -> float:
@@ -373,6 +389,39 @@ def composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw)
     return ProtocolPoint(
         p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
+    )
+
+
+def reference_range(params: ScenarioParams, l_hint: float = 50.0, tol: float = 0.01) -> float:
+    """max_distance's documented search, over the pipeline composed from the
+    public helpers: 0.0 if dead at the source, else double l_hint until the
+    rate dies (giving up past 1e7 km), then bisect the bracket to tol."""
+
+    def secure(l_km: float) -> bool:
+        return composed_point(params, l_km * 1e3).key_rate > 0.0
+
+    if not secure(0.0):
+        return 0.0
+    lo, hi = 0.0, l_hint
+    while secure(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e7:
+            raise NonConvergenceError(f"rate still positive at {lo} km")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if secure(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def best_grid_range(params: ScenarioParams, c_min: float, c_max: float, points: int) -> float:
+    """Longest reference_range over `points` evenly spaced chirps in
+    [c_min, c_max], ends included."""
+    step = (c_max - c_min) / (points - 1)
+    return max(
+        reference_range(replace(params, chirp=c_min + k * step)) for k in range(points)
     )
 
 

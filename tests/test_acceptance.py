@@ -27,9 +27,10 @@ from dispersive_qkd.keyrate import (
     evaluate_point,
     key_rate,
 )
-from dispersive_qkd.numerics import Bracket, binary_entropy
+from dispersive_qkd.numerics import binary_entropy
 from dispersive_qkd.twf import broadened_sigma
 from oracles import (
+    Bracket,
     QuadratureSpec,
     find_root,
     initial_state,

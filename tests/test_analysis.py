@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from dispersive_qkd.analysis import (
     ChirpScanResult,
@@ -11,13 +11,14 @@ from dispersive_qkd.analysis import (
     default_chirp_grid,
     distance_grid,
     max_distance,
+    optimal_chirp,
     run_scenario,
     scan_chirp,
     sweep_distance,
 )
-from dispersive_qkd.keyrate import ScenarioParams, evaluate_point
+from dispersive_qkd.keyrate import DarkCountModel, ProtocolPoint, ScenarioParams, evaluate_point
 from dispersive_qkd.numerics import NonConvergenceError
-from oracles import composed_point, domain_params
+from oracles import best_grid_range, composed_point, domain_params, reference_range
 
 PS = 1e-12
 KM = 1e3
@@ -99,30 +100,6 @@ def test_max_distance_no_extinction_raises():
         max_distance(params)
 
 
-def _reference_range(params: ScenarioParams, l_hint: float = 50.0, tol: float = 0.01) -> float:
-    """max_distance's documented search, over the pipeline composed from the
-    public helpers: 0.0 if dead at the source, else double l_hint until the
-    rate dies (giving up past 1e7 km), then bisect the bracket to tol."""
-
-    def secure(l_km: float) -> bool:
-        return composed_point(params, l_km * KM).key_rate > 0.0
-
-    if not secure(0.0):
-        return 0.0
-    lo, hi = 0.0, l_hint
-    while secure(hi):
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e7:
-            raise NonConvergenceError(f"rate still positive at {lo} km")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if secure(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _outcome(run):
     """run()'s value, or the type of the search error it raised."""
     try:
@@ -137,7 +114,7 @@ def test_max_distance_equals_reference_bisection(params):
     # dual route, bit for bit, over every outcome: a range, 0.0 when dead at
     # the source, NonConvergenceError, and the linearized-dark ValueError
     got = _outcome(lambda: max_distance(params))
-    assert got == _outcome(lambda: _reference_range(params))
+    assert got == _outcome(lambda: reference_range(params))
 
 
 @settings(deadline=None, max_examples=40)
@@ -149,7 +126,7 @@ def test_scan_chirp_samples_equal_replaced_params(params, chirps):
     # each sample is the secure range of the params rebuilt with that chirp
     grid = sorted(chirps)
     expected = _outcome(lambda: tuple((c, max_distance(replace(params, chirp=c))) for c in grid))
-    assert _outcome(lambda: scan_chirp(params, grid, tol=0.5).samples) == expected
+    assert _outcome(lambda: scan_chirp(params, grid).samples) == expected
 
 
 def test_max_distance_validation():
@@ -161,7 +138,7 @@ def test_max_distance_validation():
 
 def test_scan_chirp_finds_negative_peak():
     grid = [round(-0.5 + 0.1 * i, 10) for i in range(7)]  # -0.5 .. 0.1
-    result = scan_chirp(ScenarioParams(), grid, tol=1e-2)
+    result = scan_chirp(ScenarioParams(), grid)
     assert -0.35 <= result.c_star <= -0.15
     assert not result.at_boundary
     assert result.l_max_star >= max(l for _, l in result.samples)
@@ -172,13 +149,13 @@ def test_scan_chirp_finds_negative_peak():
 def test_scan_chirp_mirrors_under_beta_flip():
     base = ScenarioParams()
     grid = [round(-0.6 + 0.15 * i, 10) for i in range(9)]  # -0.6 .. 0.6
-    fwd = scan_chirp(base, grid, tol=5e-3)
-    rev = scan_chirp(replace(base, beta=-base.beta), grid, tol=5e-3)
-    assert abs(fwd.c_star + rev.c_star) <= 0.15 + 2 * 5e-3  # one grid step
+    fwd = scan_chirp(base, grid)
+    rev = scan_chirp(replace(base, beta=-base.beta), grid)
+    assert (rev.c_star, rev.l_max_star) == (-fwd.c_star, fwd.l_max_star)
 
 
 def test_scan_chirp_boundary_flag():
-    result = scan_chirp(ScenarioParams(), [0.5, 1.0, 1.5, 2.0], tol=1e-2)
+    result = scan_chirp(ScenarioParams(), [0.5, 1.0, 1.5, 2.0])
     assert result.at_boundary
     assert result.c_star == 0.5  # range decays monotonically right of the peak
 
@@ -192,6 +169,117 @@ def test_scan_chirp_grid_validation():
     for grid in ([0.0, math.inf], [-math.inf, 0.0], [math.nan]):
         with pytest.raises(ValueError):
             scan_chirp(ScenarioParams(), grid)
+
+
+# 1.2 dark counts per window on average: one dark count (p_one) is likelier
+# than none (p_zero), so a missed signal photon yields a raw-key bit more
+# often than a detected one, and a wider detected pulse can buy rate
+DARK_HEAVY = ScenarioParams(
+    sigma=5 * PS, beta=3.5e-26, alpha=0.3, dark_rate=2.4e9, period=200 * PS,
+    jitter=0.0, window=500 * PS, dark_model=DarkCountModel.EXACT_POISSON,
+)
+
+
+def test_optimal_chirp_defaults_and_edges():
+    c_star = optimal_chirp(ScenarioParams(), -2.0, 2.0)
+    assert -0.35 <= c_star <= -0.15
+    # beta = 0: chirp has no effect, the grid value nearest 0
+    no_dispersion = ScenarioParams(beta=0.0)
+    assert optimal_chirp(no_dispersion, -2.0, 2.0) == 0.0
+    assert optimal_chirp(no_dispersion, 0.5, 2.0) == 0.5
+    assert optimal_chirp(no_dispersion, -2.0, -0.5) == -0.5
+    # dead at the source: the grid edge on beta's side
+    dead = ScenarioParams(sigma=60 * PS, jitter=4 * PS)
+    assert optimal_chirp(dead, -2.0, 2.0) == -2.0
+    assert optimal_chirp(replace(dead, beta=-dead.beta), -2.0, 2.0) == 2.0
+    with pytest.raises(GridError):
+        optimal_chirp(ScenarioParams(), 1.0, -1.0)
+
+
+# about one draw in six passes the assume below
+@settings(deadline=None, max_examples=30, suppress_health_check=[HealthCheck.filter_too_much])
+@given(params=domain_params())
+def test_optimal_chirp_reaches_a_fine_chirp_grid(params):
+    # brute force: the reference range at each of 161 chirps on [-2, 2]; the
+    # closed form rests on the rate not rising with the detected width, which
+    # holds only while p_one <= p_zero (see the DARK_HEAVY tests)
+    point = _outcome(lambda: evaluate_point(params, 0.0))
+    assume(params.beta != 0.0 and isinstance(point, ProtocolPoint))
+    assume(point.key_rate > 0.0 and point.p_one <= point.p_zero)
+    c_star = optimal_chirp(params, -2.0, 2.0)
+    best = best_grid_range(params, -2.0, 2.0, 161)
+    assert max_distance(replace(params, chirp=c_star)) >= best - 0.01
+
+
+def test_scan_chirp_keeps_a_sample_that_beats_the_closed_form():
+    grid = default_chirp_grid()
+    c_ref = optimal_chirp(DARK_HEAVY, grid[0], grid[-1])
+    l_ref = max_distance(replace(DARK_HEAVY, chirp=c_ref))
+    scan = scan_chirp(DARK_HEAVY, grid)
+    assert (scan.c_star, scan.l_max_star) == max(scan.samples, key=lambda s: s[1])
+    assert scan.l_max_star > l_ref + 0.05
+
+
+# Where the rate barely depends on the detected width (p_one close to
+# p_zero), a wider pulse moves it by rounding only: about 1e-15 relative
+# at one dark count per window.
+RATE_ROUNDING = 1e-12
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    params=domain_params(),
+    l_km=st.floats(min_value=0.0, max_value=500.0),
+    factor=st.floats(min_value=1.0, max_value=5.0),
+)
+def test_rate_does_not_rise_with_loss(params, l_km, factor):
+    base = _outcome(lambda: evaluate_point(params, l_km * KM).key_rate)
+    assume(isinstance(base, float))
+    lossier = replace(params, alpha=params.alpha * factor)
+    assert evaluate_point(lossier, l_km * KM).key_rate <= base * (1.0 + RATE_ROUNDING)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    params=domain_params(),
+    l_km=st.floats(min_value=0.0, max_value=500.0),
+    factor=st.floats(min_value=1.0, max_value=10.0),
+)
+def test_rate_does_not_rise_with_jitter_below_one_dark_count_per_window(params, l_km, factor):
+    point = _outcome(lambda: evaluate_point(params, l_km * KM))
+    assume(isinstance(point, ProtocolPoint) and point.p_one <= point.p_zero)
+    wider = replace(params, jitter=params.jitter * factor)
+    assert evaluate_point(wider, l_km * KM).key_rate <= point.key_rate * (1.0 + RATE_ROUNDING)
+
+
+def test_rate_rises_with_jitter_beyond_one_dark_count_per_window():
+    point = evaluate_point(DARK_HEAVY, 2 * KM)
+    assert point.p_one > point.p_zero
+    narrow = evaluate_point(replace(DARK_HEAVY, jitter=5 * PS), 2 * KM).key_rate
+    wide = evaluate_point(replace(DARK_HEAVY, jitter=50 * PS), 2 * KM).key_rate
+    assert wide > 1.05 * narrow > 0.0
+
+
+@settings(deadline=None, max_examples=200)
+@given(params=domain_params(), l_km=st.floats(min_value=0.0, max_value=500.0))
+def test_evaluate_point_mirrors_under_beta_and_chirp_flip(params, l_km):
+    # repr is exact for floats, so this compares bit for bit (0.0 != -0.0)
+    mirror = replace(params, beta=-params.beta, chirp=-params.chirp)
+    got = _outcome(lambda: evaluate_point(params, l_km * KM))
+    assert repr(_outcome(lambda: evaluate_point(mirror, l_km * KM))) == repr(got)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    params=domain_params(),
+    ends=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=2, max_size=2),
+)
+def test_optimal_chirp_mirrors_under_beta_flip(params, ends):
+    c_min, c_max = sorted(ends)
+    got = _outcome(lambda: optimal_chirp(params, c_min, c_max))
+    mirror = replace(params, beta=-params.beta)
+    mirrored = _outcome(lambda: optimal_chirp(mirror, -c_max, -c_min))
+    assert mirrored == (-got if isinstance(got, float) else got)
 
 
 def test_default_chirp_grid_shape():

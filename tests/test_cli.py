@@ -316,6 +316,21 @@ def test_optimize_chirp_boundary_warning(capsys):
     assert "boundary" in captured.err
 
 
+def test_optimize_chirp_dead_at_source_warning(capsys):
+    # chirp has no effect at L = 0, so the boundary advice would not help
+    args = [
+        "optimize-chirp",
+        "--set", "sigma_ps=60",
+        "--set", "jitter_ps=4",
+        "--set", "c_step=0.5",
+    ]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "c_star = -2\nL_max_km = 0\n"
+    assert "key rate is zero at the source" in captured.err
+    assert "boundary" not in captured.err
+
+
 def test_reproduce_fig2(tmp_path, capsys):
     args = [
         "reproduce", "fig2",

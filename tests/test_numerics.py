@@ -4,15 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dispersive_qkd.numerics import (
-    Bracket,
-    BracketError,
-    NonConvergenceError,
-    binary_entropy,
-    erf,
-    maximize_scalar,
-)
-from oracles import QuadratureSpec, find_root, integrate
+from dispersive_qkd.numerics import NonConvergenceError, binary_entropy, erf
+from oracles import Bracket, BracketError, QuadratureSpec, find_root, integrate
 
 
 def test_quadrature_spec_defaults():
@@ -179,32 +172,3 @@ def test_find_root_requires_sign_change():
 def test_find_root_rejects_bad_tol():
     with pytest.raises(ValueError):
         find_root(lambda x: x, Bracket(-1.0, 1.0), 0.0)
-
-
-def test_maximize_parabola():
-    x, fx = maximize_scalar(lambda x: -((x - 1.0) ** 2), Bracket(-2.0, 2.0), 1e-6)
-    assert abs(x - 1.0) <= 1e-6
-    assert fx <= 0.0
-
-
-def test_maximize_kinked_peak():
-    x, _ = maximize_scalar(lambda x: -abs(x), Bracket(-1.0, 1.0), 1e-6)
-    assert abs(x) <= 1e-6
-
-
-def test_maximize_sin():
-    x, fx = maximize_scalar(math.sin, Bracket(0.0, 3.0), 1e-7)
-    assert abs(x - 1.5707963) <= 1e-6
-    assert 1.0 - 1e-12 < fx <= 1.0  # an evaluated value, never above the true max
-
-
-def test_maximize_affine_invariance():
-    f = lambda x: -((x - 0.7) ** 2)
-    x1, _ = maximize_scalar(f, Bracket(-2.0, 2.0), 1e-8)
-    x2, _ = maximize_scalar(lambda x: f(3.0 * x - 0.5), Bracket(-0.5, 0.9), 1e-8 / 3.0)
-    assert abs((3.0 * x2 - 0.5) - x1) <= 1e-7
-
-
-def test_maximize_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        maximize_scalar(math.sin, Bracket(0.0, 1.0), -1.0)
