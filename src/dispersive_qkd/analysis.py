@@ -29,7 +29,10 @@ _M_PER_KM = 1000.0
 # refinement that optimal_chirp replaced; None reads there as an untraced
 # attribute. Drop it together with that layer.
 maximize_scalar = None
-# hard stop for the secure-range bracket: far beyond any physical fiber
+# secure-range search: first bracket top, bisection width, and a hard stop
+# far beyond any physical fiber
+_L_HINT_KM = 50.0
+_L_TOL_KM = 0.01
 _BRACKET_CEILING_KM = 1e7
 
 
@@ -86,15 +89,16 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
     return SweepResult(rows=rows)
 
 
-def _edge(secure: Callable[[float], bool], l_hint: float, tol: float) -> float:
+def _edge(secure: Callable[[float], bool]) -> float:
     """Far edge (km) of the secure set; 0.0 if secure(0) fails.
 
-    Grows a bracket geometrically from l_hint, then bisects the indicator.
+    Grows a bracket geometrically from _L_HINT_KM, then bisects the
+    indicator to within _L_TOL_KM.
     """
     if not secure(0.0):
         return 0.0
     lo = 0.0
-    hi = l_hint
+    hi = _L_HINT_KM
     while secure(hi):
         lo = hi
         hi *= 2.0
@@ -102,7 +106,7 @@ def _edge(secure: Callable[[float], bool], l_hint: float, tol: float) -> float:
             raise NonConvergenceError(
                 f"key rate still positive at {lo} km; no extinction point to bracket"
             )
-    while hi - lo > tol:
+    while hi - lo > _L_TOL_KM:
         mid = 0.5 * (lo + hi)
         if secure(mid):
             lo = mid
@@ -111,20 +115,14 @@ def _edge(secure: Callable[[float], bool], l_hint: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def max_distance(params: ScenarioParams, l_hint: float = 50.0, tol: float = 0.01) -> float:
+def max_distance(params: ScenarioParams) -> float:
     """Largest secure distance in km; 0.0 if the rate is dead at L = 0.
 
     Bisects the indicator key_rate > 0 (see _edge). The rate itself has a
     kink at the boundary (the positive part clips), so sign bisection is the
     robust choice over any derivative-based root finder.
     """
-    if not l_hint > 0:
-        raise ValueError(f"l_hint must be > 0 km, got {l_hint}")
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0 km, got {tol}")
-    return _edge(
-        lambda l_km: evaluate_point(params, l_km * _M_PER_KM).key_rate > 0.0, l_hint, tol
-    )
+    return _edge(lambda l_km: evaluate_point(params, l_km * _M_PER_KM).key_rate > 0.0)
 
 
 def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
@@ -162,7 +160,7 @@ def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
         at_best = replace(params, chirp=chirp_at(l_km))
         return evaluate_point(at_best, l_km * _M_PER_KM).key_rate > 0.0
 
-    return chirp_at(_edge(secure, 50.0, 0.01))  # max_distance's defaults
+    return chirp_at(_edge(secure))
 
 
 def scan_chirp(params: ScenarioParams, c_grid: Iterable[float]) -> ChirpScanResult:
@@ -236,23 +234,22 @@ SCENARIOS = ("fig1", "fig2", "fig3a", "fig3b", "fig4a", "fig4b")
 
 _PS = 1e-12
 _JITTERS = (4e-12, 25e-12)
+_FIG1_WINDOWS = (5e-12, 25e-12, 50e-12, 125e-12)
+_FIG3_JITTERS = (4e-12, 10e-12, 25e-12)
 
 
 def _ps_label(value_s: float) -> str:
     return f"{round(value_s / _PS, 6):g}"
 
 
-def _variants(
-    family: str, params: ScenarioParams, fourth_window: float, third_jitter: float
-) -> list[tuple[str, ScenarioParams]]:
+def _variants(family: str, params: ScenarioParams) -> list[tuple[str, ScenarioParams]]:
     """(label, params) of each curve in a figure family, fig1 to fig4."""
     if family == "fig1":
-        windows = sorted({5e-12, 50e-12, 125e-12, fourth_window})
         return [
             (f"v{_ps_label(v)}ps_j{_ps_label(j)}ps",
              replace(params, chirp=0.0, window=v, jitter=j))
             for j in _JITTERS
-            for v in windows
+            for v in _FIG1_WINDOWS
         ]
     at_50 = replace(params, window=50e-12)
     if family == "fig2":
@@ -264,7 +261,7 @@ def _variants(
     if family == "fig3":
         return [
             (f"j{_ps_label(j)}ps", replace(at_50, jitter=j))
-            for j in sorted({4e-12, 25e-12, third_jitter})
+            for j in _FIG3_JITTERS
         ]
     return [
         (f"beta{round(b / 1e-26, 6):g}", replace(at_50, jitter=25e-12, beta=b))
@@ -276,25 +273,23 @@ def run_scenario(
     name: str,
     params: ScenarioParams = ScenarioParams(),
     *,
-    fourth_window: float = 25e-12,
-    third_jitter: float = 10e-12,
     l_steps: int = 400,
     c_grid: Sequence[float] | None = None,
 ) -> ScenarioResult:
     """Materialize one standard figure configuration.
 
-    fig1: rate vs distance for four windows x two jitters, unchirped.
-    fig2: rate vs distance for chirp in {-1, 0, 1} x two jitters, 50 ps
-    window. fig3a: secure range vs chirp for three jitters; fig3b: the
-    per-jitter rate curve at the scan's best chirp (scan_chirp's c_star)
-    against the unchirped one.
+    fig1: rate vs distance for windows {5, 25, 50, 125} ps x jitters {4, 25}
+    ps, unchirped. fig2: rate vs distance for chirp in {-1, 0, 1} x jitters
+    {4, 25} ps, 50 ps window. fig3a: secure range vs chirp for jitters
+    {4, 10, 25} ps; fig3b: the per-jitter rate curve at the scan's best chirp
+    (scan_chirp's c_star) against the unchirped one.
     fig4a/fig4b: the same pair across three dispersion strengths at fixed
     25 ps jitter. Scenario-defining fields override `params`; the rest
     (sigma, alpha, dark rate, period, conventions) carry through.
     """
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; choose one of {SCENARIOS}")
-    variants = _variants(name[:4], params, fourth_window, third_jitter)
+    variants = _variants(name[:4], params)
     if name.startswith(("fig3", "fig4")):
         grid = list(c_grid) if c_grid is not None else default_chirp_grid()
         scans = [(label, p, scan_chirp(p, grid)) for label, p in variants]

@@ -29,7 +29,6 @@ _PALETTE = (
     "#17becf",
     "#e377c2",
 )
-_DASHES = ("", "6,3", "2,3", "8,3,2,3")
 
 
 @dataclass(frozen=True)
@@ -109,24 +108,23 @@ def render_chart(
     x_hi = max(p[0] for p in all_pts)
     if not x_hi > x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    y_min = min(p[1] for p in all_pts)
+    y_max = max(p[1] for p in all_pts)
     if log_y:
-        y_max = max(p[1] for p in all_pts)
-        y_min = min(p[1] for p in all_pts)
         hi_dec = math.ceil(math.log10(y_max))
         lo_dec = math.floor(math.log10(y_min))
         lo_dec = max(lo_dec, hi_dec - 12)  # clip runaway tails near extinction
         y_lo, y_hi = float(lo_dec), float(hi_dec)
         if not y_hi > y_lo:
             y_hi = y_lo + 1.0
+        y_ticks = [(10.0 ** d, f"1e{d}") for d in range(int(y_lo), int(y_hi) + 1)]
     else:
-        y_min = min(p[1] for p in all_pts)
-        y_max = max(p[1] for p in all_pts)
-        y_lo = min(0.0, y_min) if y_min >= 0 else y_min
+        y_lo = min(0.0, y_min)
         y_hi = y_max
         if not y_hi > y_lo:
             y_hi = y_lo + 1.0
-        pad = 0.05 * (y_hi - y_lo)
-        y_hi += pad
+        y_hi += 0.05 * (y_hi - y_lo)  # headroom above the top curve
+        y_ticks = [(t, f"{t:g}") for t in _nice_ticks(y_lo, y_hi)]
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -156,32 +154,17 @@ def render_chart(
             f'font-family="sans-serif" font-size="11">{t:g}</text>'
         )
 
-    if log_y:
-        dec = int(y_lo)
-        while dec <= int(y_hi):
-            y = py(10.0 ** dec)
-            out.append(
-                f'<line x1="{_MARGIN_LEFT}" y1="{_fmt(y)}" '
-                f'x2="{_MARGIN_LEFT + plot_w}" y2="{_fmt(y)}" '
-                f'stroke="#dddddd" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">1e{dec}</text>'
-            )
-            dec += 1
-    else:
-        for t in _nice_ticks(y_lo, y_hi):
-            y = py(t)
-            out.append(
-                f'<line x1="{_MARGIN_LEFT}" y1="{_fmt(y)}" '
-                f'x2="{_MARGIN_LEFT + plot_w}" y2="{_fmt(y)}" '
-                f'stroke="#dddddd" stroke-width="1"/>'
-            )
-            out.append(
-                f'<text x="{_MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11">{t:g}</text>'
-            )
+    for t, label in y_ticks:
+        y = py(t)
+        out.append(
+            f'<line x1="{_MARGIN_LEFT}" y1="{_fmt(y)}" '
+            f'x2="{_MARGIN_LEFT + plot_w}" y2="{_fmt(y)}" '
+            f'stroke="#dddddd" stroke-width="1"/>'
+        )
+        out.append(
+            f'<text x="{_MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{label}</text>'
+        )
 
     out.append(
         f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 14}" '
@@ -197,19 +180,17 @@ def render_chart(
 
     for i, (s, pts) in enumerate(zip(series, pts_per_series)):
         color = _PALETTE[i % len(_PALETTE)]
-        dash = _DASHES[(i // len(_PALETTE)) % len(_DASHES)]
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         if pts:
             coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
             out.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                f'stroke-width="1.5"{dash_attr}/>'
+                f'stroke-width="1.5"/>'
             )
         ly = _MARGIN_TOP + 14 + 18 * i
         lx = _MARGIN_LEFT + plot_w + 12
         out.append(
             f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.5"{dash_attr}/>'
+            f'stroke="{color}" stroke-width="1.5"/>'
         )
         out.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '

@@ -152,12 +152,7 @@ def cmd_reproduce(cfg: Config, args: argparse.Namespace) -> int:
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     result = analysis.run_scenario(
-        args.figure,
-        params,
-        fourth_window=cfg.fig1_fourth_window_ps * PS,
-        third_jitter=cfg.fig3_third_jitter_ps * PS,
-        l_steps=cfg.l_steps,
-        c_grid=_chirp_grid(cfg),
+        args.figure, params, l_steps=cfg.l_steps, c_grid=_chirp_grid(cfg)
     )
     scale = _rate_scale(cfg)
     written: list[Path] = []
@@ -184,8 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override one config key (repeatable)",
     )
-    common.add_argument("--out", metavar="PATH", help="output file (or directory for reproduce)")
-    common.add_argument("--svg", metavar="PATH", help="also render an SVG chart here")
+    # only the subcommands that write files take --out/--svg
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument("--out", metavar="PATH", help="output file (or directory for reproduce)")
+    writes.add_argument("--svg", metavar="PATH", help="also render an SVG chart here")
 
     parser = argparse.ArgumentParser(
         prog="dispersive-qkd",
@@ -193,13 +190,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("point", parents=[common], help="evaluate the pipeline at distance_km")
-    sub.add_parser("sweep", parents=[common], help="CSV of the pipeline along a distance grid")
+    sub.add_parser(
+        "sweep", parents=[common, writes], help="CSV of the pipeline along a distance grid"
+    )
     sub.add_parser("lmax", parents=[common], help="largest secure distance in km")
     sub.add_parser(
-        "optimize-chirp", parents=[common], help="scan chirp for the largest secure range"
+        "optimize-chirp", parents=[common, writes], help="scan chirp for the largest secure range"
     )
     repro = sub.add_parser(
-        "reproduce", parents=[common], help="write a standard figure's datasets and chart"
+        "reproduce", parents=[common, writes], help="write a standard figure's datasets and chart"
     )
     repro.add_argument("figure", choices=analysis.SCENARIOS)
     return parser

@@ -54,9 +54,6 @@ class Config:
     c_min: float = -2.0
     c_max: float = 2.0
     c_step: float = 0.05
-    # figure-reproduction extras
-    fig1_fourth_window_ps: float = 25.0
-    fig3_third_jitter_ps: float = 10.0
     # output controls
     rate_units: str = "per_window"
 
@@ -121,10 +118,6 @@ def _validate(cfg: Config) -> None:
         raise ConfigError(
             f"need l_max_km > l_min_km, got [{cfg.l_min_km}, {cfg.l_max_km}]"
         )
-    if not cfg.fig1_fourth_window_ps > 0:
-        raise ConfigError("fig1_fourth_window_ps must be > 0")
-    if cfg.fig3_third_jitter_ps < 0:
-        raise ConfigError("fig3_third_jitter_ps must be >= 0")
 
 
 def _assign(values: dict[str, object], text: str, where: str) -> None:

@@ -6,7 +6,9 @@ arrival. Photons from the neighboring slots of the pulse train sit one
 period off-center and leak into the window once dispersion plus jitter have
 smeared them enough; exactly one such leak produces a wrong bit.
 
-Window masses use the standard library's `math.erf` and `math.erfc`.
+Window masses use the standard library's `math.erf` and `math.erfc`: the C
+library's piecewise rational approximations in the style of W. J. Cody
+(Math. Comp. 23, 1969), accurate to within a few ulp on the real line.
 """
 
 from __future__ import annotations

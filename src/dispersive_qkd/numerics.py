@@ -1,19 +1,14 @@
 """Scalar numerics shared by the key-rate and analysis modules.
 
 Everything here is built directly on the standard library: the binary
-entropy, the search error type and the probability-argument check. The
-error function is `math.erf`, re-exported here as `erf`. It and `math.erfc`
-are the C library's piecewise rational approximations in the style of
-W. J. Cody (Math. Comp. 23, 1969), accurate to within a few ulp on the real
-line.
+entropy, the search error type and the probability-argument check.
 """
 
 from __future__ import annotations
 
 import math
-from math import erf
 
-__all__ = ["NonConvergenceError", "erf", "binary_entropy"]
+__all__ = ["NonConvergenceError", "binary_entropy"]
 
 
 class NonConvergenceError(RuntimeError):

@@ -102,8 +102,6 @@ def valid_configs(draw) -> Config:
         c_min=c_min,
         c_max=c_max,
         c_step=draw(_POSITIVE),
-        fig1_fourth_window_ps=draw(_POSITIVE),
-        fig3_third_jitter_ps=draw(_NON_NEGATIVE),
         rate_units=draw(st.sampled_from(["per_window", "per_second"])),
     )
 
@@ -140,6 +138,8 @@ def test_parse_assignments_errors():
         parse_assignments(["distance_km"])
     with pytest.raises(ConfigError, match="unknown configuration key"):
         parse_assignments(["speed=3"])
+    with pytest.raises(ConfigError, match="unknown configuration key"):
+        parse_assignments(["fig1_fourth_window_ps=25"])  # fig1's windows are fixed
     with pytest.raises(ConfigError, match="l_steps"):
         parse_assignments(["l_steps=many"])
     with pytest.raises(ConfigError, match="^--set: jitter_ps is set twice$"):
@@ -379,6 +379,19 @@ def test_reproduce_fig3a(tmp_path):
 def test_exit_code_2_on_bad_set(capsys):
     assert main(["point", "--set", "speed=3"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["point", "lmax"])
+@pytest.mark.parametrize("flag", ["--out", "--svg"])
+def test_exit_code_2_on_output_flag_of_a_stdout_command(command, flag, tmp_path, capsys):
+    # point and lmax only print: an output path is an argparse error, not
+    # a silent no-op
+    target = tmp_path / "ignored"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, str(target)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_code_2_on_validation(capsys):

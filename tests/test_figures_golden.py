@@ -51,6 +51,11 @@ CLI_DIGESTS = {
         "sweep.csv": "a2ac01a14beffb6a46184806c92356df1c9100da11e9a53602925f5cc1702945",
         "sweep.svg": "34bd5d1653172db29ee89c0a1e3a94d28f856bf917aff071237d10eef3350318",
     },
+    # dead at the source: the chart has no positive data to draw
+    "sweep --set jitter_ps=200 --out sweep.csv --svg sweep.svg": {
+        "sweep.csv": "57cdc31f3d3fb6ea582cdfc16548445034ec876ba669917c2c711749fb16d4e4",
+        "sweep.svg": "8be09ca651e4cfa7a858fa4ecefc5af5ce64bdf3e77488e38c9ed1e1a967d0e4",
+    },
     "optimize-chirp --out scan.csv --svg scan.svg": {
         "scan.csv": "a0347555b4d93845725a3a8546794433ae0a5ce1d8c5c30177f776ef158c8e1f",
         "scan.svg": "02813027606efe6a5d5f8ce6e0d02825307aeab8f3fd22dd0c08c57491159843",

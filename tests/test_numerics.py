@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dispersive_qkd.numerics import NonConvergenceError, binary_entropy, erf
+from dispersive_qkd.detection import erf
+from dispersive_qkd.numerics import NonConvergenceError, binary_entropy
 from oracles import Bracket, BracketError, QuadratureSpec, find_root, integrate
 
 
