@@ -59,14 +59,17 @@ class ChirpScanResult:
 
     c_star is the closed-form best chirp over the grid's span (see
     optimal_chirp), or the best sample where that is strictly longer, and
-    l_max_star the secure range there. at_boundary flags a c_star on a grid
-    edge, where a wider grid may do better.
+    l_max_star the secure range there.
     """
 
     samples: tuple[tuple[float, float], ...]
     c_star: float
     l_max_star: float
-    at_boundary: bool = False
+
+    @property
+    def at_boundary(self) -> bool:
+        """c_star sits on a grid edge, where a wider grid may do better."""
+        return self.c_star in (self.samples[0][0], self.samples[-1][0])
 
 
 def _increasing(values: Iterable[float], what: str) -> list[float]:
@@ -177,12 +180,7 @@ def scan_chirp(params: ScenarioParams, c_grid: Iterable[float]) -> ChirpScanResu
     c_best, l_best = max(samples, key=lambda s: s[1])
     if l_best > l_star:
         c_star, l_star = c_best, l_best
-    return ChirpScanResult(
-        samples=samples,
-        c_star=c_star,
-        l_max_star=l_star,
-        at_boundary=c_star in (grid[0], grid[-1]),
-    )
+    return ChirpScanResult(samples=samples, c_star=c_star, l_max_star=l_star)
 
 
 def default_chirp_grid(

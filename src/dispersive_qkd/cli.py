@@ -3,7 +3,7 @@
 Subcommands: `point` (single-distance table), `sweep` (CSV of the pipeline
 along a distance grid), `lmax` (secure range), `optimize-chirp` (grid scan
 plus the closed-form best chirp), `reproduce` (standard figure datasets and
-charts).
+charts, all six figures unless some are named).
 
 Exit codes: 0 success, 2 configuration or validation error, 3 a numeric
 routine failed to converge.
@@ -149,22 +149,25 @@ def cmd_optimize_chirp(cfg: Config, args: argparse.Namespace) -> int:
 
 def cmd_reproduce(cfg: Config, args: argparse.Namespace) -> int:
     params = to_params(cfg)
+    grid = _chirp_grid(cfg)
+    # every figure is computed before any file is written, so an unknown
+    # name or a failed search leaves nothing behind
+    results = [
+        analysis.run_scenario(name, params, l_steps=cfg.l_steps, c_grid=grid)
+        for name in args.figures or analysis.SCENARIOS
+    ]
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
-    result = analysis.run_scenario(
-        args.figure, params, l_steps=cfg.l_steps, c_grid=_chirp_grid(cfg)
-    )
     scale = _rate_scale(cfg)
-    written: list[Path] = []
-    for label, curve in result.curves:
-        path = outdir / f"{result.name}_{label}.csv"
-        _write_text(path, _csv(curve, scale))
-        written.append(path)
-    svg_path = Path(args.svg) if args.svg else outdir / f"{result.name}.svg"
-    _write_text(svg_path, _chart(result.curves, result.name, cfg))
-    written.append(svg_path)
-    for path in written:
-        sys.stderr.write(f"wrote {path}\n")
+    for result in results:
+        files = [
+            (f"{result.name}_{label}.csv", _csv(curve, scale))
+            for label, curve in result.curves
+        ]
+        files.append((f"{result.name}.svg", _chart(result.curves, result.name, cfg)))
+        for name, content in files:
+            _write_text(outdir / name, content)
+            sys.stderr.write(f"wrote {outdir / name}\n")
     return 0
 
 
@@ -179,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override one config key (repeatable)",
     )
-    # only the subcommands that write files take --out/--svg
+    # sweep and optimize-chirp write one CSV and one chart, reproduce a directory
     writes = argparse.ArgumentParser(add_help=False)
-    writes.add_argument("--out", metavar="PATH", help="output file (or directory for reproduce)")
+    writes.add_argument("--out", metavar="PATH", help="output file")
     writes.add_argument("--svg", metavar="PATH", help="also render an SVG chart here")
 
     parser = argparse.ArgumentParser(
@@ -198,9 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize-chirp", parents=[common, writes], help="scan chirp for the largest secure range"
     )
     repro = sub.add_parser(
-        "reproduce", parents=[common, writes], help="write a standard figure's datasets and chart"
+        "reproduce", parents=[common], help="write standard figures' datasets and charts"
     )
-    repro.add_argument("figure", choices=analysis.SCENARIOS)
+    # no choices: argparse rejects an empty list against them; run_scenario
+    # names the figures on an unknown one
+    repro.add_argument(
+        "figures",
+        nargs="*",
+        metavar="FIGURE",
+        help=f"any of {', '.join(analysis.SCENARIOS)} (default: all six)",
+    )
+    repro.add_argument("--out", metavar="DIR", help="output directory (default: .)")
     return parser
 
 

@@ -63,12 +63,13 @@ def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float
     return mass if mass > 0.0 else 0.0
 
 
-def p_wrong(q_plus: float, q_minus: float) -> float:
+def p_wrong(q: float) -> float:
     """Probability that exactly one neighbor photon lands in the window.
 
-    Both neighbors clicking is a discarded double count, hence the exclusive
-    combination q+(1-q-) + q-(1-q+).
+    Each neighbor lands with the same mass q (shifted_window_mass). Both
+    clicking is a discarded double count, hence the exclusive combination
+    q(1-q) + (1-q)q.
     """
-    if not (0.0 <= q_plus <= 1.0 and 0.0 <= q_minus <= 1.0):
-        raise _probability_error(q_plus=q_plus, q_minus=q_minus)
-    return q_plus * (1.0 - q_minus) + q_minus * (1.0 - q_plus)
+    if not 0.0 <= q <= 1.0:
+        raise _probability_error(q=q)
+    return 2.0 * q * (1.0 - q)

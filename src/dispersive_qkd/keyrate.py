@@ -127,7 +127,9 @@ class ScenarioParams:
 
     sigma: float = 10e-12  # s
     chirp: float = 0.0
-    beta: float = -1.15e-26  # s^2/m
+    # -1.15 * 1e-26, the float config.to_params builds from the default
+    # beta_e26, which is one ulp off the literal -1.15e-26
+    beta: float = -1.15 * 1e-26  # s^2/m
     alpha: float = 0.2  # dB/km (or 1/km under the literal convention)
     dark_rate: float = 1000.0  # Hz
     period: float = 100e-12  # s
@@ -164,8 +166,8 @@ class ScenarioParams:
 class ProtocolPoint:
     """Every intermediate of the pipeline at one distance.
 
-    degenerate marks the p_raw = 0 edge where the QBER denominator vanishes;
-    qber then carries the 0.5 sentinel and key_rate is exactly 0.
+    At the degenerate p_raw = 0 edge the QBER denominator vanishes; qber
+    then carries the 0.5 sentinel and key_rate is exactly 0.
     """
 
     p_sig: float
@@ -176,7 +178,6 @@ class ProtocolPoint:
     p_raw: float
     qber: float
     key_rate: float
-    degenerate: bool = False
 
     def __init__(
         self,
@@ -188,7 +189,6 @@ class ProtocolPoint:
         p_raw: float,
         qber: float,
         key_rate: float,
-        degenerate: bool = False,
     ) -> None:
         # one dict update in place of the generated frozen __init__'s
         # object.__setattr__ call per field, which cost more than twice as
@@ -202,8 +202,12 @@ class ProtocolPoint:
             p_raw=p_raw,
             qber=qber,
             key_rate=key_rate,
-            degenerate=degenerate,
         )
+
+    @property
+    def degenerate(self) -> bool:
+        """True at the p_raw = 0 edge, where qber is the 0.5 sentinel."""
+        return self.p_raw == 0.0
 
 
 def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
@@ -218,13 +222,13 @@ def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     sigma_tot = detected_sigma(sigma_l, params.jitter)
     p_sig = p_signal(sigma_tot, params.window)
     q = shifted_window_mass(sigma_tot, params.window, params.period)
-    p_w = p_wrong(q, q)
+    p_w = p_wrong(q)
     eta = transmittance(params.alpha, distance / 1000.0, params.transmittance_convention)
     p_det = p_detect(eta, p_sig, p_w)
     p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
     p_raw = p_raw_key(p_det, p_zero, p_one)
     if p_raw == 0.0:
-        return ProtocolPoint(p_sig, p_w, p_det, p_zero, p_one, p_raw, 0.5, 0.0, True)
+        return ProtocolPoint(p_sig, p_w, p_det, p_zero, p_one, p_raw, 0.5, 0.0)
     q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw)
     return ProtocolPoint(
         p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)

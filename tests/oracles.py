@@ -377,25 +377,25 @@ def composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     sigma_tot = detected_sigma(sigma_l, params.jitter)
     p_sig = p_signal(sigma_tot, params.window)
     q = shifted_window_mass(sigma_tot, params.window, params.period)
-    p_w = p_wrong(q, q)
+    p_w = p_wrong(q)
     eta = transmittance(params.alpha, distance / 1000.0, params.transmittance_convention)
     p_det = p_detect(eta, p_sig, p_w)
     p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
     p_raw = p_raw_key(p_det, p_zero, p_one)
     if p_raw == 0.0:
-        return ProtocolPoint(
-            p_sig, p_w, p_det, p_zero, p_one, p_raw, 0.5, 0.0, degenerate=True
-        )
+        return ProtocolPoint(p_sig, p_w, p_det, p_zero, p_one, p_raw, 0.5, 0.0)
     q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw)
     return ProtocolPoint(
         p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
     )
 
 
-def reference_range(params: ScenarioParams, l_hint: float = 50.0, tol: float = 0.01) -> float:
+def reference_range(params: ScenarioParams) -> float:
     """max_distance's documented search, over the pipeline composed from the
-    public helpers: 0.0 if dead at the source, else double l_hint until the
-    rate dies (giving up past 1e7 km), then bisect the bracket to tol."""
+    public helpers: 0.0 if dead at the source, else double a 50 km first
+    bracket until the rate dies (giving up past 1e7 km), then bisect the
+    bracket to 10 m."""
+    l_hint, tol = 50.0, 0.01  # km; kept apart from analysis's own constants
 
     def secure(l_km: float) -> bool:
         return composed_point(params, l_km * 1e3).key_rate > 0.0

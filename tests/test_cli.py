@@ -376,6 +376,23 @@ def test_reproduce_fig3a(tmp_path):
     assert (tmp_path / "fig3a.svg").exists()
 
 
+def test_reproduce_unknown_figure_writes_nothing(tmp_path, capsys):
+    # fig1 is valid, but no figure is written until every one has run
+    out = tmp_path / "figs"
+    assert main(["reproduce", "fig1", "fig9", "--set", "l_steps=4", "--out", str(out)]) == 2
+    assert "unknown scenario 'fig9'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reproduce_takes_no_svg_path(tmp_path, capsys):
+    # each chart goes to <out>/<figure>.svg; reproduce has no --svg
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "fig2", "--svg", str(tmp_path / "x.svg")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_code_2_on_bad_set(capsys):
     assert main(["point", "--set", "speed=3"]) == 2
     assert "error:" in capsys.readouterr().err

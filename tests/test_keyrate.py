@@ -8,6 +8,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dispersive_qkd.config import BETA_UNIT, Config, to_params
 from dispersive_qkd.keyrate import (
     DarkCountModel,
     ProtocolPoint,
@@ -121,7 +122,7 @@ def test_scenario_params_defaults():
     params = ScenarioParams()
     assert params.sigma == 10 * PS
     assert params.chirp == 0.0
-    assert params.beta == -1.15e-26
+    assert params.beta == -1.15 * BETA_UNIT
     assert params.alpha == 0.2
     assert params.dark_rate == 1000.0
     assert params.period == 100 * PS
@@ -129,6 +130,11 @@ def test_scenario_params_defaults():
     assert params.window == 50 * PS
     assert params.dark_model is DarkCountModel.PAPER_LINEARIZED
     assert params.transmittance_convention is TransmittanceConvention.DB
+
+
+def test_library_defaults_equal_the_cli_defaults():
+    # run_scenario on library defaults must compute what `reproduce` does
+    assert ScenarioParams() == to_params(Config())
 
 
 @pytest.mark.parametrize(
@@ -238,18 +244,17 @@ def test_no_noise_reduction():
 
 def test_protocol_point_is_a_frozen_record_of_its_fields():
     # ProtocolPoint writes its own __init__: it must take exactly the
-    # dataclass fields, in order, with their defaults
+    # dataclass fields, in order, none with a default
     names = [f.name for f in dataclasses.fields(ProtocolPoint)]
+    assert len(names) == 8
     params = inspect.signature(ProtocolPoint).parameters
     assert list(params) == names
-    assert [p.default for p in params.values()] == [
-        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
-        for f in dataclasses.fields(ProtocolPoint)
-    ]
+    assert all(p.default is inspect.Parameter.empty for p in params.values())
     values = [0.5, 0.01, 0.4, 0.99, 1e-8, 0.2, 0.03, 0.1]
     point = ProtocolPoint(*values)
-    assert [getattr(point, n) for n in names] == values + [False]
-    assert point == ProtocolPoint(**dict(zip(names, values)), degenerate=False)
+    assert [getattr(point, n) for n in names] == values
+    assert not point.degenerate
+    assert point == ProtocolPoint(**dict(zip(names, values)))
     assert hash(point) == hash(ProtocolPoint(*values))
     assert dataclasses.replace(point, qber=0.5).qber == 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
