@@ -1,13 +1,14 @@
 """BB84 key rates for chirped Gaussian single-photon pulses in dispersive,
 lossy fiber with jittery, dark-count-prone detectors.
 
-The pipeline: `twf` broadens the pulse, `detection` turns spreads into
+The pipeline: `detection` broadens the pulse and turns its spread into
 window probabilities, `keyrate` assembles QBER and secret-key rate,
 `analysis` sweeps and optimizes, `cli` exposes it all on the command line.
 """
 
 from .analysis import (
     ChirpScanResult,
+    NonConvergenceError,
     ScenarioResult,
     SweepResult,
     max_distance,
@@ -22,7 +23,6 @@ from .keyrate import (
     TransmittanceConvention,
     evaluate_point,
 )
-from .numerics import NonConvergenceError
 
 __version__ = "0.1.0"
 

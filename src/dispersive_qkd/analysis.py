@@ -7,9 +7,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, Union
 
 from .keyrate import ProtocolPoint, ScenarioParams, evaluate_point
-from .numerics import NonConvergenceError
 
 __all__ = [
+    "NonConvergenceError",
     "GridError",
     "SweepResult",
     "ChirpScanResult",
@@ -34,6 +34,10 @@ maximize_scalar = None
 _L_HINT_KM = 50.0
 _L_TOL_KM = 0.01
 _BRACKET_CEILING_KM = 1e7
+
+
+class NonConvergenceError(RuntimeError):
+    """An iterative search exhausted its budget without converging."""
 
 
 class GridError(ValueError):
@@ -92,17 +96,21 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
     return SweepResult(rows=rows)
 
 
-def _edge(secure: Callable[[float], bool]) -> float:
-    """Far edge (km) of the secure set; 0.0 if secure(0) fails.
+def _edge(point: Callable[[float], ProtocolPoint]) -> float:
+    """Far edge (km) of the set where point(L_km).key_rate > 0; 0.0 if the
+    rate is dead at L = 0.
 
-    Grows a bracket geometrically from _L_HINT_KM, then bisects the
-    indicator to within _L_TOL_KM.
+    Grows a bracket geometrically from _L_HINT_KM, then bisects to within
+    _L_TOL_KM. Raises NonConvergenceError where the dead side of that edge
+    is degenerate (p_raw = 0): there the transmittance underflowed to 0
+    with no dark counts to floor p_raw, so the edge marks the end of the
+    float range, not of the key.
     """
-    if not secure(0.0):
+    if not point(0.0).key_rate > 0.0:
         return 0.0
     lo = 0.0
     hi = _L_HINT_KM
-    while secure(hi):
+    while (dead := point(hi)).key_rate > 0.0:
         lo = hi
         hi *= 2.0
         if hi > _BRACKET_CEILING_KM:
@@ -111,10 +119,15 @@ def _edge(secure: Callable[[float], bool]) -> float:
             )
     while hi - lo > _L_TOL_KM:
         mid = 0.5 * (lo + hi)
-        if secure(mid):
+        at_mid = point(mid)
+        if at_mid.key_rate > 0.0:
             lo = mid
         else:
-            hi = mid
+            hi, dead = mid, at_mid
+    if dead.degenerate:
+        raise NonConvergenceError(
+            f"transmittance underflows near {hi} km while the key rate is still positive"
+        )
     return 0.5 * (lo + hi)
 
 
@@ -125,7 +138,7 @@ def max_distance(params: ScenarioParams) -> float:
     kink at the boundary (the positive part clips), so sign bisection is the
     robust choice over any derivative-based root finder.
     """
-    return _edge(lambda l_km: evaluate_point(params, l_km * _M_PER_KM).key_rate > 0.0)
+    return _edge(lambda l_km: evaluate_point(params, l_km * _M_PER_KM))
 
 
 def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
@@ -159,11 +172,10 @@ def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
         c = s2 / bl if bl else math.copysign(math.inf, params.beta)
         return min(max(c, c_min), c_max)
 
-    def secure(l_km: float) -> bool:
-        at_best = replace(params, chirp=chirp_at(l_km))
-        return evaluate_point(at_best, l_km * _M_PER_KM).key_rate > 0.0
+    def at_best(l_km: float) -> ProtocolPoint:
+        return evaluate_point(replace(params, chirp=chirp_at(l_km)), l_km * _M_PER_KM)
 
-    return chirp_at(_edge(secure))
+    return chirp_at(_edge(at_best))
 
 
 def scan_chirp(params: ScenarioParams, c_grid: Iterable[float]) -> ChirpScanResult:

@@ -48,8 +48,6 @@ def _fmt(v: float) -> str:
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions covering [lo, hi], about five intervals apart."""
-    if not hi > lo:
-        return [lo]
     raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

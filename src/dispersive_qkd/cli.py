@@ -19,12 +19,12 @@ from typing import Sequence
 from . import analysis
 from .chart import Series, render_chart
 from .config import KM, PS, Config, parse_config, to_params
-from .keyrate import evaluate_point
-from .numerics import NonConvergenceError
+from .keyrate import ProtocolPoint, evaluate_point
 
 __all__ = ["main", "build_parser", "CSV_HEADER", "SCAN_CSV_HEADER"]
 
-CSV_HEADER = "L_km,p_sig,p_w,p_det,p_raw,qber,key_rate"
+_COLUMNS = ("L_km", "p_sig", "p_w", "p_det", "p_raw", "qber", "key_rate")
+CSV_HEADER = ",".join(_COLUMNS)
 SCAN_CSV_HEADER = "C,L_max_km"
 
 
@@ -43,16 +43,18 @@ def _chirp_grid(cfg: Config) -> list[float]:
     return analysis.default_chirp_grid(cfg.c_min, cfg.c_max, cfg.c_step)
 
 
+def _row(l_km: float, p: ProtocolPoint, scale: float) -> tuple[float, ...]:
+    """One distance's values in _COLUMNS order, the key rate times scale."""
+    return (l_km, p.p_sig, p.p_w, p.p_det, p.p_raw, p.qber, p.key_rate * scale)
+
+
 def _csv(curve: analysis.Curve, scale: float) -> str:
     """CSV of a distance sweep (key rate times scale) or of a chirp scan."""
     if isinstance(curve, analysis.ChirpScanResult):
         header, rows = SCAN_CSV_HEADER, curve.samples
     else:
         header = CSV_HEADER
-        rows = tuple(
-            (l_km, p.p_sig, p.p_w, p.p_det, p.p_raw, p.qber, p.key_rate * scale)
-            for l_km, p in curve.rows
-        )
+        rows = tuple(_row(l_km, p, scale) for l_km, p in curve.rows)
     lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
@@ -86,18 +88,9 @@ def _write_text(path: str | Path, content: str) -> None:
 def cmd_point(cfg: Config, args: argparse.Namespace) -> int:
     params = to_params(cfg)
     point = evaluate_point(params, cfg.distance_km * KM)
-    scale = _rate_scale(cfg)
-    rows = [
-        ("L_km", cfg.distance_km),
-        ("p_sig", point.p_sig),
-        ("p_w", point.p_w),
-        ("p_det", point.p_det),
-        ("p_raw", point.p_raw),
-        ("qber", point.qber),
-        ("key_rate", point.key_rate * scale),
-    ]
-    width = max(len(name) for name, _ in rows)
-    out_lines = [f"{name:<{width}} = {_fmt(value)}" for name, value in rows]
+    values = _row(cfg.distance_km, point, _rate_scale(cfg))
+    width = max(map(len, _COLUMNS))
+    out_lines = [f"{name:<{width}} = {_fmt(v)}" for name, v in zip(_COLUMNS, values)]
     if point.degenerate:
         out_lines.append("# raw-key probability is zero; qber is the 0.5 sentinel")
     sys.stdout.write("\n".join(out_lines) + "\n")
@@ -229,7 +222,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = parse_config(args.config, args.sets)
         return _COMMANDS[args.command](cfg, args)
-    except NonConvergenceError as exc:
+    except analysis.NonConvergenceError as exc:
         sys.stderr.write(f"error: did not converge: {exc}\n")
         return 3
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError

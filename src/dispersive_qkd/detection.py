@@ -1,14 +1,20 @@
-"""Detector timing response and acceptance-window probabilities.
+"""Arrival-time model: dispersive broadening, detector jitter and the
+acceptance-window probabilities.
 
-The detector smears arrival times with zero-mean Gaussian jitter and accepts
-a click only inside a window of width `window` centered on the expected
-arrival. Photons from the neighboring slots of the pulse train sit one
-period off-center and leak into the window once dispersion plus jitter have
-smeared them enough; exactly one such leak produces a wrong bit.
+Quadratic dispersion keeps a chirped Gaussian pulse Gaussian and changes
+only its width (broadened_sigma), so one standard deviation per distance is
+all the window masses need. The detector smears arrival times with
+zero-mean Gaussian jitter and accepts a click only inside a window of width
+`window` centered on the expected arrival. Photons from the neighboring
+slots of the pulse train sit one period off-center and leak into the window
+once dispersion plus jitter have smeared them enough; exactly one such leak
+produces a wrong bit.
 
 Window masses use the standard library's `math.erf` and `math.erfc`: the C
 library's piecewise rational approximations in the style of W. J. Cody
 (Math. Comp. 23, 1969), accurate to within a few ulp on the real line.
+
+Units are strict SI: times in seconds, distances in meters, beta in s^2/m.
 """
 
 from __future__ import annotations
@@ -16,11 +22,51 @@ from __future__ import annotations
 import math
 from math import erf, erfc
 
-from .numerics import _probability_error
-
-__all__ = ["detected_sigma", "p_signal", "shifted_window_mass", "p_wrong"]
+__all__ = [
+    "broadened_sigma",
+    "detected_sigma",
+    "p_signal",
+    "shifted_window_mass",
+    "p_wrong",
+]
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def _probability_error(**named: float) -> ValueError:
+    """The error for the first of `named` outside [0, 1].
+
+    The probability helpers test their inputs with one chained comparison
+    and build this message only when it fails.
+    """
+    name, p = next((name, p) for name, p in named.items() if not 0.0 <= p <= 1.0)
+    return ValueError(f"{name} must be a probability in [0, 1], got {p}")
+
+
+def broadened_sigma(sigma: float, chirp: float, beta: float, length: float) -> float:
+    """Arrival-time spread after `length` meters.
+
+    sigma_L^2 = ((sigma^2 - chirp*beta*L)^2 + (beta*L)^2) / sigma^2. With
+    chirp*beta > 0 the pulse first narrows, down to sigma/sqrt(1+chirp^2)
+    at L = chirp*sigma^2/((1+chirp^2)*beta), then re-broadens; otherwise it
+    broadens monotonically. The test suite gates this expression against
+    quadrature moments of the propagator integral. Raises ValueError where
+    the width is not a finite float (beta*L or a square overflows).
+    """
+    if length < 0:
+        raise ValueError(f"propagation distance must be >= 0, got {length}")
+    s2 = sigma * sigma
+    bl = beta * length
+    try:
+        width = math.sqrt(((s2 - chirp * bl) ** 2 + bl * bl) / s2)
+    except OverflowError:
+        width = math.inf
+    if not width < math.inf:  # also the nan of 0 * inf
+        raise ValueError(
+            f"broadened width overflows a float at sigma={sigma:g} s, chirp={chirp:g}, "
+            f"beta={beta:g} s^2/m, L={length:g} m"
+        )
+    return width
 
 
 def detected_sigma(sigma_l: float, jitter: float) -> float:

@@ -14,9 +14,14 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .detection import detected_sigma, p_signal, p_wrong, shifted_window_mass
-from .numerics import _probability_error, binary_entropy
-from .twf import broadened_sigma
+from .detection import (
+    _probability_error,
+    broadened_sigma,
+    detected_sigma,
+    p_signal,
+    p_wrong,
+    shifted_window_mass,
+)
 
 __all__ = [
     "TransmittanceConvention",
@@ -28,6 +33,7 @@ __all__ = [
     "dark_probs",
     "p_raw_key",
     "qber",
+    "binary_entropy",
     "key_rate",
     "evaluate_point",
 ]
@@ -106,6 +112,16 @@ def qber(
         raise ValueError("qber is undefined at p_raw = 0 (degenerate denominator)")
     err_mass = eta * p_w * (1.0 - eta * p_sig) * p_zero + (1.0 - p_det) * p_one
     return 0.25 * err_mass / p_raw
+
+
+def binary_entropy(q: float) -> float:
+    """H(q) = -q log2 q - (1-q) log2 (1-q), with H(0) = H(1) = 0."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"binary_entropy argument must lie in [0, 1], got {q}")
+    if q == 0.0 or q == 1.0:
+        return 0.0
+    p = 1.0 - q
+    return -q * math.log2(q) - p * math.log2(p)
 
 
 def key_rate(p_raw: float, q: float) -> float:

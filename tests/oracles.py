@@ -22,7 +22,9 @@ from typing import Callable
 
 from hypothesis import strategies as st
 
+from dispersive_qkd.analysis import NonConvergenceError
 from dispersive_qkd.detection import (
+    broadened_sigma,
     detected_sigma,
     p_signal,
     p_wrong,
@@ -40,8 +42,6 @@ from dispersive_qkd.keyrate import (
     qber,
     transmittance,
 )
-from dispersive_qkd.numerics import NonConvergenceError
-from dispersive_qkd.twf import broadened_sigma
 
 
 @dataclass(frozen=True)

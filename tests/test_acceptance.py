@@ -19,16 +19,15 @@ from dispersive_qkd.analysis import (
 )
 from dispersive_qkd.cli import CSV_HEADER, main
 from dispersive_qkd.config import KM, PS, Config, to_params
-from dispersive_qkd.detection import p_signal, shifted_window_mass
+from dispersive_qkd.detection import broadened_sigma, p_signal, shifted_window_mass
 from dispersive_qkd.keyrate import (
     DarkCountModel,
     ScenarioParams,
     TransmittanceConvention,
+    binary_entropy,
     evaluate_point,
     key_rate,
 )
-from dispersive_qkd.numerics import binary_entropy
-from dispersive_qkd.twf import broadened_sigma
 from oracles import (
     Bracket,
     QuadratureSpec,

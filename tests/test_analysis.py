@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from dispersive_qkd.analysis import (
     ChirpScanResult,
     GridError,
+    NonConvergenceError,
     SweepResult,
     default_chirp_grid,
     distance_grid,
@@ -17,7 +18,6 @@ from dispersive_qkd.analysis import (
     sweep_distance,
 )
 from dispersive_qkd.keyrate import DarkCountModel, ProtocolPoint, ScenarioParams, evaluate_point
-from dispersive_qkd.numerics import NonConvergenceError
 from oracles import best_grid_range, composed_point, domain_params, reference_range
 
 PS = 1e-12
@@ -98,6 +98,30 @@ def test_max_distance_no_extinction_raises():
     params = ScenarioParams(alpha=0.0, beta=0.0)
     with pytest.raises(NonConvergenceError):
         max_distance(params)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # p_raw hits 0 at 16145 km, found while the bracket grows
+        ScenarioParams(dark_rate=0.0, beta=0.0),
+        # p_raw hits 0 at 32.29 km, inside the first bracket; the QBER would
+        # cross its threshold only at about 35.8 km
+        ScenarioParams(dark_rate=0.0, alpha=100.0),
+    ],
+    ids=["bracket", "bisection"],
+)
+def test_max_distance_raises_where_transmittance_underflows(params):
+    # with no dark counts the point past the underflow is degenerate, so its
+    # zero rate says nothing about the QBER threshold
+    with pytest.raises(NonConvergenceError, match="underflows"):
+        max_distance(params)
+
+
+def test_max_distance_without_dark_counts_ends_at_the_threshold():
+    # the QBER crosses its threshold before the transmittance underflows
+    assert max_distance(ScenarioParams(dark_rate=0.0)) == 36.9476318359375
+    assert max_distance(ScenarioParams(dark_rate=0.0, alpha=64.7)) == 35.8184814453125
 
 
 def _outcome(run):

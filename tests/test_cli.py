@@ -441,7 +441,13 @@ def test_exit_code_2_on_width_overflow(capsys):
 
 
 def test_exit_code_3_on_non_convergence(capsys):
-    # lossless dispersionless channel: the secure range never ends
-    args = ["lmax", "--set", "alpha_db_per_km=0", "--set", "beta_e26=0"]
-    assert main(args) == 3
-    assert "converge" in capsys.readouterr().err
+    commands = [
+        # lossless dispersionless channel: the secure range never ends
+        ["lmax", "--set", "alpha_db_per_km=0", "--set", "beta_e26=0"],
+        # no dark counts, no dispersion: the transmittance underflows at
+        # 16145 km while the QBER still sits near 0.005
+        ["lmax", "--set", "dark_rate_hz=0", "--set", "beta_e26=0"],
+    ]
+    for args in commands:
+        assert main(args) == 3, args
+        assert "converge" in capsys.readouterr().err

@@ -9,7 +9,8 @@ with `sha256sum * > tests/golden_figures.sha256`, and says so.
 
 `CLI_DIGESTS` pins the other subcommands the same way: the `point` table,
 the `sweep` CSV and chart (per window and per second) and the
-`optimize-chirp` scan CSV and chart, all with the default config. Regenerate
+`optimize-chirp` scan CSV and chart, with the default config apart from the
+keys each command sets (those pin the charts' degenerate ranges). Regenerate
 them by running the commands below and `sha256sum` on what they write.
 """
 
@@ -58,6 +59,16 @@ CLI_DIGESTS = {
     "optimize-chirp --out scan.csv --svg scan.svg": {
         "scan.csv": "a0347555b4d93845725a3a8546794433ae0a5ce1d8c5c30177f776ef158c8e1f",
         "scan.svg": "02813027606efe6a5d5f8ce6e0d02825307aeab8f3fd22dd0c08c57491159843",
+    },
+    # every secure range is 0: the linear y axis widens a flat range
+    "optimize-chirp --set jitter_ps=200 --out scan.csv --svg scan.svg": {
+        "scan.csv": "a67e5fab5c55a0ff87ffc4294fa2aaba934838c3804e7c0fd54998545a2449a9",
+        "scan.svg": "165d8ab05ff7b3e3a87ae7ccc9cb5cde6794de5bf0b3b96e5f32db1d1ac27da8",
+    },
+    # one chirp: the x axis widens a range of zero width
+    "optimize-chirp --set c_min=0 --set c_max=0 --out scan.csv --svg scan.svg": {
+        "scan.csv": "42bf4bcfe2c9fb47d42a0d6cec4a29649ab0dc2de001f118e18563b09451e28b",
+        "scan.svg": "e91ddc18495f7367ecf16d49a6959f29e4059f5f3176f8c468671051f08ff648",
     },
 }
 

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from dispersive_qkd.analysis import NonConvergenceError
 from dispersive_qkd.detection import erf
-from dispersive_qkd.numerics import NonConvergenceError, binary_entropy
+from dispersive_qkd.keyrate import binary_entropy
 from oracles import Bracket, BracketError, QuadratureSpec, find_root, integrate
 
 

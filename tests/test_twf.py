@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dispersive_qkd.twf import broadened_sigma
+from dispersive_qkd.detection import broadened_sigma
 from oracles import (
     GaussianState,
     QuadratureSpec,
