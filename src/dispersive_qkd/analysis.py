@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, Union
 
@@ -29,11 +30,17 @@ _M_PER_KM = 1000.0
 # refinement that optimal_chirp replaced; None reads there as an untraced
 # attribute. Drop it together with that layer.
 maximize_scalar = None
-# secure-range search: first bracket top, bisection width, and a hard stop
-# far beyond any physical fiber
+# secure-range search: first bracket top, final bracket width (the result,
+# its midpoint, lies within half of it of the edge), and a hard stop far
+# beyond any physical fiber
 _L_HINT_KM = 50.0
 _L_TOL_KM = 0.01
 _BRACKET_CEILING_KM = 1e7
+# the smallest float q at which 1 - 2 H(q) <= 0: the key rate is positive
+# exactly where the QBER lies below it (and p_raw > 0)
+_QBER_LIMIT = 0.11002786443835955
+# the margin's stand-in where rounding puts qber on the other side of the limit
+_TINY = sys.float_info.min
 
 
 class NonConvergenceError(RuntimeError):
@@ -96,34 +103,77 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
     return SweepResult(rows=rows)
 
 
-def _edge(point: Callable[[float], ProtocolPoint]) -> float:
+def _margin(at: ProtocolPoint) -> float:
+    """_QBER_LIMIT - qber, signed as key_rate > 0 says: where rounding makes
+    the two disagree, +-tiny."""
+    margin = _QBER_LIMIT - at.qber
+    if at.key_rate > 0.0:
+        return margin if margin > 0.0 else _TINY
+    return margin if margin < 0.0 else -_TINY
+
+
+def _edge(point: Callable[[float], ProtocolPoint], anchor: float = 0.0) -> float:
     """Far edge (km) of the set where point(L_km).key_rate > 0; 0.0 if the
     rate is dead at L = 0.
 
-    Grows a bracket geometrically from _L_HINT_KM, then bisects to within
-    _L_TOL_KM. Raises NonConvergenceError where the dead side of that edge
-    is degenerate (p_raw = 0): there the transmittance underflowed to 0
-    with no dark counts to floor p_raw, so the edge marks the end of the
-    float range, not of the key.
+    key_rate > 0 decides the side of every point. The bracket's live end is
+    L = 0, or the anchor (km, if > 0) where the rate is live there too; its
+    top starts _L_HINT_KM above and doubles until the rate is dead. Illinois
+    regula falsi (Dowell & Jarratt, BIT 11, 1971) on the QBER margin, which
+    is smooth where the rate's positive part has a kink, then shrinks it.
+    Each step lands at least _L_TOL_KM / 2 inside the bracket, and a
+    bisection step follows any two steps that did not halve it. Where the
+    rate is dead at the anchor, the secure set may have a gap below it that
+    interpolation from L = 0 would stop in, so every step bisects. Stops at
+    width _L_TOL_KM and returns the midpoint. Raises NonConvergenceError
+    where the dead side of the edge is degenerate (p_raw = 0): there the
+    transmittance underflowed to 0 with no dark counts to floor p_raw, so
+    the edge marks the end of the float range, not of the key.
     """
-    if not point(0.0).key_rate > 0.0:
+    at_lo = point(0.0)
+    if not at_lo.key_rate > 0.0:
         return 0.0
-    lo = 0.0
-    hi = _L_HINT_KM
+    lo, bisect = 0.0, False
+    if 0.0 < anchor < _BRACKET_CEILING_KM:
+        if (at_anchor := point(anchor)).key_rate > 0.0:
+            lo, at_lo = anchor, at_anchor
+        else:
+            bisect = True
+    hi = lo + _L_HINT_KM
     while (dead := point(hi)).key_rate > 0.0:
-        lo = hi
+        lo, at_lo = hi, dead
         hi *= 2.0
         if hi > _BRACKET_CEILING_KM:
             raise NonConvergenceError(
                 f"key rate still positive at {lo} km; no extinction point to bracket"
             )
+    f_lo, f_hi = _margin(at_lo), _margin(dead)
+    half_tol = 0.5 * _L_TOL_KM
+    width = hi - lo  # the width the bracket must halve from
+    stalled = 0  # steps since it last did
+    side = 0  # the end the last step replaced: -1 lo, +1 hi
     while hi - lo > _L_TOL_KM:
-        mid = 0.5 * (lo + hi)
-        at_mid = point(mid)
-        if at_mid.key_rate > 0.0:
-            lo = mid
+        if bisect or stalled == 2:
+            l_km = 0.5 * (lo + hi)
         else:
-            hi, dead = mid, at_mid
+            l_km = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            l_km = min(max(l_km, lo + half_tol), hi - half_tol)
+        at = point(l_km)
+        f = _margin(at)
+        if at.key_rate > 0.0:
+            lo, f_lo = l_km, f
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi, dead = l_km, f, at
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+        if hi - lo <= 0.5 * width:
+            width, stalled = hi - lo, 0
+        else:
+            stalled += 1
     if dead.degenerate:
         raise NonConvergenceError(
             f"transmittance underflows near {hi} km while the key rate is still positive"
@@ -134,11 +184,19 @@ def _edge(point: Callable[[float], ProtocolPoint]) -> float:
 def max_distance(params: ScenarioParams) -> float:
     """Largest secure distance in km; 0.0 if the rate is dead at L = 0.
 
-    Bisects the indicator key_rate > 0 (see _edge). The rate itself has a
-    kink at the boundary (the positive part clips), so sign bisection is the
-    robust choice over any derivative-based root finder.
+    The far edge of the set where key_rate > 0, found by _edge to within
+    _L_TOL_KM / 2. A focusing chirp (C beta > 0) narrows the pulse down to
+    the focal point L_f = C sigma^2 / ((1 + C^2) beta), so the secure set
+    may die and start again before L_f. L_f is _edge's anchor: where the
+    rate is live there, the search starts from it and returns the far edge,
+    not the near one.
     """
-    return _edge(lambda l_km: evaluate_point(params, l_km * _M_PER_KM))
+    focal_km = 0.0
+    if params.chirp * params.beta > 0.0:
+        s2 = params.sigma * params.sigma
+        focal_km = params.chirp * s2 / ((1.0 + params.chirp * params.chirp) * params.beta)
+        focal_km /= _M_PER_KM
+    return _edge(lambda l_km: evaluate_point(params, l_km * _M_PER_KM), focal_km)
 
 
 def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:

@@ -7,7 +7,8 @@ for the detected spread, and adaptive Gauss-Kronrod quadrature plus a
 bisection root finder underneath them all. `composed_point` rebuilds the
 per-distance pipeline from the public helpers, the reference for
 `evaluate_point`; `reference_range` repeats `max_distance`'s search over
-it, and `best_grid_range` takes the best of that over a chirp grid, the
+it, `bisection_range` the plain bisection that search replaced, and
+`best_grid_range` takes the best reference range over a chirp grid, the
 brute-force reference for the best chirp. `domain_params` draws
 `ScenarioParams` over the documented robustness domain.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Callable
@@ -392,10 +394,78 @@ def composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
 
 def reference_range(params: ScenarioParams) -> float:
     """max_distance's documented search, over the pipeline composed from the
-    public helpers: 0.0 if dead at the source, else double a 50 km first
-    bracket until the rate dies (giving up past 1e7 km), then bisect the
-    bracket to 10 m."""
-    l_hint, tol = 50.0, 0.01  # km; kept apart from analysis's own constants
+    public helpers.
+
+    0.0 if dead at the source. Else the bracket starts at the focal point
+    L_f = C sigma^2 / ((1 + C^2) beta) where C beta > 0 and the rate is live
+    there, at 0 otherwise, and its top, 50 km above, doubles until the rate
+    dies (giving up past 1e7 km). Illinois regula falsi on the QBER margin,
+    with bisection after two steps that do not halve the bracket, then
+    shrinks it to 10 m; the result is its midpoint. Where the rate is dead
+    at L_f, every step bisects.
+    """
+    # kept apart from analysis's own constants
+    l_hint, tol, ceiling, q_limit = 50.0, 0.01, 1e7, 0.11002786443835955
+    tiny = sys.float_info.min
+
+    def margin(l_km: float) -> tuple[bool, float, ProtocolPoint]:
+        at = composed_point(params, l_km * 1e3)
+        m = q_limit - at.qber
+        if at.key_rate > 0.0:
+            return True, max(m, tiny), at
+        return False, min(m, -tiny), at
+
+    live, f_lo, _ = margin(0.0)
+    if not live:
+        return 0.0
+    lo, bisect = 0.0, False
+    if params.chirp * params.beta > 0.0:
+        c, s = params.chirp, params.sigma
+        l_f = c * (s * s) / ((1.0 + c * c) * params.beta) / 1e3
+        if 0.0 < l_f < ceiling:
+            live, f, _ = margin(l_f)
+            if live:
+                lo, f_lo = l_f, f
+            else:
+                bisect = True
+    hi = lo + l_hint
+    while True:
+        live, f_hi, dead = margin(hi)
+        if not live:
+            break
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+        if hi > ceiling:
+            raise NonConvergenceError(f"rate still positive at {lo} km")
+    width, stalled, last = hi - lo, 0, None
+    while hi - lo > tol:
+        if bisect or stalled == 2:
+            x = 0.5 * (lo + hi)
+        else:
+            x = min(max(lo + (hi - lo) * f_lo / (f_lo - f_hi), lo + tol / 2), hi - tol / 2)
+        live, f, at = margin(x)
+        if live:
+            if last == "lo":
+                f_hi /= 2
+            lo, f_lo, last = x, f, "lo"
+        else:
+            if last == "hi":
+                f_lo /= 2
+            hi, f_hi, dead, last = x, f, at, "hi"
+        if hi - lo <= width / 2:
+            width, stalled = hi - lo, 0
+        else:
+            stalled += 1
+    if dead.p_raw == 0.0:
+        raise NonConvergenceError(f"transmittance underflows near {hi} km")
+    return 0.5 * (lo + hi)
+
+
+def bisection_range(params: ScenarioParams) -> float:
+    """The far edge by plain bisection of key_rate > 0 over the composed
+    pipeline, the search max_distance ran before regula falsi: 0.0 if dead
+    at the source, else double a 50 km first bracket until the rate dies
+    (giving up past 1e7 km), then bisect it to 10 m."""
+    l_hint, tol = 50.0, 0.01
 
     def secure(l_km: float) -> bool:
         return composed_point(params, l_km * 1e3).key_rate > 0.0

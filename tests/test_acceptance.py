@@ -344,19 +344,24 @@ def test_criterion_11_range_search_matches_brute_scan():
         "literal transmittance": ScenarioParams(
             transmittance_convention=TransmittanceConvention.LITERAL
         ),
+        # a focusing chirp: secure on [0, 4] and [26, 180] km
+        "split set": ScenarioParams(sigma=50 * PS, chirp=-1.0),
     }
     worst = 0.0
     details = []
+    found = {}
     for name, params in configs.items():
-        bisected = max_distance(params)
-        brute = _brute_force_l_max(params, bisected + 1.0)
-        dev = abs(bisected - brute)
+        found[name] = max_distance(params)
+        brute = _brute_force_l_max(params, found[name] + 1.0)
+        dev = abs(found[name] - brute)
         worst = max(worst, dev)
-        details.append(f"{name}: {bisected:.3f} vs {brute:.3f} km")
-    ok = worst <= 0.02
+        details.append(f"{name}: {found[name]:.3f} vs {brute:.3f} km")
+    # the scan runs only 1 km past the found edge, so pin the split set's far
+    # edge: the near one, at 4 km, is an extinction edge too
+    ok = worst <= 0.02 and abs(found["split set"] - 180.40) <= 0.01
     record(
         11,
-        "bisection matches 10 m brute-force scan",
+        "range search matches 10 m brute-force scan",
         ok,
         f"worst dev {worst * 1000:.1f} m; " + "; ".join(details),
     )

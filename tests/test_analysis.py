@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from dispersive_qkd import analysis
 from dispersive_qkd.analysis import (
     ChirpScanResult,
     GridError,
@@ -17,8 +18,21 @@ from dispersive_qkd.analysis import (
     scan_chirp,
     sweep_distance,
 )
-from dispersive_qkd.keyrate import DarkCountModel, ProtocolPoint, ScenarioParams, evaluate_point
-from oracles import best_grid_range, composed_point, domain_params, reference_range
+from dispersive_qkd.keyrate import (
+    DarkCountModel,
+    ProtocolPoint,
+    ScenarioParams,
+    TransmittanceConvention,
+    binary_entropy,
+    evaluate_point,
+)
+from oracles import (
+    best_grid_range,
+    bisection_range,
+    composed_point,
+    domain_params,
+    reference_range,
+)
 
 PS = 1e-12
 KM = 1e3
@@ -120,8 +134,8 @@ def test_max_distance_raises_where_transmittance_underflows(params):
 
 def test_max_distance_without_dark_counts_ends_at_the_threshold():
     # the QBER crosses its threshold before the transmittance underflows
-    assert max_distance(ScenarioParams(dark_rate=0.0)) == 36.9476318359375
-    assert max_distance(ScenarioParams(dark_rate=0.0, alpha=64.7)) == 35.8184814453125
+    assert max_distance(ScenarioParams(dark_rate=0.0)) == 36.945907097594095
+    assert max_distance(ScenarioParams(dark_rate=0.0, alpha=64.7)) == 35.814954065956215
 
 
 def _outcome(run):
@@ -134,11 +148,87 @@ def _outcome(run):
 
 @settings(deadline=None, max_examples=100)
 @given(params=domain_params())
-def test_max_distance_equals_reference_bisection(params):
+def test_max_distance_equals_reference_search(params):
     # dual route, bit for bit, over every outcome: a range, 0.0 when dead at
     # the source, NonConvergenceError, and the linearized-dark ValueError
     got = _outcome(lambda: max_distance(params))
     assert got == _outcome(lambda: reference_range(params))
+
+
+@settings(deadline=None, max_examples=200)
+@given(params=domain_params())
+def test_max_distance_is_an_extinction_edge_no_shorter_than_bisection(params):
+    got = _outcome(lambda: max_distance(params))
+    assume(isinstance(got, float) and got > 0.0)
+    tol = 0.01
+    assert evaluate_point(params, max(0.0, got - tol) * KM).key_rate > 0.0
+    assert evaluate_point(params, (got + tol) * KM).key_rate == 0.0
+    # regula falsi may find a farther edge of a split secure set, never a
+    # nearer one
+    assert got >= bisection_range(params) - tol
+
+
+# Focusing chirps whose secure set splits below the focal point L_f =
+# C sigma^2 / ((1 + C^2) beta): secure on about [0, 0.8] and [6.9, 26.8] km
+# with the rate live at L_f = 17 km, and on [0, 2.8] and [11.3, 41.5] km with
+# it dead at L_f = 53 km. Regula falsi from L = 0 stops at the near edge of
+# both.
+SPLIT_SETS = {
+    "live at L_f": ScenarioParams(
+        sigma=29 * PS, chirp=-3.5, beta=-1.3e-26, alpha=0.157, dark_rate=25.0,
+        period=10 * PS, jitter=0.0, window=59 * PS,
+        dark_model=DarkCountModel.EXACT_POISSON,
+        transmittance_convention=TransmittanceConvention.LITERAL,
+    ),
+    "dead at L_f": ScenarioParams(
+        sigma=87 * PS, chirp=-6.7, beta=-2.1e-26, alpha=0.16, dark_rate=285.0,
+        period=41 * PS, jitter=0.0, window=230 * PS,
+        dark_model=DarkCountModel.EXACT_POISSON,
+        transmittance_convention=TransmittanceConvention.LITERAL,
+    ),
+}
+
+
+@pytest.mark.parametrize("params", SPLIT_SETS.values(), ids=SPLIT_SETS.keys())
+def test_max_distance_finds_the_far_edge_of_a_split_set(params):
+    l_max = max_distance(params)
+    # 10 m brute scan to 1 km past it
+    steps = round(l_max * 100) + 101
+    live = [evaluate_point(params, i * 10.0).key_rate > 0.0 for i in range(steps)]
+    last = max(i for i, ok in enumerate(live) if ok)
+    assert not all(live[: last + 1])  # the set is split
+    assert abs(l_max - (last + 0.5) * 0.01) <= 0.01
+
+
+def _counted_evaluations(monkeypatch, run) -> int:
+    calls = 0
+    real = analysis.evaluate_point
+
+    def counted(params, distance):
+        nonlocal calls
+        calls += 1
+        return real(params, distance)
+
+    monkeypatch.setattr(analysis, "evaluate_point", counted)
+    run()
+    return calls
+
+
+def test_max_distance_evaluation_budget(monkeypatch):
+    # plain bisection of key_rate > 0 took 15 evaluations here
+    assert _counted_evaluations(monkeypatch, lambda: max_distance(ScenarioParams())) <= 9
+
+
+def test_scan_chirp_evaluation_budget(monkeypatch):
+    # plain bisection took 1,245: 15 per grid chirp, plus c_star's searches
+    grid = default_chirp_grid()
+    assert _counted_evaluations(monkeypatch, lambda: scan_chirp(ScenarioParams(), grid)) <= 729
+
+
+def test_qber_limit_is_where_the_rate_factor_dies():
+    q = analysis._QBER_LIMIT
+    assert 1.0 - 2.0 * binary_entropy(math.nextafter(q, 0.0)) > 0.0
+    assert 1.0 - 2.0 * binary_entropy(q) <= 0.0
 
 
 @settings(deadline=None, max_examples=40)

@@ -44,12 +44,12 @@ CLI_DIGESTS = {
         "stdout": "da33622fdd5373ed9b4b01f5b7c17ef56a2e02d26aed7cbb3dd60453836f1928",
     },
     "sweep --out sweep.csv --svg sweep.svg": {
-        "sweep.csv": "d908750ff3b8e01f15f97ba73c554ef1e5a999ef85f3dafb638e26cbef531fb2",
-        "sweep.svg": "ec7eae68cc02a9acb0f2dd19f11bf349a6c660f9e5b8c38cae2044c780f762ff",
+        "sweep.csv": "45838f6b0cc2f078c7b02883e2b57ab8befcc3d519e09b260048134b79154c8d",
+        "sweep.svg": "e973d4499bc347a7f17bbf5ece6416ebcd6959d3767deb928c3b7dae25643f91",
     },
     "sweep --set rate_units=per_second --out sweep.csv --svg sweep.svg": {
-        "sweep.csv": "a2ac01a14beffb6a46184806c92356df1c9100da11e9a53602925f5cc1702945",
-        "sweep.svg": "34bd5d1653172db29ee89c0a1e3a94d28f856bf917aff071237d10eef3350318",
+        "sweep.csv": "77c8dc658679482d731347ebcd4da1d531b3735e7bdee031ebe70ec183122cb9",
+        "sweep.svg": "df1197870243a20fa5f7b0d7306a5f272bfc1ec12edd7eada87adc1363df6330",
     },
     # dead at the source: the chart has no positive data to draw
     "sweep --set jitter_ps=200 --out sweep.csv --svg sweep.svg": {
@@ -57,8 +57,8 @@ CLI_DIGESTS = {
         "sweep.svg": "8be09ca651e4cfa7a858fa4ecefc5af5ce64bdf3e77488e38c9ed1e1a967d0e4",
     },
     "optimize-chirp --out scan.csv --svg scan.svg": {
-        "scan.csv": "a0347555b4d93845725a3a8546794433ae0a5ce1d8c5c30177f776ef158c8e1f",
-        "scan.svg": "02813027606efe6a5d5f8ce6e0d02825307aeab8f3fd22dd0c08c57491159843",
+        "scan.csv": "d1df7e8abdf854fc2f9357b94d6473da5ee9de2860dc80d84c63256fb9bf0be3",
+        "scan.svg": "0e77a93978b3d51d4f027612bd75e1c6bf83cf0c4252eeee167cb42298d1d19b",
     },
     # every secure range is 0: the linear y axis widens a flat range
     "optimize-chirp --set jitter_ps=200 --out scan.csv --svg scan.svg": {
@@ -67,8 +67,8 @@ CLI_DIGESTS = {
     },
     # one chirp: the x axis widens a range of zero width
     "optimize-chirp --set c_min=0 --set c_max=0 --out scan.csv --svg scan.svg": {
-        "scan.csv": "42bf4bcfe2c9fb47d42a0d6cec4a29649ab0dc2de001f118e18563b09451e28b",
-        "scan.svg": "e91ddc18495f7367ecf16d49a6959f29e4059f5f3176f8c468671051f08ff648",
+        "scan.csv": "2df2c1dd535d7cf6f04d505f4cfe572ee36520ab5035261588dad957278262b9",
+        "scan.svg": "48c0f9bea3427d6712d95c373220314eeb84e2c4e0db425f879912069bebc853",
     },
 }
 
