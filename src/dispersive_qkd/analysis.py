@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Sequence, Union
 
-from .keyrate import ProtocolPoint, ScenarioParams, evaluate_point
+from .keyrate import (
+    ProtocolPoint,
+    ScenarioParams,
+    _stages,
+    _window_dark_probs,
+    evaluate_point,
+)
 
 __all__ = [
     "NonConvergenceError",
@@ -41,6 +47,13 @@ _BRACKET_CEILING_KM = 1e7
 _QBER_LIMIT = 0.11002786443835955
 # the margin's stand-in where rounding puts qber on the other side of the limit
 _TINY = sys.float_info.min
+# what the searches read of keyrate._stages: ProtocolPoint's values, in its
+# field order, as a plain tuple
+_Stages = tuple[float, ...]
+_P_RAW, _QBER, _KEY_RATE = (
+    [f.name for f in fields(ProtocolPoint)].index(name)
+    for name in ("p_raw", "qber", "key_rate")
+)
 
 
 class NonConvergenceError(RuntimeError):
@@ -103,18 +116,22 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
     return SweepResult(rows=rows)
 
 
-def _margin(at: ProtocolPoint) -> float:
-    """_QBER_LIMIT - qber, signed as key_rate > 0 says: where rounding makes
-    the two disagree, +-tiny."""
-    margin = _QBER_LIMIT - at.qber
-    if at.key_rate > 0.0:
+def _margin(at: _Stages) -> float:
+    """_QBER_LIMIT - qber of a _stages tuple, signed as its key_rate > 0
+    says: where rounding makes the two disagree, +-tiny."""
+    margin = _QBER_LIMIT - at[_QBER]
+    if at[_KEY_RATE] > 0.0:
         return margin if margin > 0.0 else _TINY
     return margin if margin < 0.0 else -_TINY
 
 
-def _edge(point: Callable[[float], ProtocolPoint], anchor: float = 0.0) -> float:
-    """Far edge (km) of the set where point(L_km).key_rate > 0; 0.0 if the
-    rate is dead at L = 0.
+def _edge(point: Callable[[float], _Stages], anchor: float = 0.0) -> float:
+    """Far edge (km) of the set where the key rate of point(L_km) is > 0;
+    0.0 if the rate is dead at L = 0.
+
+    point returns the tuple of keyrate._stages, the one composition of the
+    pipeline, with the search's dark-count probabilities fixed; _edge reads
+    its key_rate, qber and p_raw and builds no record.
 
     key_rate > 0 decides the side of every point. The bracket's live end is
     L = 0, or the anchor (km, if > 0) where the rate is live there too; its
@@ -131,16 +148,16 @@ def _edge(point: Callable[[float], ProtocolPoint], anchor: float = 0.0) -> float
     the edge marks the end of the float range, not of the key.
     """
     at_lo = point(0.0)
-    if not at_lo.key_rate > 0.0:
+    if not at_lo[_KEY_RATE] > 0.0:
         return 0.0
     lo, bisect = 0.0, False
     if 0.0 < anchor < _BRACKET_CEILING_KM:
-        if (at_anchor := point(anchor)).key_rate > 0.0:
+        if (at_anchor := point(anchor))[_KEY_RATE] > 0.0:
             lo, at_lo = anchor, at_anchor
         else:
             bisect = True
     hi = lo + _L_HINT_KM
-    while (dead := point(hi)).key_rate > 0.0:
+    while (dead := point(hi))[_KEY_RATE] > 0.0:
         lo, at_lo = hi, dead
         hi *= 2.0
         if hi > _BRACKET_CEILING_KM:
@@ -160,7 +177,7 @@ def _edge(point: Callable[[float], ProtocolPoint], anchor: float = 0.0) -> float
             l_km = min(max(l_km, lo + half_tol), hi - half_tol)
         at = point(l_km)
         f = _margin(at)
-        if at.key_rate > 0.0:
+        if at[_KEY_RATE] > 0.0:
             lo, f_lo = l_km, f
             if side < 0:
                 f_hi *= 0.5
@@ -174,7 +191,7 @@ def _edge(point: Callable[[float], ProtocolPoint], anchor: float = 0.0) -> float
             width, stalled = hi - lo, 0
         else:
             stalled += 1
-    if dead.degenerate:
+    if dead[_P_RAW] == 0.0:
         raise NonConvergenceError(
             f"transmittance underflows near {hi} km while the key rate is still positive"
         )
@@ -185,7 +202,10 @@ def max_distance(params: ScenarioParams) -> float:
     """Largest secure distance in km; 0.0 if the rate is dead at L = 0.
 
     The far edge of the set where key_rate > 0, found by _edge to within
-    _L_TOL_KM / 2. A focusing chirp (C beta > 0) narrows the pulse down to
+    _L_TOL_KM / 2. Each step runs keyrate._stages, the composition that
+    evaluate_point wraps, and reads its tuple: the window's dark-count
+    probabilities are computed once per search, and no step builds a
+    ProtocolPoint. A focusing chirp (C beta > 0) narrows the pulse down to
     the focal point L_f = C sigma^2 / ((1 + C^2) beta), so the secure set
     may die and start again before L_f. L_f is _edge's anchor: where the
     rate is live there, the search starts from it and returns the far edge,
@@ -196,7 +216,12 @@ def max_distance(params: ScenarioParams) -> float:
         s2 = params.sigma * params.sigma
         focal_km = params.chirp * s2 / ((1.0 + params.chirp * params.chirp) * params.beta)
         focal_km /= _M_PER_KM
-    return _edge(lambda l_km: evaluate_point(params, l_km * _M_PER_KM), focal_km)
+    p_zero, p_one = _window_dark_probs(params)
+
+    def at(l_km: float) -> _Stages:
+        return _stages(params, p_zero, p_one, l_km * _M_PER_KM)
+
+    return _edge(at, focal_km)
 
 
 def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
@@ -230,8 +255,11 @@ def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
         c = s2 / bl if bl else math.copysign(math.inf, params.beta)
         return min(max(c, c_min), c_max)
 
-    def at_best(l_km: float) -> ProtocolPoint:
-        return evaluate_point(replace(params, chirp=chirp_at(l_km)), l_km * _M_PER_KM)
+    p_zero, p_one = _window_dark_probs(params)  # the chirp does not change them
+
+    def at_best(l_km: float) -> _Stages:
+        at_c = replace(params, chirp=chirp_at(l_km))
+        return _stages(at_c, p_zero, p_one, l_km * _M_PER_KM)
 
     return chirp_at(_edge(at_best))
 
@@ -256,12 +284,20 @@ def scan_chirp(params: ScenarioParams, c_grid: Iterable[float]) -> ChirpScanResu
 def default_chirp_grid(
     c_min: float = -2.0, c_max: float = 2.0, c_step: float = 0.05
 ) -> list[float]:
-    """Uniform chirp grid, endpoints included (within a half-step slack)."""
+    """Uniform chirp grid, endpoints included (within a half-step slack).
+
+    c_min == c_max gives the one-point grid [c_min]. A step wider than a
+    range of positive width is an error: the grid would hold c_min alone.
+    """
     if not c_step > 0:
         raise GridError(f"c_step must be > 0, got {c_step}")
     if not c_min <= c_max:
         raise GridError(f"need c_min <= c_max, got [{c_min}, {c_max}]")
     n = int(math.floor((c_max - c_min) / c_step + 1e-9))
+    if n == 0 and c_min < c_max:
+        raise GridError(
+            f"c_step {c_step} is wider than [{c_min}, {c_max}]; the grid would hold c_min alone"
+        )
     return [c_min + k * c_step for k in range(n + 1)]
 
 

@@ -208,7 +208,7 @@ class ProtocolPoint:
     ) -> None:
         # one dict update in place of the generated frozen __init__'s
         # object.__setattr__ call per field, which cost more than twice as
-        # much; every sweep row and every search step builds a point
+        # much; every sweep row builds a point
         self.__dict__.update(
             p_sig=p_sig,
             p_w=p_w,
@@ -226,11 +226,22 @@ class ProtocolPoint:
         return self.p_raw == 0.0
 
 
-def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
-    """Run the full pipeline at one propagation distance (meters).
+def _window_dark_probs(params: ScenarioParams) -> tuple[float, float]:
+    """dark_probs of params' window: the same at every distance and chirp."""
+    return dark_probs(params.dark_rate * params.window, params.dark_model)
 
-    params was validated when it was built, so its scalars feed the
-    formulas directly.
+
+def _stages(
+    params: ScenarioParams, p_zero: float, p_one: float, distance: float
+) -> tuple[float, float, float, float, float, float, float, float]:
+    """The pipeline at one propagation distance (meters), given the window's
+    dark-count probabilities: ProtocolPoint's values, in field order, as a
+    plain tuple.
+
+    The one composition of the helpers. evaluate_point wraps its tuple in a
+    ProtocolPoint; the secure-range searches read theirs as it is and take
+    p_zero and p_one once per search. params was validated when it was
+    built, so its scalars feed the formulas directly.
     """
     if not 0.0 <= distance < math.inf:
         raise ValueError(f"distance must be >= 0 meters, got {distance}")
@@ -241,11 +252,20 @@ def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     p_w = p_wrong(q)
     eta = transmittance(params.alpha, distance / 1000.0, params.transmittance_convention)
     p_det = p_detect(eta, p_sig, p_w)
-    p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
     p_raw = p_raw_key(p_det, p_zero, p_one)
     if p_raw == 0.0:
-        return ProtocolPoint(p_sig, p_w, p_det, p_zero, p_one, p_raw, 0.5, 0.0)
+        return p_sig, p_w, p_det, p_zero, p_one, p_raw, 0.5, 0.0
     q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw)
-    return ProtocolPoint(
-        p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
-    )
+    return p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
+
+
+def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
+    """Run the full pipeline at one propagation distance (meters).
+
+    The window's dark-count probabilities, then the shared stage function
+    _stages, whose tuple becomes the ProtocolPoint. Sweeps and the CLI's
+    point read this record; the secure-range searches call _stages directly.
+    """
+    # _window_dark_probs written out: as a call it cost each sweep row ~5%
+    p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
+    return ProtocolPoint(*_stages(params, p_zero, p_one, distance))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from dispersive_qkd import analysis
+from dispersive_qkd import analysis, keyrate
 from dispersive_qkd.analysis import (
     ChirpScanResult,
     GridError,
@@ -201,28 +201,47 @@ def test_max_distance_finds_the_far_edge_of_a_split_set(params):
 
 
 def _counted_evaluations(monkeypatch, run) -> int:
+    # every evaluation, through evaluate_point or a search's stages, widens
+    # the pulse exactly once
     calls = 0
-    real = analysis.evaluate_point
+    real = keyrate.broadened_sigma
 
-    def counted(params, distance):
+    def counted(*args):
         nonlocal calls
         calls += 1
-        return real(params, distance)
+        return real(*args)
 
-    monkeypatch.setattr(analysis, "evaluate_point", counted)
+    monkeypatch.setattr(keyrate, "broadened_sigma", counted)
     run()
     return calls
 
 
 def test_max_distance_evaluation_budget(monkeypatch):
     # plain bisection of key_rate > 0 took 15 evaluations here
-    assert _counted_evaluations(monkeypatch, lambda: max_distance(ScenarioParams())) <= 9
+    assert 0 < _counted_evaluations(monkeypatch, lambda: max_distance(ScenarioParams())) <= 9
 
 
 def test_scan_chirp_evaluation_budget(monkeypatch):
     # plain bisection took 1,245: 15 per grid chirp, plus c_star's searches
     grid = default_chirp_grid()
-    assert _counted_evaluations(monkeypatch, lambda: scan_chirp(ScenarioParams(), grid)) <= 729
+    assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(ScenarioParams(), grid)) <= 729
+
+
+def test_secure_range_search_builds_no_point_record(monkeypatch):
+    # the searches read keyrate._stages' tuple; sweeps still build records
+    built = 0
+    real = ProtocolPoint.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        real(self, *args)
+
+    monkeypatch.setattr(ProtocolPoint, "__init__", counted)
+    scan_chirp(ScenarioParams(), [-1.0, -0.2, 1.0])
+    assert built == 0
+    sweep_distance(ScenarioParams(), [0.0, 10.0])
+    assert built == 2
 
 
 def test_qber_limit_is_where_the_rate_factor_dies():
@@ -407,6 +426,9 @@ def test_default_chirp_grid_shape():
     assert abs(grid[-1] - 2.0) <= 1e-9
     with pytest.raises(GridError):
         default_chirp_grid(c_step=0.0)
+    with pytest.raises(GridError):
+        default_chirp_grid(c_step=10.0)
+    assert default_chirp_grid(0.0, 0.0, 10.0) == [0.0]
 
 
 def test_distance_grid_covers_secure_range():

@@ -316,6 +316,14 @@ def test_optimize_chirp_boundary_warning(capsys):
     assert "boundary" in captured.err
 
 
+def test_optimize_chirp_step_wider_than_the_range_exits_2(capsys):
+    # the grid would hold c_min alone: a scan of one chirp, not of the range
+    assert main(["optimize-chirp", "--set", "c_step=10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: c_step 10.0 is wider than [-2.0, 2.0]")
+
+
 def test_optimize_chirp_dead_at_source_warning(capsys):
     # chirp has no effect at L = 0, so the boundary advice would not help
     args = [

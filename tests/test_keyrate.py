@@ -14,6 +14,7 @@ from dispersive_qkd.keyrate import (
     ProtocolPoint,
     ScenarioParams,
     TransmittanceConvention,
+    binary_entropy,
     dark_probs,
     evaluate_point,
     key_rate,
@@ -100,6 +101,26 @@ def test_qber_reference():
 def test_qber_degenerate_denominator():
     with pytest.raises(ValueError):
         qber(0.1, 0.9, 0.01, 0.090910, 1.0, 0.0, 0.0)
+
+
+def test_binary_entropy_reference_values():
+    assert binary_entropy(0.0) == 0.0
+    assert binary_entropy(1.0) == 0.0
+    assert binary_entropy(0.5) == 1.0
+    assert abs(binary_entropy(0.11) - 0.499916) <= 1e-6
+
+
+@pytest.mark.parametrize("q", [-1e-9, 1.0000000001, 2.0])
+def test_binary_entropy_domain(q):
+    with pytest.raises(ValueError):
+        binary_entropy(q)
+
+
+@given(st.floats(min_value=1e-6, max_value=0.999999))
+def test_binary_entropy_symmetric(q):
+    p = 1.0 - q
+    if 1.0 - p == q:  # skip draws where 1-q is not exactly invertible
+        assert binary_entropy(q) == binary_entropy(p)
 
 
 def test_key_rate_reference():

@@ -69,26 +69,6 @@ def test_erf_strictly_increasing():
     assert all(abs(y) <= 1.0 for y in ys)
 
 
-def test_binary_entropy_reference_values():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == 1.0
-    assert abs(binary_entropy(0.11) - 0.499916) <= 1e-6
-
-
-@pytest.mark.parametrize("q", [-1e-9, 1.0000000001, 2.0])
-def test_binary_entropy_domain(q):
-    with pytest.raises(ValueError):
-        binary_entropy(q)
-
-
-@given(st.floats(min_value=1e-6, max_value=0.999999))
-def test_binary_entropy_symmetric(q):
-    p = 1.0 - q
-    if 1.0 - p == q:  # skip draws where 1-q is not exactly invertible
-        assert binary_entropy(q) == binary_entropy(p)
-
-
 def test_integrate_constant():
     assert abs(integrate(lambda t: 1.0, 0.0, 1.0).real - 1.0) < 1e-12
 
