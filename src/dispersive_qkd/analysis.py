@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Sequence, Union
 
 from .keyrate import (
+    _QBER_LIMIT,
     ProtocolPoint,
     ScenarioParams,
     _stages,
@@ -42,18 +42,10 @@ maximize_scalar = None
 _L_HINT_KM = 50.0
 _L_TOL_KM = 0.01
 _BRACKET_CEILING_KM = 1e7
-# the smallest float q at which 1 - 2 H(q) <= 0: the key rate is positive
-# exactly where the QBER lies below it (and p_raw > 0)
-_QBER_LIMIT = 0.11002786443835955
-# the margin's stand-in where rounding puts qber on the other side of the limit
-_TINY = sys.float_info.min
 # what the searches read of keyrate._stages: ProtocolPoint's values, in its
 # field order, as a plain tuple
 _Stages = tuple[float, ...]
-_P_RAW, _QBER, _KEY_RATE = (
-    [f.name for f in fields(ProtocolPoint)].index(name)
-    for name in ("p_raw", "qber", "key_rate")
-)
+_P_RAW, _QBER = ([f.name for f in fields(ProtocolPoint)].index(n) for n in ("p_raw", "qber"))
 
 
 class NonConvergenceError(RuntimeError):
@@ -116,55 +108,46 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
     return SweepResult(rows=rows)
 
 
-def _margin(at: _Stages) -> float:
-    """_QBER_LIMIT - qber of a _stages tuple, signed as its key_rate > 0
-    says: where rounding makes the two disagree, +-tiny."""
-    margin = _QBER_LIMIT - at[_QBER]
-    if at[_KEY_RATE] > 0.0:
-        return margin if margin > 0.0 else _TINY
-    return margin if margin < 0.0 else -_TINY
-
-
 def _edge(point: Callable[[float], _Stages], anchor: float = 0.0) -> float:
-    """Far edge (km) of the set where the key rate of point(L_km) is > 0;
-    0.0 if the rate is dead at L = 0.
+    """Far edge (km) of the set where point(L_km) has qber < _QBER_LIMIT,
+    where the key rate is > 0; 0.0 if the rate is dead at L = 0.
 
     point returns the tuple of keyrate._stages, the one composition of the
     pipeline, with the search's dark-count probabilities fixed; _edge reads
-    its key_rate, qber and p_raw and builds no record.
+    its qber and p_raw and builds no record.
 
-    key_rate > 0 decides the side of every point. The bracket's live end is
-    L = 0, or the anchor (km, if > 0) where the rate is live there too; its
-    top starts _L_HINT_KM above and doubles until the rate is dead. Illinois
-    regula falsi (Dowell & Jarratt, BIT 11, 1971) on the QBER margin, which
-    is smooth where the rate's positive part has a kink, then shrinks it.
-    Each step lands at least _L_TOL_KM / 2 inside the bracket, and a
-    bisection step follows any two steps that did not halve it. Where the
-    rate is dead at the anchor, the secure set may have a gap below it that
-    interpolation from L = 0 would stop in, so every step bisects. Stops at
-    width _L_TOL_KM and returns the midpoint. Raises NonConvergenceError
-    where the dead side of the edge is degenerate (p_raw = 0): there the
-    transmittance underflowed to 0 with no dark counts to floor p_raw, so
-    the edge marks the end of the float range, not of the key.
+    The sign of the QBER margin _QBER_LIMIT - qber decides the side of every
+    point. The bracket's live end is L = 0, or the anchor (km, if > 0) where
+    the rate is live there too; its top starts _L_HINT_KM above and doubles
+    until the rate is dead. Illinois regula falsi (Dowell & Jarratt, BIT 11,
+    1971) on that margin, which is smooth where the rate's positive part has
+    a kink, then shrinks it. Each step lands at least _L_TOL_KM / 2 inside
+    the bracket, and a bisection step follows any two steps that did not
+    halve it. Where the rate is dead at the anchor, the secure set may have
+    a gap below it that interpolation from L = 0 would stop in, so every
+    step bisects. Stops at width _L_TOL_KM and returns the midpoint. Raises
+    NonConvergenceError where the dead side of the edge is degenerate
+    (p_raw = 0): there the transmittance underflowed to 0 with no dark
+    counts to floor p_raw, so the edge marks the end of the float range, not
+    of the key.
     """
-    at_lo = point(0.0)
-    if not at_lo[_KEY_RATE] > 0.0:
+    f_lo = _QBER_LIMIT - point(0.0)[_QBER]
+    if not f_lo > 0.0:
         return 0.0
     lo, bisect = 0.0, False
     if 0.0 < anchor < _BRACKET_CEILING_KM:
-        if (at_anchor := point(anchor))[_KEY_RATE] > 0.0:
-            lo, at_lo = anchor, at_anchor
+        if (f := _QBER_LIMIT - point(anchor)[_QBER]) > 0.0:
+            lo, f_lo = anchor, f
         else:
             bisect = True
     hi = lo + _L_HINT_KM
-    while (dead := point(hi))[_KEY_RATE] > 0.0:
-        lo, at_lo = hi, dead
+    while (f_hi := _QBER_LIMIT - (dead := point(hi))[_QBER]) > 0.0:
+        lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > _BRACKET_CEILING_KM:
             raise NonConvergenceError(
                 f"key rate still positive at {lo} km; no extinction point to bracket"
             )
-    f_lo, f_hi = _margin(at_lo), _margin(dead)
     half_tol = 0.5 * _L_TOL_KM
     width = hi - lo  # the width the bracket must halve from
     stalled = 0  # steps since it last did
@@ -176,8 +159,8 @@ def _edge(point: Callable[[float], _Stages], anchor: float = 0.0) -> float:
             l_km = lo + (hi - lo) * f_lo / (f_lo - f_hi)
             l_km = min(max(l_km, lo + half_tol), hi - half_tol)
         at = point(l_km)
-        f = _margin(at)
-        if at[_KEY_RATE] > 0.0:
+        f = _QBER_LIMIT - at[_QBER]
+        if f > 0.0:
             lo, f_lo = l_km, f
             if side < 0:
                 f_hi *= 0.5
@@ -201,11 +184,11 @@ def _edge(point: Callable[[float], _Stages], anchor: float = 0.0) -> float:
 def max_distance(params: ScenarioParams) -> float:
     """Largest secure distance in km; 0.0 if the rate is dead at L = 0.
 
-    The far edge of the set where key_rate > 0, found by _edge to within
-    _L_TOL_KM / 2. Each step runs keyrate._stages, the composition that
-    evaluate_point wraps, and reads its tuple: the window's dark-count
-    probabilities are computed once per search, and no step builds a
-    ProtocolPoint. A focusing chirp (C beta > 0) narrows the pulse down to
+    The far edge of the set where qber < _QBER_LIMIT (so key_rate > 0),
+    found by _edge to within _L_TOL_KM / 2. Each step runs keyrate._stages,
+    the composition that evaluate_point wraps, and reads its tuple: the
+    window's dark-count probabilities are computed once per search, and no
+    step builds a ProtocolPoint. A focusing chirp (C beta > 0) narrows the pulse down to
     the focal point L_f = C sigma^2 / ((1 + C^2) beta), so the secure set
     may die and start again before L_f. L_f is _edge's anchor: where the
     rate is live there, the search starts from it and returns the far edge,

@@ -182,6 +182,6 @@ def to_params(cfg: Config) -> ScenarioParams:
         period=cfg.period_ps * PS,
         jitter=cfg.jitter_ps * PS,
         window=cfg.window_ps * PS,
-        dark_model=DarkCountModel(cfg.dark_model),
-        transmittance_convention=TransmittanceConvention(cfg.transmittance_convention),
+        dark_model=cfg.dark_model,
+        transmittance_convention=cfg.transmittance_convention,
     )

@@ -124,6 +124,11 @@ def binary_entropy(q: float) -> float:
     return -q * math.log2(q) - p * math.log2(p)
 
 
+# the smallest float q at which 1 - 2 H(q) <= 0: key_rate is positive exactly
+# where the QBER lies below it and p_raw > 0
+_QBER_LIMIT = 0.11002786443835955
+
+
 def key_rate(p_raw: float, q: float) -> float:
     """Secret bits per window: max{0, p_raw * (1 - 2 H(q))}."""
     if p_raw < 0:
@@ -155,6 +160,14 @@ class ScenarioParams:
     transmittance_convention: TransmittanceConvention = TransmittanceConvention.DB
 
     def __post_init__(self) -> None:
+        # the helpers compare members by identity, so a model named by its
+        # value (as a config file does) becomes its member here; an unknown
+        # name is a ValueError
+        if type(self.dark_model) is not DarkCountModel:
+            object.__setattr__(self, "dark_model", DarkCountModel(self.dark_model))
+        if type(self.transmittance_convention) is not TransmittanceConvention:
+            convention = TransmittanceConvention(self.transmittance_convention)
+            object.__setattr__(self, "transmittance_convention", convention)
         # the width formula squares sigma^2 and divides by it: sigma^4 must be
         # a normal finite float, or the width underflows to 0 or overflows
         s2 = self.sigma * self.sigma

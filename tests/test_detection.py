@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from dispersive_qkd.detection import (
     detected_sigma,
+    erf,
     p_signal,
     p_wrong,
     shifted_window_mass,
@@ -23,6 +24,35 @@ def gaussian(sigma):
         )
 
     return density
+
+
+def test_erf_reference_values():
+    assert erf(0.0) == 0.0
+    assert abs(erf(40.0) - 1.0) < 1e-15
+    assert abs(erf(-40.0) + 1.0) < 1e-15
+    assert abs(erf(1.0) - 0.8427007929) <= 1e-9
+
+
+def test_erf_matches_quadrature():
+    rng = random.Random(20260814)
+    for _ in range(40):
+        x = rng.uniform(1e-3, 6.0)
+        ref = (2.0 / math.sqrt(math.pi)) * integrate(
+            lambda u: math.exp(-u * u), 0.0, x
+        ).real
+        assert abs(erf(x) - ref) < 1e-10
+
+
+@given(st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
+def test_erf_is_odd(x):
+    assert erf(-x) == -erf(x)
+
+
+def test_erf_strictly_increasing():
+    xs = [i * 0.05 - 3.0 for i in range(121)]
+    ys = [erf(x) for x in xs]
+    assert all(a < b for a, b in zip(ys, ys[1:]))
+    assert all(abs(y) <= 1.0 for y in ys)
 
 
 def test_detected_sigma_identity_and_pythagoras():

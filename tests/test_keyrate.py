@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dispersive_qkd.config import BETA_UNIT, Config, to_params
 from dispersive_qkd.keyrate import (
+    _QBER_LIMIT,
     DarkCountModel,
     ProtocolPoint,
     ScenarioParams,
@@ -186,11 +187,35 @@ def test_library_defaults_equal_the_cli_defaults():
         {"sigma": 1e160},
         {"sigma": 1e-100},
         {"sigma": 1e100},
+        # names that are no member's value
+        {"dark_model": "gaussian"},
+        {"transmittance_convention": "decibel"},
     ],
 )
 def test_scenario_params_validation(kwargs):
     with pytest.raises(ValueError):
         ScenarioParams(**kwargs)
+
+
+def test_scenario_params_named_by_value_evaluate_like_members():
+    # a record that names its models by value, as a config file does, holds
+    # the members and evaluates bit for bit like the record built from them,
+    # past one dark count per window under the exact model too
+    for model in DarkCountModel:
+        for convention in TransmittanceConvention:
+            for dark_rate in (1000.0, 2.0 / WINDOW) if model is POISSON else (1000.0,):
+                named = ScenarioParams(
+                    dark_rate=dark_rate,
+                    dark_model=model.value,
+                    transmittance_convention=convention.value,
+                )
+                member = ScenarioParams(
+                    dark_rate=dark_rate, dark_model=model, transmittance_convention=convention
+                )
+                assert named.dark_model is model
+                assert named.transmittance_convention is convention
+                for l_km in (0.0, 10.0, 80.0):
+                    assert evaluate_point(named, l_km * KM) == evaluate_point(member, l_km * KM)
 
 
 def test_scenario_params_accepts_domain_edges():
@@ -352,3 +377,14 @@ def test_evaluate_point_equals_composed_helpers(params, l_km):
         assert "rate*window" in str(exc)
         return
     assert evaluate_point(params, l_km * KM) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(params=domain_params(), l_km=st.floats(min_value=0.0, max_value=500.0))
+def test_key_rate_is_positive_exactly_below_the_qber_limit(params, l_km):
+    # the secure-range search decides each side by qber < _QBER_LIMIT alone
+    try:
+        point = evaluate_point(params, l_km * KM)
+    except ValueError:
+        return
+    assert (point.key_rate > 0.0) == (point.qber < _QBER_LIMIT)

@@ -2,10 +2,8 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from dispersive_qkd.analysis import NonConvergenceError
-from dispersive_qkd.detection import erf
 from dispersive_qkd.keyrate import binary_entropy
 from oracles import Bracket, BracketError, QuadratureSpec, find_root, integrate
 
@@ -38,35 +36,6 @@ def test_bracket_requires_lo_below_hi():
         Bracket(1.0, 1.0)
     with pytest.raises(BracketError):
         Bracket(2.0, -3.0)
-
-
-def test_erf_reference_values():
-    assert erf(0.0) == 0.0
-    assert abs(erf(40.0) - 1.0) < 1e-15
-    assert abs(erf(-40.0) + 1.0) < 1e-15
-    assert abs(erf(1.0) - 0.8427007929) <= 1e-9
-
-
-def test_erf_matches_quadrature():
-    rng = random.Random(20260814)
-    for _ in range(40):
-        x = rng.uniform(1e-3, 6.0)
-        ref = (2.0 / math.sqrt(math.pi)) * integrate(
-            lambda u: math.exp(-u * u), 0.0, x
-        ).real
-        assert abs(erf(x) - ref) < 1e-10
-
-
-@given(st.floats(min_value=-6.0, max_value=6.0, allow_nan=False))
-def test_erf_is_odd(x):
-    assert erf(-x) == -erf(x)
-
-
-def test_erf_strictly_increasing():
-    xs = [i * 0.05 - 3.0 for i in range(121)]
-    ys = [erf(x) for x in xs]
-    assert all(a < b for a, b in zip(ys, ys[1:]))
-    assert all(abs(y) <= 1.0 for y in ys)
 
 
 def test_integrate_constant():
