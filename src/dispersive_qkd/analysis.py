@@ -45,7 +45,7 @@ _BRACKET_CEILING_KM = 1e7
 # what the searches read of keyrate._stages: ProtocolPoint's values, in its
 # field order, as a plain tuple
 _Stages = tuple[float, ...]
-_P_RAW, _QBER = ([f.name for f in fields(ProtocolPoint)].index(n) for n in ("p_raw", "qber"))
+_QBER = [f.name for f in fields(ProtocolPoint)].index("qber")
 
 
 class NonConvergenceError(RuntimeError):
@@ -109,27 +109,29 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
 
 
 def _edge(point: Callable[[float], _Stages], anchor: float = 0.0) -> float:
-    """Far edge (km) of the set where point(L_km) has qber < _QBER_LIMIT,
-    where the key rate is > 0; 0.0 if the rate is dead at L = 0.
+    """Far edge (km) of the secure set, where point(L_km) has qber <
+    _QBER_LIMIT; 0.0 if L = 0 lies outside it.
+
+    With dark counts that is where key_rate > 0. Without them the
+    transmittance cancels from the QBER, so the QBER still decides where the
+    float transmittance has reached 0 and p_raw and key_rate read 0.
 
     point returns the tuple of keyrate._stages, the one composition of the
     pipeline, with the search's dark-count probabilities fixed; _edge reads
-    its qber and p_raw and builds no record.
+    its qber alone and builds no record.
 
     The sign of the QBER margin _QBER_LIMIT - qber decides the side of every
     point. The bracket's live end is L = 0, or the anchor (km, if > 0) where
-    the rate is live there too; its top starts _L_HINT_KM above and doubles
-    until the rate is dead. Illinois regula falsi (Dowell & Jarratt, BIT 11,
-    1971) on that margin, which is smooth where the rate's positive part has
-    a kink, then shrinks it. Each step lands at least _L_TOL_KM / 2 inside
-    the bracket, and a bisection step follows any two steps that did not
-    halve it. Where the rate is dead at the anchor, the secure set may have
-    a gap below it that interpolation from L = 0 would stop in, so every
-    step bisects. Stops at width _L_TOL_KM and returns the midpoint. Raises
-    NonConvergenceError where the dead side of the edge is degenerate
-    (p_raw = 0): there the transmittance underflowed to 0 with no dark
-    counts to floor p_raw, so the edge marks the end of the float range, not
-    of the key.
+    that is secure too; its top starts _L_HINT_KM above and doubles until it
+    is not. Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on that
+    margin, which is smooth where the rate's positive part has a kink, then
+    shrinks it. Each step lands at least _L_TOL_KM / 2 inside the bracket,
+    and a bisection step follows any two steps that did not halve it. Where
+    the anchor is not secure, the secure set may have a gap below it that
+    interpolation from L = 0 would stop in, so every step bisects. Stops at
+    width _L_TOL_KM and returns the midpoint. Raises NonConvergenceError
+    where the QBER is still below the threshold past _BRACKET_CEILING_KM: a
+    secure range that never ends.
     """
     f_lo = _QBER_LIMIT - point(0.0)[_QBER]
     if not f_lo > 0.0:
@@ -141,12 +143,12 @@ def _edge(point: Callable[[float], _Stages], anchor: float = 0.0) -> float:
         else:
             bisect = True
     hi = lo + _L_HINT_KM
-    while (f_hi := _QBER_LIMIT - (dead := point(hi))[_QBER]) > 0.0:
+    while (f_hi := _QBER_LIMIT - point(hi)[_QBER]) > 0.0:
         lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > _BRACKET_CEILING_KM:
             raise NonConvergenceError(
-                f"key rate still positive at {lo} km; no extinction point to bracket"
+                f"QBER still below the threshold at {lo} km; no extinction point to bracket"
             )
     half_tol = 0.5 * _L_TOL_KM
     width = hi - lo  # the width the bracket must halve from
@@ -158,15 +160,14 @@ def _edge(point: Callable[[float], _Stages], anchor: float = 0.0) -> float:
         else:
             l_km = lo + (hi - lo) * f_lo / (f_lo - f_hi)
             l_km = min(max(l_km, lo + half_tol), hi - half_tol)
-        at = point(l_km)
-        f = _QBER_LIMIT - at[_QBER]
+        f = _QBER_LIMIT - point(l_km)[_QBER]
         if f > 0.0:
             lo, f_lo = l_km, f
             if side < 0:
                 f_hi *= 0.5
             side = -1
         else:
-            hi, f_hi, dead = l_km, f, at
+            hi, f_hi = l_km, f
             if side > 0:
                 f_lo *= 0.5
             side = 1
@@ -174,21 +175,19 @@ def _edge(point: Callable[[float], _Stages], anchor: float = 0.0) -> float:
             width, stalled = hi - lo, 0
         else:
             stalled += 1
-    if dead[_P_RAW] == 0.0:
-        raise NonConvergenceError(
-            f"transmittance underflows near {hi} km while the key rate is still positive"
-        )
     return 0.5 * (lo + hi)
 
 
 def max_distance(params: ScenarioParams) -> float:
     """Largest secure distance in km; 0.0 if the rate is dead at L = 0.
 
-    The far edge of the set where qber < _QBER_LIMIT (so key_rate > 0),
-    found by _edge to within _L_TOL_KM / 2. Each step runs keyrate._stages,
-    the composition that evaluate_point wraps, and reads its tuple: the
-    window's dark-count probabilities are computed once per search, and no
-    step builds a ProtocolPoint. A focusing chirp (C beta > 0) narrows the pulse down to
+    The far edge of the set where qber < _QBER_LIMIT (with dark counts,
+    where key_rate > 0), found by _edge to within _L_TOL_KM / 2. Raises
+    NonConvergenceError where the QBER is still below the threshold past
+    _BRACKET_CEILING_KM. Each step runs keyrate._stages, the composition
+    that evaluate_point wraps, and reads its tuple: the window's dark-count
+    probabilities are computed once per search, and no step builds a
+    ProtocolPoint. A focusing chirp (C beta > 0) narrows the pulse down to
     the focal point L_f = C sigma^2 / ((1 + C^2) beta), so the secure set
     may die and start again before L_f. L_f is _edge's anchor: where the
     rate is live there, the search starts from it and returns the far edge,

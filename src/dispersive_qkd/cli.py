@@ -92,7 +92,7 @@ def cmd_point(cfg: Config, args: argparse.Namespace) -> int:
     width = max(map(len, _COLUMNS))
     out_lines = [f"{name:<{width}} = {_fmt(v)}" for name, v in zip(_COLUMNS, values)]
     if point.degenerate:
-        out_lines.append("# raw-key probability is zero; qber is the 0.5 sentinel")
+        out_lines.append("# raw-key probability is zero: no key; qber reads 0.5 if undefined")
     sys.stdout.write("\n".join(out_lines) + "\n")
     return 0
 

@@ -125,7 +125,8 @@ def binary_entropy(q: float) -> float:
 
 
 # the smallest float q at which 1 - 2 H(q) <= 0: key_rate is positive exactly
-# where the QBER lies below it and p_raw > 0
+# where the QBER lies below it and p_raw > 0, unless p_raw is so near the
+# bottom of the float range that the rate rounds to 0
 _QBER_LIMIT = 0.11002786443835955
 
 
@@ -169,7 +170,7 @@ class ScenarioParams:
             convention = TransmittanceConvention(self.transmittance_convention)
             object.__setattr__(self, "transmittance_convention", convention)
         # the width formula squares sigma^2 and divides by it: sigma^4 must be
-        # a normal finite float, or the width underflows to 0 or overflows
+        # a normal finite float, or the width rounds to 0 or overflows
         s2 = self.sigma * self.sigma
         if not (self.sigma > 0 and sys.float_info.min <= s2 * s2 < math.inf):
             raise ValueError(
@@ -195,8 +196,10 @@ class ScenarioParams:
 class ProtocolPoint:
     """Every intermediate of the pipeline at one distance.
 
-    At the degenerate p_raw = 0 edge the QBER denominator vanishes; qber
-    then carries the 0.5 sentinel and key_rate is exactly 0.
+    At the degenerate p_raw = 0 edge key_rate is exactly 0. Where the window
+    holds no dark counts, qber is still exact there: the transmittance
+    cancels from it. Where even that is 0/0 (p_sig = p_w = 0), or where
+    p_zero = p_one = 0, qber carries the 0.5 sentinel.
     """
 
     p_sig: float
@@ -235,7 +238,7 @@ class ProtocolPoint:
 
     @property
     def degenerate(self) -> bool:
-        """True at the p_raw = 0 edge, where qber is the 0.5 sentinel."""
+        """True at the p_raw = 0 edge, where no raw key is produced."""
         return self.p_raw == 0.0
 
 
@@ -254,7 +257,10 @@ def _stages(
     The one composition of the helpers. evaluate_point wraps its tuple in a
     ProtocolPoint; the secure-range searches read theirs as it is and take
     p_zero and p_one once per search. params was validated when it was
-    built, so its scalars feed the formulas directly.
+    built, so its scalars feed the formulas directly. Where the window holds
+    no dark counts, the QBER is qber's err_mass / (4 p_raw) with eta and
+    p_zero cancelled, which stays exact where eta is subnormal or 0; see
+    ProtocolPoint for the p_raw = 0 edge.
     """
     if not 0.0 <= distance < math.inf:
         raise ValueError(f"distance must be >= 0 meters, got {distance}")
@@ -266,9 +272,11 @@ def _stages(
     eta = transmittance(params.alpha, distance / 1000.0, params.transmittance_convention)
     p_det = p_detect(eta, p_sig, p_w)
     p_raw = p_raw_key(p_det, p_zero, p_one)
-    if p_raw == 0.0:
-        return p_sig, p_w, p_det, p_zero, p_one, p_raw, 0.5, 0.0
-    q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw)
+    if p_one == 0.0 < p_zero:  # no dark counts: eta cancels, exact to eta = 0
+        leak = p_w * (1.0 - eta * p_sig)
+        q_err = 0.5 * leak / (p_sig + leak) if p_sig + leak > 0.0 else 0.5
+    else:
+        q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw) if p_raw > 0.0 else 0.5
     return p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
 
 

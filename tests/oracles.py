@@ -384,9 +384,14 @@ def composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     p_det = p_detect(eta, p_sig, p_w)
     p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
     p_raw = p_raw_key(p_det, p_zero, p_one)
-    if p_raw == 0.0:
-        return ProtocolPoint(p_sig, p_w, p_det, p_zero, p_one, p_raw, 0.5, 0.0)
-    q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw)
+    if p_one == 0.0 < p_zero:
+        # no dark counts: the QBER with eta cancelled, exact down to eta = 0
+        leak = p_w * (1.0 - eta * p_sig)
+        q_err = 0.5 * leak / (p_sig + leak) if p_sig + leak > 0.0 else 0.5
+    elif p_raw > 0.0:
+        q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw)
+    else:
+        q_err = 0.5
     return ProtocolPoint(
         p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
     )
@@ -402,20 +407,22 @@ def reference_range(params: ScenarioParams) -> float:
     dies (giving up past 1e7 km). Illinois regula falsi on the QBER margin,
     with bisection after two steps that do not halve the bracket, then
     shrinks it to 10 m; the result is its midpoint. Where the rate is dead
-    at L_f, every step bisects.
+    at L_f, every step bisects. Live means key_rate > 0, or where p_raw = 0
+    (the transmittance is 0 in floating point) qber below its threshold.
     """
     # kept apart from analysis's own constants
     l_hint, tol, ceiling, q_limit = 50.0, 0.01, 1e7, 0.11002786443835955
     tiny = sys.float_info.min
 
-    def margin(l_km: float) -> tuple[bool, float, ProtocolPoint]:
+    def margin(l_km: float) -> tuple[bool, float]:
         at = composed_point(params, l_km * 1e3)
         m = q_limit - at.qber
-        if at.key_rate > 0.0:
-            return True, max(m, tiny), at
-        return False, min(m, -tiny), at
+        live = at.key_rate > 0.0 if at.p_raw > 0.0 else m > 0.0
+        if live:
+            return True, max(m, tiny)
+        return False, min(m, -tiny)
 
-    live, f_lo, _ = margin(0.0)
+    live, f_lo = margin(0.0)
     if not live:
         return 0.0
     lo, bisect = 0.0, False
@@ -423,14 +430,14 @@ def reference_range(params: ScenarioParams) -> float:
         c, s = params.chirp, params.sigma
         l_f = c * (s * s) / ((1.0 + c * c) * params.beta) / 1e3
         if 0.0 < l_f < ceiling:
-            live, f, _ = margin(l_f)
+            live, f = margin(l_f)
             if live:
                 lo, f_lo = l_f, f
             else:
                 bisect = True
     hi = lo + l_hint
     while True:
-        live, f_hi, dead = margin(hi)
+        live, f_hi = margin(hi)
         if not live:
             break
         lo, f_lo, hi = hi, f_hi, 2.0 * hi
@@ -442,7 +449,7 @@ def reference_range(params: ScenarioParams) -> float:
             x = 0.5 * (lo + hi)
         else:
             x = min(max(lo + (hi - lo) * f_lo / (f_lo - f_hi), lo + tol / 2), hi - tol / 2)
-        live, f, at = margin(x)
+        live, f = margin(x)
         if live:
             if last == "lo":
                 f_hi /= 2
@@ -450,13 +457,11 @@ def reference_range(params: ScenarioParams) -> float:
         else:
             if last == "hi":
                 f_lo /= 2
-            hi, f_hi, dead, last = x, f, at, "hi"
+            hi, f_hi, last = x, f, "hi"
         if hi - lo <= width / 2:
             width, stalled = hi - lo, 0
         else:
             stalled += 1
-    if dead.p_raw == 0.0:
-        raise NonConvergenceError(f"transmittance underflows near {hi} km")
     return 0.5 * (lo + hi)
 
 

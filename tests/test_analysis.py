@@ -19,6 +19,7 @@ from dispersive_qkd.analysis import (
     sweep_distance,
 )
 from dispersive_qkd.keyrate import (
+    _QBER_LIMIT,
     DarkCountModel,
     ProtocolPoint,
     ScenarioParams,
@@ -115,27 +116,54 @@ def test_max_distance_no_extinction_raises():
 
 
 @pytest.mark.parametrize(
-    "params",
+    "params, expected",
     [
-        # p_raw hits 0 at 16145 km, found while the bracket grows
-        ScenarioParams(dark_rate=0.0, beta=0.0),
-        # p_raw hits 0 at 32.29 km, inside the first bracket; the QBER would
-        # cross its threshold only at about 35.8 km
-        ScenarioParams(dark_rate=0.0, alpha=100.0),
+        # the transmittance underflows to 0 at 16145 km, found while the
+        # bracket grows; without it the QBER stays near 0.004 at every
+        # distance, so the key never dies
+        (ScenarioParams(dark_rate=0.0, beta=0.0), NonConvergenceError),
+        # the transmittance underflows to 0 at 32.29 km, inside the first
+        # bracket; the QBER crosses its threshold only at about 35.8 km
+        (ScenarioParams(dark_rate=0.0, alpha=100.0), 35.81411661928892),
     ],
     ids=["bracket", "bisection"],
 )
-def test_max_distance_raises_where_transmittance_underflows(params):
-    # with no dark counts the point past the underflow is degenerate, so its
-    # zero rate says nothing about the QBER threshold
-    with pytest.raises(NonConvergenceError, match="underflows"):
-        max_distance(params)
+def test_max_distance_reads_the_qber_past_a_transmittance_underflow(params, expected):
+    # with no dark counts the QBER does not depend on the transmittance, so
+    # the search still sees the threshold where key_rate reads 0 at p_raw = 0
+    if expected is NonConvergenceError:
+        with pytest.raises(NonConvergenceError, match="no extinction point"):
+            max_distance(params)
+    else:
+        assert max_distance(params) == expected
+    assert _outcome(lambda: reference_range(params)) == expected
+
+
+def _qber_crossing(params, lo_km, hi_km):
+    """Where qber reaches _QBER_LIMIT on [lo_km, hi_km], by bisection to 1 mm."""
+    while hi_km - lo_km > 1e-6:
+        mid = 0.5 * (lo_km + hi_km)
+        if evaluate_point(params, mid * KM).qber < _QBER_LIMIT:
+            lo_km = mid
+        else:
+            hi_km = mid
+    return 0.5 * (lo_km + hi_km)
 
 
 def test_max_distance_without_dark_counts_ends_at_the_threshold():
-    # the QBER crosses its threshold before the transmittance underflows
-    assert max_distance(ScenarioParams(dark_rate=0.0)) == 36.945907097594095
-    assert max_distance(ScenarioParams(dark_rate=0.0, alpha=64.7)) == 35.814954065956215
+    # the crossing is 36.9495 km at 0.2 dB/km; at higher loss the
+    # transmittance cancels from the QBER as it underflows, and the crossing
+    # settles at 35.8173 km
+    pinned = {
+        0.2: 36.945907097594095,
+        64.7: 35.81411661928892,
+        100.0: 35.81411661928892,
+        1000.0: 35.81411661928892,
+    }
+    for alpha, l_max in pinned.items():
+        params = ScenarioParams(dark_rate=0.0, alpha=alpha)
+        assert max_distance(params) == l_max
+        assert abs(l_max - _qber_crossing(params, 0.0, 100.0)) <= analysis._L_TOL_KM / 2
 
 
 def _outcome(run):

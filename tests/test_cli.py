@@ -187,7 +187,7 @@ def test_point_defaults(capsys):
     out = capsys.readouterr().out
     assert "key_rate = 0.3141328553" in out
     assert "qber" in out and "p_raw" in out
-    assert "sentinel" not in out
+    assert "#" not in out
 
 
 def test_point_ideal_limit(capsys):
@@ -208,6 +208,22 @@ def test_point_beyond_extinction(capsys):
     assert main(["point", "--set", "distance_km=120"]) == 0
     out = capsys.readouterr().out
     assert "key_rate = 0\n" in out
+
+
+def test_point_at_zero_raw_key_probability(capsys):
+    # no dark counts: the transmittance underflows to 0 but cancels from the
+    # QBER, which the table still reports
+    args = ["point", "--set", "dark_rate_hz=0", "--set", "alpha_db_per_km=100"]
+    assert main([*args, "--set", "distance_km=35"]) == 0
+    out = capsys.readouterr().out
+    assert "p_raw    = 0\n" in out and "qber     = 0.1054339285\n" in out
+    assert out.endswith("# raw-key probability is zero: no key; qber reads 0.5 if undefined\n")
+    # 5000 dark counts per window on average: no window holds zero or one,
+    # and the QBER is the 0.5 sentinel
+    poisson = ["--set", "dark_model=exact_poisson", "--set", "dark_rate_hz=1e14"]
+    assert main(["point", *poisson]) == 0
+    out = capsys.readouterr().out
+    assert "qber     = 0.5\n" in out and "# raw-key probability is zero" in out
 
 
 def test_point_per_second_units(capsys):
@@ -452,10 +468,23 @@ def test_exit_code_3_on_non_convergence(capsys):
     commands = [
         # lossless dispersionless channel: the secure range never ends
         ["lmax", "--set", "alpha_db_per_km=0", "--set", "beta_e26=0"],
-        # no dark counts, no dispersion: the transmittance underflows at
-        # 16145 km while the QBER still sits near 0.005
+        # no dark counts, no dispersion: the QBER, free of the transmittance,
+        # sits near 0.004 at every distance
         ["lmax", "--set", "dark_rate_hz=0", "--set", "beta_e26=0"],
     ]
     for args in commands:
         assert main(args) == 3, args
         assert "converge" in capsys.readouterr().err
+
+
+def test_no_dark_counts_search_past_a_transmittance_underflow(capsys):
+    # at 100 dB/km the transmittance underflows to 0 at 32.29 km, while the
+    # QBER crosses its threshold only at about 35.8 km
+    ideal = ["--set", "dark_rate_hz=0", "--set", "alpha_db_per_km=100"]
+    assert main(["lmax", *ideal]) == 0
+    assert capsys.readouterr().out == "L_max_km = 35.81411662\n"
+    assert main(["sweep", *ideal, "--set", "l_steps=4"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 6
+    # past the underflow the raw-key probability is 0, the QBER is not
+    assert rows[-1].split(",")[4:] == ["0", "0.1478877366", "0"]

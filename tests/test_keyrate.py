@@ -4,6 +4,7 @@ per-distance pipeline."""
 import dataclasses
 import inspect
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,14 +309,48 @@ def test_protocol_point_is_a_frozen_record_of_its_fields():
 
 
 def test_degenerate_point_sentinel():
-    # eta underflows to exactly 0 at an absurd distance; with darks off the
-    # raw-key probability hits 0 and the sentinel engages
-    params = ScenarioParams(dark_rate=0.0, alpha=1000.0)
-    point = evaluate_point(params, 1e7)
+    # 5000 dark counts per window on average: e^-5000 underflows, so the
+    # window never holds zero or one dark count, and the raw-key probability
+    # and the QBER's denominator are both 0
+    params = ScenarioParams(dark_model=POISSON, dark_rate=1e14)
+    point = evaluate_point(params, 0.0)
+    assert point.p_zero == point.p_one == 0.0
     assert point.p_raw == 0.0
     assert point.degenerate
     assert point.qber == 0.5
     assert point.key_rate == 0.0
+    # eta underflows to exactly 0 at an absurd distance; with darks off the
+    # raw-key probability hits 0, but eta cancels from the QBER, which stays
+    # the ratio of leaked to captured light
+    params = ScenarioParams(dark_rate=0.0, alpha=1000.0)
+    point = evaluate_point(params, 1e7)
+    assert point.p_raw == 0.0
+    assert point.degenerate
+    leak = point.p_w
+    assert point.qber == 0.5 * leak / (point.p_sig + leak)
+    assert abs(point.qber - 0.3331361892) <= 1e-10
+    assert point.key_rate == 0.0
+
+
+@pytest.mark.parametrize(
+    "alpha, l_km, decades",
+    [(10.0, 30.0, 30), (100.0, 32.0, 320), (110.0, 30.0, 330), (200.0, 20.0, 400)],
+    ids=["eta1e-30", "eta1e-320", "eta1e-330", "eta1e-400"],
+)
+def test_qber_without_dark_counts_matches_its_exact_definition(alpha, l_km, decades):
+    # qber's definition, 0.25 err_mass / p_raw, in exact rationals with
+    # eta = 10^-decades exactly: the float eta is subnormal at 1e-320 and 0
+    # beyond, where only the eta-free form keeps the QBER exact
+    params = ScenarioParams(dark_rate=0.0, alpha=alpha)
+    point = evaluate_point(params, l_km * KM)
+    eta = Fraction(1, 10 ** decades)
+    a, w = Fraction(point.p_sig), Fraction(point.p_w)
+    p_zero, p_one = Fraction(point.p_zero), Fraction(point.p_one)
+    p_det = eta * (a + w * (1 - eta * a))
+    err_mass = eta * w * (1 - eta * a) * p_zero + (1 - p_det) * p_one
+    p_raw = (p_det * p_zero + (1 - p_det) * p_one) / 2
+    exact = err_mass / (4 * p_raw)
+    assert abs(Fraction(point.qber) - exact) <= Fraction(1, 10 ** 12) * exact
 
 
 def test_dark_model_equivalence_on_key_rate():
