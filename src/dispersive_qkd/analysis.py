@@ -11,7 +11,7 @@ from .keyrate import (
     ProtocolPoint,
     ScenarioParams,
     _stages,
-    _window_dark_probs,
+    dark_probs,
     evaluate_point,
 )
 
@@ -42,9 +42,8 @@ maximize_scalar = None
 _L_HINT_KM = 50.0
 _L_TOL_KM = 0.01
 _BRACKET_CEILING_KM = 1e7
-# what the searches read of keyrate._stages: ProtocolPoint's values, in its
-# field order, as a plain tuple
-_Stages = tuple[float, ...]
+# where the search reads the qber in keyrate._stages' tuple, ProtocolPoint's
+# values in field order
 _QBER = [f.name for f in fields(ProtocolPoint)].index("qber")
 
 
@@ -108,42 +107,62 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
     return SweepResult(rows=rows)
 
 
-def _edge(point: Callable[[float], _Stages], anchor: float = 0.0) -> float:
-    """Far edge (km) of the secure set, where point(L_km) has qber <
-    _QBER_LIMIT; 0.0 if L = 0 lies outside it.
+def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
+    """Far edge (km) of the secure set along the chirp path L -> chirp_at(L):
+    where the pipeline of params with the source chirp chirp_at(L) has
+    qber < _QBER_LIMIT at L km; 0.0 if L = 0 lies outside it. The one
+    secure-range search, shared by max_distance and optimal_chirp.
 
     With dark counts that is where key_rate > 0. Without them the
     transmittance cancels from the QBER, so the QBER still decides where the
     float transmittance has reached 0 and p_raw and key_rate read 0.
 
-    point returns the tuple of keyrate._stages, the one composition of the
-    pipeline, with the search's dark-count probabilities fixed; _edge reads
-    its qber alone and builds no record.
+    Each step runs keyrate._stages, the one composition of the pipeline,
+    with the window's dark-count probabilities computed once per search and
+    the path's chirp passed in, and reads its qber alone: no step builds a
+    ProtocolPoint or a ScenarioParams.
 
     The sign of the QBER margin _QBER_LIMIT - qber decides the side of every
-    point. The bracket's live end is L = 0, or the anchor (km, if > 0) where
-    that is secure too; its top starts _L_HINT_KM above and doubles until it
-    is not. Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on that
-    margin, which is smooth where the rate's positive part has a kink, then
-    shrinks it. Each step lands at least _L_TOL_KM / 2 inside the bracket,
-    and a bisection step follows any two steps that did not halve it. Where
-    the anchor is not secure, the secure set may have a gap below it that
-    interpolation from L = 0 would stop in, so every step bisects. Stops at
-    width _L_TOL_KM and returns the midpoint. Raises NonConvergenceError
-    where the QBER is still below the threshold past _BRACKET_CEILING_KM: a
-    secure range that never ends.
+    point. Where the source chirp c0 = chirp_at(0) focuses (c0 beta > 0),
+    the pulse narrows down to the focal point L_f = c0 sigma^2 /
+    ((1 + c0^2) beta), so the secure set may die and start again before
+    L_f; past L_f the width only grows. L_f is the anchor. The bracket's
+    live end is L = 0, or L_f where that is secure too; its top starts
+    _L_HINT_KM above and doubles until it is not. Illinois regula falsi
+    (Dowell & Jarratt, BIT 11, 1971) on that margin, which is smooth where
+    the rate's positive part has a kink, then shrinks it. Each step lands at
+    least _L_TOL_KM / 2 inside the bracket, and a bisection step follows any
+    two steps that did not halve it. Where L_f is not secure, the secure
+    set may have a gap below it that interpolation from L = 0 would stop
+    in, so every step bisects. Stops at width _L_TOL_KM and returns the
+    midpoint. Raises NonConvergenceError where the QBER is still below the
+    threshold past _BRACKET_CEILING_KM: a secure range that never ends.
+
+    The anchor holds along a path whose chirp is c0 up to past L_f, and
+    optimal_chirp's is: it is c0 up to sigma^2 / (|c0| |beta|), which
+    exceeds L_f by the factor (1 + c0^2) / c0^2.
     """
-    f_lo = _QBER_LIMIT - point(0.0)[_QBER]
+    p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
+
+    def margin(l_km: float) -> float:
+        at = _stages(params, chirp_at(l_km), p_zero, p_one, l_km * _M_PER_KM)
+        return _QBER_LIMIT - at[_QBER]
+
+    f_lo = margin(0.0)
     if not f_lo > 0.0:
         return 0.0
     lo, bisect = 0.0, False
-    if 0.0 < anchor < _BRACKET_CEILING_KM:
-        if (f := _QBER_LIMIT - point(anchor)[_QBER]) > 0.0:
-            lo, f_lo = anchor, f
-        else:
-            bisect = True
+    c0 = chirp_at(0.0)
+    if c0 * params.beta > 0.0:
+        s2 = params.sigma * params.sigma
+        focal_km = c0 * s2 / ((1.0 + c0 * c0) * params.beta) / _M_PER_KM
+        if 0.0 < focal_km < _BRACKET_CEILING_KM:
+            if (f := margin(focal_km)) > 0.0:
+                lo, f_lo = focal_km, f
+            else:
+                bisect = True
     hi = lo + _L_HINT_KM
-    while (f_hi := _QBER_LIMIT - point(hi)[_QBER]) > 0.0:
+    while (f_hi := margin(hi)) > 0.0:
         lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > _BRACKET_CEILING_KM:
@@ -160,7 +179,7 @@ def _edge(point: Callable[[float], _Stages], anchor: float = 0.0) -> float:
         else:
             l_km = lo + (hi - lo) * f_lo / (f_lo - f_hi)
             l_km = min(max(l_km, lo + half_tol), hi - half_tol)
-        f = _QBER_LIMIT - point(l_km)[_QBER]
+        f = margin(l_km)
         if f > 0.0:
             lo, f_lo = l_km, f
             if side < 0:
@@ -182,28 +201,13 @@ def max_distance(params: ScenarioParams) -> float:
     """Largest secure distance in km; 0.0 if the rate is dead at L = 0.
 
     The far edge of the set where qber < _QBER_LIMIT (with dark counts,
-    where key_rate > 0), found by _edge to within _L_TOL_KM / 2. Raises
+    where key_rate > 0) at params' own chirp, found by _edge to within
+    _L_TOL_KM / 2: from the focal point of a focusing chirp where the rate
+    is live there, so the far edge of a split set, not the near one. Raises
     NonConvergenceError where the QBER is still below the threshold past
-    _BRACKET_CEILING_KM. Each step runs keyrate._stages, the composition
-    that evaluate_point wraps, and reads its tuple: the window's dark-count
-    probabilities are computed once per search, and no step builds a
-    ProtocolPoint. A focusing chirp (C beta > 0) narrows the pulse down to
-    the focal point L_f = C sigma^2 / ((1 + C^2) beta), so the secure set
-    may die and start again before L_f. L_f is _edge's anchor: where the
-    rate is live there, the search starts from it and returns the far edge,
-    not the near one.
+    _BRACKET_CEILING_KM.
     """
-    focal_km = 0.0
-    if params.chirp * params.beta > 0.0:
-        s2 = params.sigma * params.sigma
-        focal_km = params.chirp * s2 / ((1.0 + params.chirp * params.chirp) * params.beta)
-        focal_km /= _M_PER_KM
-    p_zero, p_one = _window_dark_probs(params)
-
-    def at(l_km: float) -> _Stages:
-        return _stages(params, p_zero, p_one, l_km * _M_PER_KM)
-
-    return _edge(at, focal_km)
+    return _edge(params, lambda _: params.chirp)
 
 
 def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
@@ -215,7 +219,8 @@ def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
     compensates the fiber's dispersion (Agrawal, Nonlinear Fiber Optics,
     ch. 3). Where the key rate falls as the detected width grows, the best
     chirp at L is c(L) = clip(sigma^2 / (beta L), c_min, c_max), the best
-    range L* is the far edge of the secure set along c(L), and this returns
+    range L* is the far edge of the secure set along c(L), found by _edge
+    from the focal point of c(0) like max_distance's, and this returns
     c(L*). With beta = 0 the chirp has no effect and this returns the value
     nearest 0; where the rate is dead at the source, c(0), the edge on
     beta's side.
@@ -237,13 +242,7 @@ def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
         c = s2 / bl if bl else math.copysign(math.inf, params.beta)
         return min(max(c, c_min), c_max)
 
-    p_zero, p_one = _window_dark_probs(params)  # the chirp does not change them
-
-    def at_best(l_km: float) -> _Stages:
-        at_c = replace(params, chirp=chirp_at(l_km))
-        return _stages(at_c, p_zero, p_one, l_km * _M_PER_KM)
-
-    return chirp_at(_edge(at_best))
+    return chirp_at(_edge(params, chirp_at))
 
 
 def scan_chirp(params: ScenarioParams, c_grid: Iterable[float]) -> ChirpScanResult:

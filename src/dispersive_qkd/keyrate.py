@@ -242,29 +242,25 @@ class ProtocolPoint:
         return self.p_raw == 0.0
 
 
-def _window_dark_probs(params: ScenarioParams) -> tuple[float, float]:
-    """dark_probs of params' window: the same at every distance and chirp."""
-    return dark_probs(params.dark_rate * params.window, params.dark_model)
-
-
 def _stages(
-    params: ScenarioParams, p_zero: float, p_one: float, distance: float
+    params: ScenarioParams, chirp: float, p_zero: float, p_one: float, distance: float
 ) -> tuple[float, float, float, float, float, float, float, float]:
-    """The pipeline at one propagation distance (meters), given the window's
-    dark-count probabilities: ProtocolPoint's values, in field order, as a
-    plain tuple.
+    """The pipeline at one propagation distance (meters) and source chirp,
+    given the window's dark-count probabilities: ProtocolPoint's values, in
+    field order, as a plain tuple.
 
-    The one composition of the helpers. evaluate_point wraps its tuple in a
-    ProtocolPoint; the secure-range searches read theirs as it is and take
-    p_zero and p_one once per search. params was validated when it was
-    built, so its scalars feed the formulas directly. Where the window holds
-    no dark counts, the QBER is qber's err_mass / (4 p_raw) with eta and
-    p_zero cancelled, which stays exact where eta is subnormal or 0; see
-    ProtocolPoint for the p_raw = 0 edge.
+    The one composition of the helpers. evaluate_point passes params.chirp
+    and wraps the tuple in a ProtocolPoint; the secure-range search reads
+    its tuple as it is, takes p_zero and p_one once per search, and passes
+    the chirp of its path, so no step builds a parameter record. params was
+    validated when it was built, so its scalars feed the formulas directly.
+    Where the window holds no dark counts, the QBER is qber's
+    err_mass / (4 p_raw) with eta and p_zero cancelled, which stays exact
+    where eta is subnormal or 0; see ProtocolPoint for the p_raw = 0 edge.
     """
     if not 0.0 <= distance < math.inf:
         raise ValueError(f"distance must be >= 0 meters, got {distance}")
-    sigma_l = broadened_sigma(params.sigma, params.chirp, params.beta, distance)
+    sigma_l = broadened_sigma(params.sigma, chirp, params.beta, distance)
     sigma_tot = detected_sigma(sigma_l, params.jitter)
     p_sig = p_signal(sigma_tot, params.window)
     q = shifted_window_mass(sigma_tot, params.window, params.period)
@@ -285,8 +281,9 @@ def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
 
     The window's dark-count probabilities, then the shared stage function
     _stages, whose tuple becomes the ProtocolPoint. Sweeps and the CLI's
-    point read this record; the secure-range searches call _stages directly.
+    point read this record; the secure-range search calls _stages directly.
     """
-    # _window_dark_probs written out: as a call it cost each sweep row ~5%
+    # the same line as analysis._edge's, written out here: a shared helper
+    # call cost each sweep row ~5%
     p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
-    return ProtocolPoint(*_stages(params, p_zero, p_one, distance))
+    return ProtocolPoint(*_stages(params, params.chirp, p_zero, p_one, distance))

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Callable
@@ -373,6 +372,11 @@ def moments(
     return norm, s * mean_u, s * s * var_u
 
 
+# the smallest float q at which 1 - 2 H(q) <= 0, written out apart from
+# keyrate's own constant: the searches' security test is qber below it
+_QBER_LIMIT = 0.11002786443835955
+
+
 def composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     """The pipeline rebuilt from the public helpers."""
     sigma_l = broadened_sigma(params.sigma, params.chirp, params.beta, distance)
@@ -407,39 +411,31 @@ def reference_range(params: ScenarioParams) -> float:
     dies (giving up past 1e7 km). Illinois regula falsi on the QBER margin,
     with bisection after two steps that do not halve the bracket, then
     shrinks it to 10 m; the result is its midpoint. Where the rate is dead
-    at L_f, every step bisects. Live means key_rate > 0, or where p_raw = 0
-    (the transmittance is 0 in floating point) qber below its threshold.
+    at L_f, every step bisects. Live means qber below its threshold, which
+    with dark counts is where key_rate > 0; the interpolation reads the raw
+    margin, the threshold minus qber.
     """
     # kept apart from analysis's own constants
-    l_hint, tol, ceiling, q_limit = 50.0, 0.01, 1e7, 0.11002786443835955
-    tiny = sys.float_info.min
+    l_hint, tol, ceiling = 50.0, 0.01, 1e7
 
-    def margin(l_km: float) -> tuple[bool, float]:
-        at = composed_point(params, l_km * 1e3)
-        m = q_limit - at.qber
-        live = at.key_rate > 0.0 if at.p_raw > 0.0 else m > 0.0
-        if live:
-            return True, max(m, tiny)
-        return False, min(m, -tiny)
+    def margin(l_km: float) -> float:
+        return _QBER_LIMIT - composed_point(params, l_km * 1e3).qber
 
-    live, f_lo = margin(0.0)
-    if not live:
+    f_lo = margin(0.0)
+    if not f_lo > 0.0:
         return 0.0
     lo, bisect = 0.0, False
     if params.chirp * params.beta > 0.0:
         c, s = params.chirp, params.sigma
         l_f = c * (s * s) / ((1.0 + c * c) * params.beta) / 1e3
         if 0.0 < l_f < ceiling:
-            live, f = margin(l_f)
-            if live:
+            f = margin(l_f)
+            if f > 0.0:
                 lo, f_lo = l_f, f
             else:
                 bisect = True
     hi = lo + l_hint
-    while True:
-        live, f_hi = margin(hi)
-        if not live:
-            break
+    while (f_hi := margin(hi)) > 0.0:
         lo, f_lo, hi = hi, f_hi, 2.0 * hi
         if hi > ceiling:
             raise NonConvergenceError(f"rate still positive at {lo} km")
@@ -449,8 +445,8 @@ def reference_range(params: ScenarioParams) -> float:
             x = 0.5 * (lo + hi)
         else:
             x = min(max(lo + (hi - lo) * f_lo / (f_lo - f_hi), lo + tol / 2), hi - tol / 2)
-        live, f = margin(x)
-        if live:
+        f = margin(x)
+        if f > 0.0:
             if last == "lo":
                 f_hi /= 2
             lo, f_lo, last = x, f, "lo"
@@ -466,14 +462,15 @@ def reference_range(params: ScenarioParams) -> float:
 
 
 def bisection_range(params: ScenarioParams) -> float:
-    """The far edge by plain bisection of key_rate > 0 over the composed
-    pipeline, the search max_distance ran before regula falsi: 0.0 if dead
-    at the source, else double a 50 km first bracket until the rate dies
-    (giving up past 1e7 km), then bisect it to 10 m."""
+    """The far edge by plain bisection of qber below its threshold (with
+    dark counts, key_rate > 0) over the composed pipeline, the search
+    max_distance ran before regula falsi: 0.0 if dead at the source, else
+    double a 50 km first bracket until the rate dies (giving up past 1e7
+    km), then bisect it to 10 m."""
     l_hint, tol = 50.0, 0.01
 
     def secure(l_km: float) -> bool:
-        return composed_point(params, l_km * 1e3).key_rate > 0.0
+        return composed_point(params, l_km * 1e3).qber < _QBER_LIMIT
 
     if not secure(0.0):
         return 0.0

@@ -2,7 +2,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from dispersive_qkd import analysis, keyrate
 from dispersive_qkd.analysis import (
@@ -196,6 +196,14 @@ def test_max_distance_is_an_extinction_edge_no_shorter_than_bisection(params):
     assert got >= bisection_range(params) - tol
 
 
+def test_bisection_floor_reads_the_qber_without_dark_counts():
+    # the transmittance underflows to 0 at about 32.3 km, where key_rate
+    # reads 0; both searches decide by qber < _QBER_LIMIT and end near its
+    # crossing at 35.817 km, not at the underflow
+    params = ScenarioParams(dark_rate=0.0, alpha=100.0)
+    assert abs(bisection_range(params) - max_distance(params)) <= 0.01
+
+
 # Focusing chirps whose secure set splits below the focal point L_f =
 # C sigma^2 / ((1 + C^2) beta): secure on about [0, 0.8] and [6.9, 26.8] km
 # with the rate live at L_f = 17 km, and on [0, 2.8] and [11.3, 41.5] km with
@@ -270,6 +278,22 @@ def test_secure_range_search_builds_no_point_record(monkeypatch):
     assert built == 0
     sweep_distance(ScenarioParams(), [0.0, 10.0])
     assert built == 2
+
+
+def test_optimal_chirp_builds_no_parameter_record(monkeypatch):
+    # the search passes each step's chirp to keyrate._stages, not a record
+    params = ScenarioParams()
+    built = 0
+    real = ScenarioParams.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        real(self)
+
+    monkeypatch.setattr(ScenarioParams, "__post_init__", counted)
+    optimal_chirp(params, -2.0, 2.0)
+    assert built == 0
 
 
 def test_qber_limit_is_where_the_rate_factor_dies():
@@ -364,6 +388,16 @@ def test_optimal_chirp_defaults_and_edges():
 # about one draw in six passes the assume below
 @settings(deadline=None, max_examples=30, suppress_health_check=[HealthCheck.filter_too_much])
 @given(params=domain_params())
+# secure along c(L) on [0, 1.29] km and again from about 78 to 236 km: a
+# search from L = 0 stops at the near edge, where c clips to -2 (234.59 km
+# against 236.07 km at C = -1.786)
+@example(
+    params=ScenarioParams(
+        sigma=8.659643233600653e-11, beta=-1.778279410038923e-26, alpha=0.25,
+        dark_rate=749.8942093324558, period=1.333521432163324e-10, jitter=0.0,
+        window=1.333521432163324e-10,
+    )
+)
 def test_optimal_chirp_reaches_a_fine_chirp_grid(params):
     # brute force: the reference range at each of 161 chirps on [-2, 2]; the
     # closed form rests on the rate not rising with the detected width, which

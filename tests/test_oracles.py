@@ -1,9 +1,91 @@
-"""The bisection root finder in tests/oracles.py, which criterion 06 uses."""
+"""The adaptive quadrature under the propagator, width and jitter oracles
+in tests/oracles.py, and its bisection root finder, which criterion 06
+uses."""
+
+import math
+import random
 
 import pytest
 
+from dispersive_qkd.analysis import NonConvergenceError
 from dispersive_qkd.keyrate import binary_entropy
-from oracles import Bracket, BracketError, find_root
+from oracles import Bracket, BracketError, QuadratureSpec, find_root, integrate
+
+
+def test_quadrature_spec_defaults():
+    spec = QuadratureSpec()
+    assert spec.abs_tol == 1e-12
+    assert spec.rel_tol == 1e-10
+    assert spec.max_subdivisions == 2 ** 14
+    assert spec.tail_sigmas == 12.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"abs_tol": 0.0},
+        {"abs_tol": -1e-9},
+        {"rel_tol": 0.0},
+        {"max_subdivisions": 0},
+        {"tail_sigmas": 7.9},
+    ],
+)
+def test_quadrature_spec_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        QuadratureSpec(**kwargs)
+
+
+def test_integrate_constant():
+    assert abs(integrate(lambda t: 1.0, 0.0, 1.0).real - 1.0) < 1e-12
+
+
+def test_integrate_normal_density():
+    val = integrate(
+        lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi), -12.0, 12.0
+    )
+    assert abs(val.real - 1.0) < 1e-10
+    assert val.imag == 0.0
+
+
+def test_integrate_odd_integrand():
+    val = integrate(lambda t: t * math.exp(-t * t / 2.0), -12.0, 12.0)
+    assert abs(val.real) < 1e-12
+
+
+def test_integrate_complex_integrand():
+    val = integrate(lambda t: complex(math.cos(t), math.sin(t)), 0.0, math.pi)
+    assert abs(val - 2.0j) < 1e-12
+
+
+def test_integrate_gaussian_densities_random_scales():
+    rng = random.Random(7)
+    spec = QuadratureSpec()
+    for _ in range(25):
+        sigma = 10.0 ** rng.uniform(-12.0, 1.0)
+        val = integrate(
+            lambda t: math.exp(-t * t / (2.0 * sigma * sigma))
+            / (math.sqrt(2.0 * math.pi) * sigma),
+            -spec.tail_sigmas * sigma,
+            spec.tail_sigmas * sigma,
+            spec,
+        ).real
+        assert abs(val - 1.0) < spec.abs_tol * 10
+
+
+def test_integrate_rejects_bad_bounds():
+    with pytest.raises(ValueError):
+        integrate(lambda t: 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        integrate(lambda t: 1.0, 2.0, 1.0)
+
+
+def test_integrate_raises_on_exhausted_budget():
+    spec = QuadratureSpec(max_subdivisions=16)
+    with pytest.raises(NonConvergenceError):
+        integrate(lambda t: math.sqrt(abs(t)), -1.0, 1.0, spec)
+    # the same cusp converges once the budget is realistic
+    val = integrate(lambda t: math.sqrt(abs(t)), -1.0, 1.0).real
+    assert abs(val - 4.0 / 3.0) < 1e-9
 
 
 def test_bracket_requires_lo_below_hi():
