@@ -3,17 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, Union
 
-from .keyrate import (
-    _QBER_LIMIT,
-    ProtocolPoint,
-    ScenarioParams,
-    _stages,
-    dark_probs,
-    evaluate_point,
-)
+from .keyrate import _QBER_LIMIT, ProtocolPoint, ScenarioParams, _qber_stage, evaluate_point
 
 __all__ = [
     "NonConvergenceError",
@@ -42,9 +35,6 @@ maximize_scalar = None
 _L_HINT_KM = 50.0
 _L_TOL_KM = 0.01
 _BRACKET_CEILING_KM = 1e7
-# where the search reads the qber in keyrate._stages' tuple, ProtocolPoint's
-# values in field order
-_QBER = [f.name for f in fields(ProtocolPoint)].index("qber")
 
 
 class NonConvergenceError(RuntimeError):
@@ -117,9 +107,9 @@ def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
     transmittance cancels from the QBER, so the QBER still decides where the
     float transmittance has reached 0 and p_raw and key_rate read 0.
 
-    Each step runs keyrate._stages, the one composition of the pipeline,
-    with the window's dark-count probabilities computed once per search and
-    the path's chirp passed in, and reads its qber alone: no step builds a
+    Each step runs keyrate._qber_stage, the pipeline up to the QBER, with
+    mu = rate * window computed once per search and the path's chirp passed
+    in: no step reads the dark model, runs the rate tail, or builds a
     ProtocolPoint or a ScenarioParams.
 
     The sign of the QBER margin _QBER_LIMIT - qber decides the side of every
@@ -142,11 +132,10 @@ def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
     optimal_chirp's is: it is c0 up to sigma^2 / (|c0| |beta|), which
     exceeds L_f by the factor (1 + c0^2) / c0^2.
     """
-    p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
+    mu = params.dark_rate * params.window
 
     def margin(l_km: float) -> float:
-        at = _stages(params, chirp_at(l_km), p_zero, p_one, l_km * _M_PER_KM)
-        return _QBER_LIMIT - at[_QBER]
+        return _QBER_LIMIT - _qber_stage(params, chirp_at(l_km), mu, l_km * _M_PER_KM)[3]
 
     f_lo = margin(0.0)
     if not f_lo > 0.0:
@@ -225,11 +214,12 @@ def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
     nearest 0; where the rate is dead at the source, c(0), the edge on
     beta's side.
 
-    The rate falls with the width while one dark count per window is no
-    likelier than none (p_one <= p_zero). Beyond that a missed signal photon
-    yields a raw-key bit more often than a detected one, a wider pulse can
-    reach farther, and c(L*) may fall short of another chirp; scan_chirp
-    keeps its grid samples for this case.
+    The rate falls with the width while the window holds at most one dark
+    count on average (mu = rate * window <= 1, where one is no likelier than
+    none). Beyond that a missed signal photon yields a raw-key bit more
+    often than a detected one, a wider pulse can reach farther, and c(L*)
+    may fall short of another chirp; scan_chirp keeps its grid samples for
+    this case.
     """
     if not c_min <= c_max:
         raise GridError(f"need c_min <= c_max, got [{c_min}, {c_max}]")

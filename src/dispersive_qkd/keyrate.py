@@ -72,6 +72,13 @@ def p_detect(eta: float, p_sig: float, p_w: float) -> float:
     return eta * (p_sig + p_w * (1.0 - eta * p_sig))
 
 
+def _linearized_domain_error(mean_count: float) -> ValueError:
+    return ValueError(
+        f"linearized dark model needs rate*window < 1, got {mean_count}; "
+        "use the exact_poisson model for this regime"
+    )
+
+
 def dark_probs(mean_count: float, model: DarkCountModel) -> tuple[float, float]:
     """(p_zero, p_one): no dark count / exactly one dark count in a window
     that holds `mean_count` = rate * window dark counts on average."""
@@ -79,10 +86,7 @@ def dark_probs(mean_count: float, model: DarkCountModel) -> tuple[float, float]:
         e = math.exp(-mean_count)
         return e, mean_count * e
     if mean_count >= 1.0:
-        raise ValueError(
-            f"linearized dark model needs rate*window < 1, got {mean_count}; "
-            "use the exact_poisson model for this regime"
-        )
+        raise _linearized_domain_error(mean_count)
     return 1.0 - mean_count, mean_count * (1.0 - mean_count)
 
 
@@ -93,25 +97,25 @@ def p_raw_key(p_det: float, p_zero: float, p_one: float) -> float:
     return (p_det * p_zero + (1.0 - p_det) * p_one) / 2.0
 
 
-def qber(
-    eta: float,
-    p_sig: float,
-    p_w: float,
-    p_det: float,
-    p_zero: float,
-    p_one: float,
-    p_raw: float,
-) -> float:
-    """Error fraction of the sifted key.
+def qber(eta: float, p_sig: float, p_w: float, p_det: float, mu: float) -> float:
+    """Error fraction of the sifted key, given mu = rate * window.
 
     Errors come from a surviving neighbor photon caught while the signal was
     missed, or from a lone dark count; either flips the recorded bit half of
-    the time.
+    the time. That is 0.25 err_mass / p_raw with err_mass = eta leak p_zero +
+    (1 - p_det) p_one and leak = p_w (1 - eta p_sig), which reads the dark
+    counts only through p_one / p_zero = mu under both models. Divided by
+    p_zero it is 0.5 (eta leak + D mu) / (p_det + D mu) with D = 1 - p_det,
+    exact where p_zero and p_one underflow. Without dark counts eta cancels
+    as well, which keeps it exact down to eta = 0.
     """
-    if p_raw <= 0.0:
-        raise ValueError("qber is undefined at p_raw = 0 (degenerate denominator)")
-    err_mass = eta * p_w * (1.0 - eta * p_sig) * p_zero + (1.0 - p_det) * p_one
-    return 0.25 * err_mass / p_raw
+    leak = p_w * (1.0 - eta * p_sig)
+    if mu > 0.0:
+        d_mu = (1.0 - p_det) * mu
+        return 0.5 * (eta * leak + d_mu) / (p_det + d_mu)
+    if not p_sig + leak > 0.0:
+        raise ValueError("qber is undefined at mu = 0 with p_sig = p_w = 0 (0/0)")
+    return 0.5 * leak / (p_sig + leak)
 
 
 def binary_entropy(q: float) -> float:
@@ -190,16 +194,21 @@ class ScenarioParams:
             raise ValueError(f"jitter must be >= 0 seconds, got {self.jitter}")
         if not (self.window > 0 and math.isfinite(self.window)):
             raise ValueError(f"window must be > 0 seconds, got {self.window}")
+        # dark_probs checks this too, but the QBER reads only mu, so the
+        # secure-range search never calls it
+        mu = self.dark_rate * self.window
+        if self.dark_model is DarkCountModel.PAPER_LINEARIZED and mu >= 1.0:
+            raise _linearized_domain_error(mu)
 
 
 @dataclass(frozen=True, init=False)
 class ProtocolPoint:
     """Every intermediate of the pipeline at one distance.
 
-    At the degenerate p_raw = 0 edge key_rate is exactly 0. Where the window
-    holds no dark counts, qber is still exact there: the transmittance
-    cancels from it. Where even that is 0/0 (p_sig = p_w = 0), or where
-    p_zero = p_one = 0, qber carries the 0.5 sentinel.
+    At the degenerate p_raw = 0 edge key_rate is exactly 0, and qber is
+    still exact: it reads the dark counts through mu = rate * window alone,
+    and without them the transmittance cancels from it. Only at mu = 0 with
+    p_sig = p_w = 0, where it is 0/0, does qber carry the 0.5 sentinel.
     """
 
     p_sig: float
@@ -242,21 +251,18 @@ class ProtocolPoint:
         return self.p_raw == 0.0
 
 
-def _stages(
-    params: ScenarioParams, chirp: float, p_zero: float, p_one: float, distance: float
-) -> tuple[float, float, float, float, float, float, float, float]:
-    """The pipeline at one propagation distance (meters) and source chirp,
-    given the window's dark-count probabilities: ProtocolPoint's values, in
-    field order, as a plain tuple.
+def _qber_stage(
+    params: ScenarioParams, chirp: float, mu: float, distance: float
+) -> tuple[float, float, float, float]:
+    """(p_sig, p_w, p_det, qber) at one propagation distance (meters) and
+    source chirp, given mu = params.dark_rate * params.window.
 
-    The one composition of the helpers. evaluate_point passes params.chirp
-    and wraps the tuple in a ProtocolPoint; the secure-range search reads
-    its tuple as it is, takes p_zero and p_one once per search, and passes
-    the chirp of its path, so no step builds a parameter record. params was
+    The one composition of the helpers up to the QBER. evaluate_point passes
+    params.chirp and adds the rate tail; the secure-range search reads the
+    QBER alone, takes mu once per search, and passes the chirp of its path,
+    so no step builds a parameter record or reads the dark model. params was
     validated when it was built, so its scalars feed the formulas directly.
-    Where the window holds no dark counts, the QBER is qber's
-    err_mass / (4 p_raw) with eta and p_zero cancelled, which stays exact
-    where eta is subnormal or 0; see ProtocolPoint for the p_raw = 0 edge.
+    See ProtocolPoint for the 0.5 sentinel.
     """
     if not 0.0 <= distance < math.inf:
         raise ValueError(f"distance must be >= 0 meters, got {distance}")
@@ -267,23 +273,21 @@ def _stages(
     p_w = p_wrong(q)
     eta = transmittance(params.alpha, distance / 1000.0, params.transmittance_convention)
     p_det = p_detect(eta, p_sig, p_w)
-    p_raw = p_raw_key(p_det, p_zero, p_one)
-    if p_one == 0.0 < p_zero:  # no dark counts: eta cancels, exact to eta = 0
-        leak = p_w * (1.0 - eta * p_sig)
-        q_err = 0.5 * leak / (p_sig + leak) if p_sig + leak > 0.0 else 0.5
-    else:
-        q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw) if p_raw > 0.0 else 0.5
-    return p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
+    q_err = qber(eta, p_sig, p_w, p_det, mu) if mu > 0.0 or p_sig + p_w > 0.0 else 0.5
+    return p_sig, p_w, p_det, q_err
 
 
 def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     """Run the full pipeline at one propagation distance (meters).
 
-    The window's dark-count probabilities, then the shared stage function
-    _stages, whose tuple becomes the ProtocolPoint. Sweeps and the CLI's
-    point read this record; the secure-range search calls _stages directly.
+    The QBER stage _qber_stage, shared with the secure-range search, then
+    the rate tail: the window's dark-count probabilities, p_raw and the key
+    rate. Sweeps and the CLI's point read this record.
     """
-    # the same line as analysis._edge's, written out here: a shared helper
-    # call cost each sweep row ~5%
-    p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
-    return ProtocolPoint(*_stages(params, params.chirp, p_zero, p_one, distance))
+    mu = params.dark_rate * params.window
+    p_sig, p_w, p_det, q_err = _qber_stage(params, params.chirp, mu, distance)
+    p_zero, p_one = dark_probs(mu, params.dark_model)
+    p_raw = p_raw_key(p_det, p_zero, p_one)
+    return ProtocolPoint(
+        p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
+    )

@@ -386,16 +386,13 @@ def composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     p_w = p_wrong(q)
     eta = transmittance(params.alpha, distance / 1000.0, params.transmittance_convention)
     p_det = p_detect(eta, p_sig, p_w)
-    p_zero, p_one = dark_probs(params.dark_rate * params.window, params.dark_model)
-    p_raw = p_raw_key(p_det, p_zero, p_one)
-    if p_one == 0.0 < p_zero:
-        # no dark counts: the QBER with eta cancelled, exact down to eta = 0
-        leak = p_w * (1.0 - eta * p_sig)
-        q_err = 0.5 * leak / (p_sig + leak) if p_sig + leak > 0.0 else 0.5
-    elif p_raw > 0.0:
-        q_err = qber(eta, p_sig, p_w, p_det, p_zero, p_one, p_raw)
-    else:
+    mu = params.dark_rate * params.window
+    try:
+        q_err = qber(eta, p_sig, p_w, p_det, mu)
+    except ValueError:  # mu = 0 with p_sig = p_w = 0: the 0/0 sentinel
         q_err = 0.5
+    p_zero, p_one = dark_probs(mu, params.dark_model)
+    p_raw = p_raw_key(p_det, p_zero, p_one)
     return ProtocolPoint(
         p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
     )
@@ -507,10 +504,15 @@ def _decades(lo: float, hi: float):
 def domain_params(draw) -> ScenarioParams:
     """ScenarioParams over the documented robustness domain: sigma, jitter,
     window and period across three decades (windows may overlap), beta = 0
-    and jitter = 0 included, |C| up to 10, dark_rate * window up to and past
-    1 under both dark models, both transmittance conventions."""
+    and jitter = 0 included, |C| up to 10, dark_rate * window from 1e-9 up
+    to 2 under exact_poisson and below 1, the record's bound, under
+    paper_linearized, both transmittance conventions."""
     window = draw(_decades(1.0, 1000.0)) * 1e-12
-    exposure = draw(_decades(1e-9, 2.0))
+    dark_model = draw(st.sampled_from(DarkCountModel))
+    if dark_model is DarkCountModel.EXACT_POISSON:
+        exposure = draw(_decades(1e-9, 2.0))
+    else:
+        exposure = draw(_decades(1e-9, 1.0).filter(lambda e: e / window * window < 1.0))
     return ScenarioParams(
         sigma=draw(_decades(1.0, 1000.0)) * 1e-12,
         chirp=draw(st.floats(min_value=-10.0, max_value=10.0)),
@@ -529,6 +531,6 @@ def domain_params(draw) -> ScenarioParams:
         period=draw(_decades(10.0, 10000.0)) * 1e-12,
         jitter=draw(st.one_of(st.just(0.0), _decades(0.1, 100.0))) * 1e-12,
         window=window,
-        dark_model=draw(st.sampled_from(DarkCountModel)),
+        dark_model=dark_model,
         transmittance_convention=draw(st.sampled_from(TransmittanceConvention)),
     )

@@ -178,7 +178,7 @@ def _outcome(run):
 @given(params=domain_params())
 def test_max_distance_equals_reference_search(params):
     # dual route, bit for bit, over every outcome: a range, 0.0 when dead at
-    # the source, NonConvergenceError, and the linearized-dark ValueError
+    # the source, NonConvergenceError, and a ValueError
     got = _outcome(lambda: max_distance(params))
     assert got == _outcome(lambda: reference_range(params))
 
@@ -264,7 +264,7 @@ def test_scan_chirp_evaluation_budget(monkeypatch):
 
 
 def test_secure_range_search_builds_no_point_record(monkeypatch):
-    # the searches read keyrate._stages' tuple; sweeps still build records
+    # the searches read keyrate._qber_stage's tuple; sweeps still build records
     built = 0
     real = ProtocolPoint.__init__
 
@@ -280,8 +280,47 @@ def test_secure_range_search_builds_no_point_record(monkeypatch):
     assert built == 2
 
 
+def test_secure_range_search_runs_no_dark_model_or_rate_tail(monkeypatch):
+    # the search reads the QBER alone, through mu = rate * window, so it
+    # never asks the dark model for p_zero and p_one nor computes the rate
+    names = ("dark_probs", "p_raw_key", "key_rate", "binary_entropy")
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return counted
+
+    for name in names:
+        real = getattr(keyrate, name)
+        for module in (keyrate, analysis):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    params = ScenarioParams()
+    max_distance(params)
+    assert calls == dict.fromkeys(names, 0)
+    evaluate_point(params, 0.0)
+    assert calls == dict.fromkeys(names, 1)
+
+
+@settings(deadline=None, max_examples=200)
+@given(params=domain_params())
+def test_max_distance_does_not_depend_on_the_dark_model(params):
+    # both models give p_one / p_zero = mu = rate * window, the QBER reads
+    # nothing else of them, so below one dark count per window the secure
+    # range is the same float under either
+    assume(params.dark_rate * params.window < 1.0)
+
+    def under(model):
+        return _outcome(lambda: max_distance(replace(params, dark_model=model)))
+
+    assert under(DarkCountModel.PAPER_LINEARIZED) == under(DarkCountModel.EXACT_POISSON)
+
+
 def test_optimal_chirp_builds_no_parameter_record(monkeypatch):
-    # the search passes each step's chirp to keyrate._stages, not a record
+    # the search passes each step's chirp to keyrate._qber_stage, not a record
     params = ScenarioParams()
     built = 0
     real = ScenarioParams.__post_init__

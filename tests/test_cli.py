@@ -219,11 +219,12 @@ def test_point_at_zero_raw_key_probability(capsys):
     assert "p_raw    = 0\n" in out and "qber     = 0.1054339285\n" in out
     assert out.endswith("# raw-key probability is zero: no key; qber reads 0.5 if undefined\n")
     # 5000 dark counts per window on average: no window holds zero or one,
-    # and the QBER is the 0.5 sentinel
+    # but the QBER reads them through that mean alone and stays exact
     poisson = ["--set", "dark_model=exact_poisson", "--set", "dark_rate_hz=1e14"]
     assert main(["point", *poisson]) == 0
     out = capsys.readouterr().out
-    assert "qber     = 0.5\n" in out and "# raw-key probability is zero" in out
+    assert "p_raw    = 0\n" in out and "qber     = 0.4998159294\n" in out
+    assert "key_rate = 0\n" in out and "# raw-key probability is zero" in out
 
 
 def test_point_per_second_units(capsys):

@@ -94,15 +94,17 @@ def test_p_raw_key_reference():
 
 
 def test_qber_reference():
-    assert qber(0.5, 0.5, 0.0, 0.3, 1.0, 0.0, 0.15) == 0.0
-    assert qber(1.0, 1.0, 0.2, 1.0, 1.0, 0.0, 0.5) == 0.0
-    got = qber(0.1, 0.9, 0.01, 0.090910, 1.0, 0.0, 0.045455)
+    assert qber(0.5, 0.5, 0.0, 0.3, 0.0) == 0.0
+    assert qber(1.0, 1.0, 0.2, 1.0, 0.0) == 0.0
+    got = qber(0.1, 0.9, 0.01, 0.090910, 0.0)
     assert abs(got - 0.005005) <= 1e-6
 
 
 def test_qber_degenerate_denominator():
-    with pytest.raises(ValueError):
-        qber(0.1, 0.9, 0.01, 0.090910, 1.0, 0.0, 0.0)
+    # 0/0 only without dark counts and without light in the window
+    with pytest.raises(ValueError, match="undefined"):
+        qber(0.1, 0.0, 0.0, 0.0, 0.0)
+    assert qber(0.1, 0.0, 0.0, 0.0, 5000.0) == 0.5
 
 
 def test_binary_entropy_reference_values():
@@ -196,6 +198,17 @@ def test_library_defaults_equal_the_cli_defaults():
 def test_scenario_params_validation(kwargs):
     with pytest.raises(ValueError):
         ScenarioParams(**kwargs)
+
+
+def test_scenario_params_rejects_linearized_dark_counts_past_one_per_window():
+    # the secure-range search reads the dark counts only through mu = rate *
+    # window and never calls dark_probs, so the record refuses mu >= 1 under
+    # the linearized model when it is built: here mu = 1.5, then exactly 1
+    with pytest.raises(ValueError, match="rate\\*window"):
+        ScenarioParams(dark_rate=3e10)
+    with pytest.raises(ValueError, match="rate\\*window < 1, got 1.0;"):
+        ScenarioParams(dark_rate=2e10, dark_model=LINEARIZED.value)
+    assert ScenarioParams(dark_rate=3e10, dark_model=POISSON).dark_rate == 3e10
 
 
 def test_scenario_params_named_by_value_evaluate_like_members():
@@ -317,7 +330,9 @@ def test_degenerate_point_sentinel():
     assert point.p_zero == point.p_one == 0.0
     assert point.p_raw == 0.0
     assert point.degenerate
-    assert point.qber == 0.5
+    # the QBER reads the dark counts through mu = 5000 alone, so it stays
+    # exact: 0.5 (leak + D mu) / (p_det + D mu) at eta = 1, just below 0.5
+    assert abs(point.qber - 0.4998159294104355) <= 1e-15
     assert point.key_rate == 0.0
     # eta underflows to exactly 0 at an absurd distance; with darks off the
     # raw-key probability hits 0, but eta cancels from the QBER, which stays
@@ -347,6 +362,39 @@ def test_qber_without_dark_counts_matches_its_exact_definition(alpha, l_km, deca
     a, w = Fraction(point.p_sig), Fraction(point.p_w)
     p_zero, p_one = Fraction(point.p_zero), Fraction(point.p_one)
     p_det = eta * (a + w * (1 - eta * a))
+    err_mass = eta * w * (1 - eta * a) * p_zero + (1 - p_det) * p_one
+    p_raw = (p_det * p_zero + (1 - p_det) * p_one) / 2
+    exact = err_mass / (4 * p_raw)
+    assert abs(Fraction(point.qber) - exact) <= Fraction(1, 10 ** 12) * exact
+
+
+@pytest.mark.parametrize(
+    "model, mu, l_km",
+    [
+        (LINEARIZED, 5e-8, 0.0),
+        (LINEARIZED, 5e-8, 40.0),
+        (LINEARIZED, 0.5, 10.0),
+        (POISSON, 5e-8, 40.0),
+        (POISSON, 0.5, 10.0),
+        (POISSON, 700.0, 0.0),
+        (POISSON, 5000.0, 0.0),
+        (POISSON, 5000.0, 100.0),
+    ],
+)
+def test_qber_with_dark_counts_matches_its_exact_definition(model, mu, l_km):
+    # qber's definition, 0.25 err_mass / p_raw, in exact rationals from the
+    # point's own window masses and dark-count probabilities; at mu = 5000
+    # e^-mu underflows and p_zero = p_one = 0, so there it is written divided
+    # by p_zero, in mu = p_one / p_zero
+    params = ScenarioParams(dark_model=model, dark_rate=mu / WINDOW)
+    point = evaluate_point(params, l_km * KM)
+    eta = Fraction(transmittance(params.alpha, l_km, DB))
+    a, w = Fraction(point.p_sig), Fraction(point.p_w)
+    p_det = eta * (a + w * (1 - eta * a))
+    if point.p_zero > 0.0:
+        p_zero, p_one = Fraction(point.p_zero), Fraction(point.p_one)
+    else:
+        p_zero, p_one = Fraction(1), Fraction(params.dark_rate * params.window)
     err_mass = eta * w * (1 - eta * a) * p_zero + (1 - p_det) * p_one
     p_raw = (p_det * p_zero + (1 - p_det) * p_one) / 2
     exact = err_mass / (4 * p_raw)
@@ -403,15 +451,8 @@ def test_point_bounds_hold_everywhere(
 @given(params=domain_params(), l_km=st.floats(min_value=0.0, max_value=500.0))
 def test_evaluate_point_equals_composed_helpers(params, l_km):
     # dual route: evaluate_point must reproduce, bit for bit, the pipeline
-    # assembled from the public helpers, including the linearized-dark error
-    try:
-        expected = composed_point(params, l_km * KM)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match="rate\\*window"):
-            evaluate_point(params, l_km * KM)
-        assert "rate*window" in str(exc)
-        return
-    assert evaluate_point(params, l_km * KM) == expected
+    # assembled from the public helpers
+    assert evaluate_point(params, l_km * KM) == composed_point(params, l_km * KM)
 
 
 @settings(deadline=None, max_examples=300)

@@ -59,43 +59,6 @@ def test_propagate_rejects_negative_distance():
         propagate_closed_form(10 * PS, 0.0, TABLE_BETA, -1.0)
 
 
-def test_broadened_sigma_at_zero():
-    assert broadened_sigma(7 * PS, 0.0, TABLE_BETA, 0.0) == 7 * PS
-
-
-def test_broadened_sigma_overflow_is_value_error():
-    cases = [
-        # sigma^2 - C*beta*L = -1e157 s^2 cannot be squared in a float
-        (1.0, 1e154, 1 * KM),
-        # chirp 0: (beta*L)^2 = 1e314 overflows without an exception
-        (0.0, 1e154, 1 * KM),
-        # beta*L itself is inf, and 0 * inf is nan
-        (0.0, 1e4, 1e305),
-        (1.0, -1e4, 1e305),
-    ]
-    for chirp, beta, length in cases:
-        with pytest.raises(ValueError, match="width overflows"):
-            broadened_sigma(10 * PS, chirp, beta, length)
-
-
-def test_broadened_sigma_100km():
-    got = broadened_sigma(10 * PS, 0.0, TABLE_BETA, 100 * KM)
-    assert abs(got - 115.434 * PS) <= 1e-3 * PS
-
-
-def test_broadened_sigma_focusing_point():
-    # chirp*beta > 0: the quadratic term vanishes at L = sigma^2/(chirp*beta)
-    got = broadened_sigma(10 * PS, -0.25, TABLE_BETA, 34.783 * KM)
-    assert abs(got - 40.0 * PS) <= 0.1 * PS
-
-
-def test_broadened_sigma_sign_symmetry():
-    for l in (0.0, 10 * KM, 47 * KM, 200 * KM):
-        assert broadened_sigma(8 * PS, 1.3, -1.2e-26, l) == broadened_sigma(
-            8 * PS, -1.3, 1.2e-26, l
-        )
-
-
 def test_broadened_sigma_matches_closed_form_state():
     for l in (1 * KM, 20 * KM, 150 * KM):
         state = propagate_closed_form(10 * PS, 0.5, TABLE_BETA, l)
@@ -137,19 +100,6 @@ def test_vanishing_term_point_and_chirp_advantage_window():
     assert broadened_sigma(sigma, chirp, beta, beyond) > broadened_sigma(
         sigma, 0.0, beta, beyond
     )
-
-
-@given(
-    sigma_ps=st.floats(min_value=1.0, max_value=50.0),
-    chirp=st.floats(min_value=-3.0, max_value=3.0),
-    beta_e26=st.floats(min_value=-2.0, max_value=2.0),
-    l_km=st.floats(min_value=0.0, max_value=300.0),
-)
-def test_broadened_sigma_lower_bound(sigma_ps, chirp, beta_e26, l_km):
-    # sigma_L^2 * sigma^2 >= (beta L)^2 for any chirp
-    sigma = sigma_ps * PS
-    got = broadened_sigma(sigma, chirp, beta_e26 * 1e-26, l_km * KM)
-    assert got * sigma >= abs(beta_e26 * 1e-26 * l_km * KM) * (1.0 - 1e-12)
 
 
 def test_pdf_peak_value():
