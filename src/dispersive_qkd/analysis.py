@@ -6,7 +6,15 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, Union
 
-from .keyrate import _QBER_LIMIT, ProtocolPoint, ScenarioParams, _qber_stage, evaluate_point
+from .keyrate import (
+    _LITERAL,
+    _QBER_LIMIT,
+    ProtocolPoint,
+    ScenarioParams,
+    _qber_stage,
+    _threshold_transmittance,
+    evaluate_point,
+)
 
 __all__ = [
     "NonConvergenceError",
@@ -29,9 +37,9 @@ _M_PER_KM = 1000.0
 # refinement that optimal_chirp replaced; None reads there as an untraced
 # attribute. Drop it together with that layer.
 maximize_scalar = None
-# secure-range search: first bracket top, final bracket width (the result,
-# its midpoint, lies within half of it of the edge), and a hard stop far
-# beyond any physical fiber
+# secure-range search: the highest first bracket top above its live end,
+# the final bracket width (the result, its midpoint, lies within half of it
+# of the edge), and a hard stop far beyond any physical fiber
 _L_HINT_KM = 50.0
 _L_TOL_KM = 0.01
 _BRACKET_CEILING_KM = 1e7
@@ -117,8 +125,21 @@ def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
     the pulse narrows down to the focal point L_f = c0 sigma^2 /
     ((1 + c0^2) beta), so the secure set may die and start again before
     L_f; past L_f the width only grows. L_f is the anchor. The bracket's
-    live end is L = 0, or L_f where that is secure too; its top starts
-    _L_HINT_KM above and doubles until it is not. Illinois regula falsi
+    live end is L = 0, or L_f where that is secure too.
+
+    Its top starts _L_HINT_KM above, or lower where the threshold
+    transmittance places it: where 0 < mu < 1, alpha > 0 and L_f is not
+    dead, eta* = keyrate._threshold_transmittance of the live end's window
+    masses is the transmittance at which the QBER reaches the threshold at
+    that end's width, and g is the distance at which the transmittance falls
+    to eta*. Where the width grows above the live end the edge lies below
+    g, so the top is g + _L_TOL_KM where that is lower. With beta = 0 the
+    width is constant and g is the edge: where g +- _L_TOL_KM / 2 lie above
+    the live end and below _BRACKET_CEILING_KM, the top is g + _L_TOL_KM / 2,
+    and where that is not secure and g - _L_TOL_KM / 2 is, the search
+    returns their midpoint after three evaluations; where neither is, the
+    lower is the top. The margin's sign still decides each of these points,
+    and a secure top doubles until it is not. Illinois regula falsi
     (Dowell & Jarratt, BIT 11, 1971) on that margin, which is smooth where
     the rate's positive part has a kink, then shrinks it. Each step lands at
     least _L_TOL_KM / 2 inside the bracket, and a bisection step follows any
@@ -134,10 +155,14 @@ def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
     """
     mu = params.dark_rate * params.window
 
+    def stage(l_km: float) -> tuple[float, float, float]:
+        p_sig, p_w, _, q = _qber_stage(params, chirp_at(l_km), mu, l_km * _M_PER_KM)
+        return _QBER_LIMIT - q, p_sig, p_w
+
     def margin(l_km: float) -> float:
         return _QBER_LIMIT - _qber_stage(params, chirp_at(l_km), mu, l_km * _M_PER_KM)[3]
 
-    f_lo = margin(0.0)
+    f_lo, p_sig, p_w = stage(0.0)
     if not f_lo > 0.0:
         return 0.0
     lo, bisect = 0.0, False
@@ -146,19 +171,41 @@ def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
         s2 = params.sigma * params.sigma
         focal_km = c0 * s2 / ((1.0 + c0 * c0) * params.beta) / _M_PER_KM
         if 0.0 < focal_km < _BRACKET_CEILING_KM:
-            if (f := margin(focal_km)) > 0.0:
-                lo, f_lo = focal_km, f
+            f, a, w = stage(focal_km)
+            if f > 0.0:
+                lo, f_lo, p_sig, p_w = focal_km, f, a, w
             else:
                 bisect = True
-    hi = lo + _L_HINT_KM
-    while (f_hi := margin(hi)) > 0.0:
+    half_tol = 0.5 * _L_TOL_KM
+    hi, f_hi = lo + _L_HINT_KM, None
+    if 0.0 < mu < 1.0 and params.alpha > 0.0 and not bisect:
+        eta_star = _threshold_transmittance(p_sig, p_w, mu)
+        if 0.0 < eta_star < 1.0:
+            decades = params.alpha
+            if params.transmittance_convention is not _LITERAL:
+                decades /= 10.0
+            g = -math.log10(eta_star) / decades
+            if params.beta != 0.0:
+                if lo < g:
+                    hi = min(hi, g + _L_TOL_KM)
+            elif lo < g - half_tol and g + half_tol <= _BRACKET_CEILING_KM:
+                hi = g + half_tol
+                f_hi = margin(hi)
+                if not f_hi > 0.0:
+                    l_km = g - half_tol
+                    if (f := margin(l_km)) > 0.0:
+                        return 0.5 * (l_km + hi)
+                    hi, f_hi = l_km, f
+    if f_hi is None:
+        f_hi = margin(hi)
+    while f_hi > 0.0:
         lo, f_lo = hi, f_hi
         hi *= 2.0
         if hi > _BRACKET_CEILING_KM:
             raise NonConvergenceError(
                 f"QBER still below the threshold at {lo} km; no extinction point to bracket"
             )
-    half_tol = 0.5 * _L_TOL_KM
+        f_hi = margin(hi)
     width = hi - lo  # the width the bracket must halve from
     stalled = 0  # steps since it last did
     side = 0  # the end the last step replaced: -1 lo, +1 hi
@@ -243,9 +290,9 @@ def scan_chirp(params: ScenarioParams, c_grid: Iterable[float]) -> ChirpScanResu
     replaces it, so the reported maximum never falls below the grid.
     """
     grid = _increasing(c_grid, "chirp")
-    samples = tuple((c, max_distance(replace(params, chirp=c))) for c in grid)
+    samples = tuple((c, max_distance(params._at_chirp(c))) for c in grid)
     c_star = optimal_chirp(params, grid[0], grid[-1])
-    l_star = max_distance(replace(params, chirp=c_star))
+    l_star = max_distance(params._at_chirp(c_star))
     c_best, l_best = max(samples, key=lambda s: s[1])
     if l_best > l_star:
         c_star, l_star = c_best, l_best
@@ -373,7 +420,7 @@ def run_scenario(
                 name=name, curves=tuple((label, scan) for label, _, scan in scans)
             )
         variants = [
-            (f"{label}_{tag}", replace(p, chirp=c))
+            (f"{label}_{tag}", p._at_chirp(c))
             for label, p, scan in scans
             for tag, c in (("C0", 0.0), ("Copt", scan.c_star))
         ]

@@ -134,6 +134,30 @@ def binary_entropy(q: float) -> float:
 _QBER_LIMIT = 0.11002786443835955
 
 
+def _threshold_transmittance(p_sig: float, p_w: float, mu: float) -> float:
+    """The transmittance eta* at which qber reaches _QBER_LIMIT, at fixed
+    window masses and 0 < mu < 1; inf where no eta > 0 reaches it.
+
+    With A = p_sig, W = p_w and Q = _QBER_LIMIT, qber < Q holds exactly
+    where F(eta) = (1/2 - Q) mu + eta [W/2 - (A + W)(Q + (1/2 - Q) mu)]
+    - (1/2 - Q)(1 - mu) A W eta^2 < 0. The constant term is positive and the
+    eta^2 term not, so F has one positive root where A W > 0, and the key is
+    live exactly above it. Where A W = 0 F is linear, with a positive root
+    only where its slope is negative (A > 0 = W). The root is taken from
+    q = -(b + sgn(b) sqrt(b^2 - 4ac)) / 2 as c / q or q / a, with no
+    cancellation (Numerical Recipes, 3rd ed., section 5.6).
+    """
+    h = 0.5 - _QBER_LIMIT
+    a = -h * (1.0 - mu) * p_sig * p_w
+    b = 0.5 * p_w - (p_sig + p_w) * (_QBER_LIMIT + h * mu)
+    c = h * mu
+    if b < 0.0:
+        return 2.0 * c / (math.sqrt(b * b - 4.0 * a * c) - b)
+    if a < 0.0:
+        return (b + math.sqrt(b * b - 4.0 * a * c)) / (-2.0 * a)
+    return math.inf
+
+
 def key_rate(p_raw: float, q: float) -> float:
     """Secret bits per window: max{0, p_raw * (1 - 2 H(q))}."""
     if p_raw < 0:
@@ -180,8 +204,7 @@ class ScenarioParams:
             raise ValueError(
                 f"sigma must lie in about [1.2e-77, 1.2e77] seconds, got {self.sigma}"
             )
-        if not math.isfinite(self.chirp):
-            raise ValueError(f"chirp must be finite, got {self.chirp}")
+        _check_chirp(self.chirp)
         if not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
@@ -195,10 +218,27 @@ class ScenarioParams:
         if not (self.window > 0 and math.isfinite(self.window)):
             raise ValueError(f"window must be > 0 seconds, got {self.window}")
         # dark_probs checks this too, but the QBER reads only mu, so the
-        # secure-range search never calls it
+        # secure-range search never calls it; an infinite mu makes the QBER
+        # inf / inf
         mu = self.dark_rate * self.window
+        if not mu < math.inf:
+            raise ValueError(f"dark_rate * window must be finite, got {mu}")
         if self.dark_model is DarkCountModel.PAPER_LINEARIZED and mu >= 1.0:
             raise _linearized_domain_error(mu)
+
+    def _at_chirp(self, chirp: float) -> ScenarioParams:
+        """This record with its chirp replaced: replace(self, chirp=chirp),
+        but with only the chirp checked, since every other field was checked
+        when this record was built. scan_chirp builds one per grid chirp."""
+        _check_chirp(chirp)
+        record = object.__new__(ScenarioParams)
+        record.__dict__.update(self.__dict__, chirp=chirp)
+        return record
+
+
+def _check_chirp(chirp: float) -> None:
+    if not math.isfinite(chirp):
+        raise ValueError(f"chirp must be finite, got {chirp}")
 
 
 @dataclass(frozen=True, init=False)

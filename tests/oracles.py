@@ -9,8 +9,10 @@ per-distance pipeline from the public helpers, the reference for
 `evaluate_point`; `reference_range` repeats `max_distance`'s search over
 it, `bisection_range` the plain bisection that search replaced, and
 `best_grid_range` takes the best reference range over a chirp grid, the
-brute-force reference for the best chirp. `domain_params` draws
-`ScenarioParams` over the documented robustness domain.
+brute-force reference for the best chirp. `threshold_transmittance`
+bisects the QBER in the transmittance, the reference for its closed form.
+`domain_params` draws `ScenarioParams` over the documented robustness
+domain.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from dispersive_qkd.keyrate import (
     ProtocolPoint,
     ScenarioParams,
     TransmittanceConvention,
+    _threshold_transmittance,
     dark_probs,
     key_rate,
     p_detect,
@@ -377,6 +380,25 @@ def moments(
 _QBER_LIMIT = 0.11002786443835955
 
 
+def threshold_transmittance(p_sig: float, p_w: float, mu: float) -> float:
+    """The transmittance at which qber reaches _QBER_LIMIT at fixed window
+    masses: bisection of keyrate.qber in eta on [0, 1] down to adjacent
+    floats. Needs the key live at eta = 1; at eta = 0 the QBER is 1/2."""
+
+    def secure(eta: float) -> bool:
+        return qber(eta, p_sig, p_w, p_detect(eta, p_sig, p_w), mu) < _QBER_LIMIT
+
+    dead, live = 0.0, 1.0
+    if secure(dead) or not secure(live):
+        raise BracketError(f"qber does not cross its threshold on [0, 1] at {p_sig, p_w, mu}")
+    while (mid := 0.5 * (dead + live)) not in (dead, live):
+        if secure(mid):
+            live = mid
+        else:
+            dead = mid
+    return live
+
+
 def composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     """The pipeline rebuilt from the public helpers."""
     sigma_l = broadened_sigma(params.sigma, params.chirp, params.beta, distance)
@@ -404,13 +426,20 @@ def reference_range(params: ScenarioParams) -> float:
 
     0.0 if dead at the source. Else the bracket starts at the focal point
     L_f = C sigma^2 / ((1 + C^2) beta) where C beta > 0 and the rate is live
-    there, at 0 otherwise, and its top, 50 km above, doubles until the rate
-    dies (giving up past 1e7 km). Illinois regula falsi on the QBER margin,
-    with bisection after two steps that do not halve the bracket, then
-    shrinks it to 10 m; the result is its midpoint. Where the rate is dead
-    at L_f, every step bisects. Live means qber below its threshold, which
-    with dark counts is where key_rate > 0; the interpolation reads the raw
-    margin, the threshold minus qber.
+    there, at 0 otherwise. Its top is 50 km above; where 0 < mu < 1, alpha >
+    0 and L_f is not dead, it is instead g + 10 m if that is lower, g being
+    the distance at which the transmittance falls to the threshold
+    transmittance of the bracket bottom's window masses. With beta = 0 the
+    width is constant and g is the edge: where g +- 5 m lies above the
+    bottom and below 1e7 km, the top is g + 5 m, and if that is dead and
+    g - 5 m live the result is their midpoint; if both are dead, the top is
+    g - 5 m. A live top doubles until the rate dies (giving up past 1e7 km).
+    Illinois regula falsi on the QBER margin, with bisection after two
+    steps that do not halve the bracket, then shrinks it to 10 m; the
+    result is its midpoint. Where the rate is dead at L_f, every step
+    bisects. Live means qber below its threshold, which with dark counts is
+    where key_rate > 0; the interpolation reads the raw margin, the
+    threshold minus qber.
     """
     # kept apart from analysis's own constants
     l_hint, tol, ceiling = 50.0, 0.01, 1e7
@@ -431,11 +460,35 @@ def reference_range(params: ScenarioParams) -> float:
                 lo, f_lo = l_f, f
             else:
                 bisect = True
-    hi = lo + l_hint
-    while (f_hi := margin(hi)) > 0.0:
+    hi, f_hi = lo + l_hint, None
+    mu = params.dark_rate * params.window
+    if 0.0 < mu < 1.0 and params.alpha > 0.0 and not bisect:
+        bottom = composed_point(params, lo * 1e3)
+        eta_star = _threshold_transmittance(bottom.p_sig, bottom.p_w, mu)
+        if 0.0 < eta_star < 1.0:
+            per_km = params.alpha
+            if params.transmittance_convention is not TransmittanceConvention.LITERAL:
+                per_km /= 10.0
+            g = -math.log10(eta_star) / per_km
+            if params.beta != 0.0:
+                if lo < g:
+                    hi = min(hi, g + tol)
+            elif lo < g - tol / 2 and g + tol / 2 <= ceiling:
+                hi = g + tol / 2
+                f_hi = margin(hi)
+                if not f_hi > 0.0:
+                    below = g - tol / 2
+                    f = margin(below)
+                    if f > 0.0:
+                        return 0.5 * (below + hi)
+                    hi, f_hi = below, f
+    if f_hi is None:
+        f_hi = margin(hi)
+    while f_hi > 0.0:
         lo, f_lo, hi = hi, f_hi, 2.0 * hi
         if hi > ceiling:
             raise NonConvergenceError(f"rate still positive at {lo} km")
+        f_hi = margin(hi)
     width, stalled, last = hi - lo, 0, None
     while hi - lo > tol:
         if bisect or stalled == 2:

@@ -263,6 +263,52 @@ def test_scan_chirp_evaluation_budget(monkeypatch):
     assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(ScenarioParams(), grid)) <= 729
 
 
+def test_max_distance_without_dispersion_is_the_threshold_transmittance_edge(monkeypatch):
+    # with beta = 0 the width is constant, so the distance at which the
+    # transmittance falls to the threshold transmittance of the source's
+    # window masses is the edge: the search checks the source, then 5 m on
+    # either side of it (growing the bracket from 50 km took 14)
+    params = ScenarioParams(beta=0.0)
+    got = []
+    assert _counted_evaluations(monkeypatch, lambda: got.append(max_distance(params))) <= 3
+    assert abs(got[0] - _qber_crossing(params, 0.0, 400.0)) <= 1e-6
+    assert abs(got[0] - 327.4714106) <= 1e-6
+
+
+def test_scan_chirp_without_dispersion_evaluation_budget(monkeypatch):
+    # 3 evaluations per grid chirp and for c_star's range (1,148 from 50 km)
+    grid = default_chirp_grid()
+    params = ScenarioParams(beta=0.0)
+    assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(params, grid)) <= 250
+
+
+def test_max_distance_first_top_at_the_threshold_distance(monkeypatch):
+    # where the width grows, the edge (21.78 km here) lies below the distance
+    # at which the transmittance falls to the source's threshold
+    # transmittance (31.22 km); 10 m above that is the first bracket top,
+    # not 50 km (10 evaluations)
+    params = ScenarioParams(dark_rate=1e9)
+    assert 0 < _counted_evaluations(monkeypatch, lambda: max_distance(params)) <= 8
+
+
+def test_scan_chirp_builds_no_parameter_record(monkeypatch):
+    # each grid chirp's record copies the validated one with only the chirp
+    # checked; replace(params, chirp=c) ran __post_init__ 82 times here
+    built = 0
+    real = ScenarioParams.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        real(self)
+
+    params = ScenarioParams()
+    monkeypatch.setattr(ScenarioParams, "__post_init__", counted)
+    result = scan_chirp(params, default_chirp_grid())
+    assert built == 0
+    assert len(result.samples) == 81
+
+
 def test_secure_range_search_builds_no_point_record(monkeypatch):
     # the searches read keyrate._qber_stage's tuple; sweeps still build records
     built = 0

@@ -441,6 +441,15 @@ def test_exit_code_2_on_validation(capsys):
     assert "sigma_ps" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_infinite_mean_dark_count(capsys):
+    # rate * window overflows to inf; lmax used to print 0 from a nan QBER
+    args = ["--set", "dark_model=exact_poisson", "--set", "dark_rate_hz=1e300",
+            "--set", "window_ps=1e22"]
+    for command in ("lmax", "point"):
+        assert main([command, *args]) == 2
+        assert "dark_rate * window must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("sigma_ps", ["1e-158", "1e-88", "1e112", "1e172"])
 def test_exit_code_2_on_sigma_out_of_range(capsys, sigma_ps):
     # sigma^2 or sigma^4 underflows or overflows: rejected up front, not

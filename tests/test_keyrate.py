@@ -16,6 +16,7 @@ from dispersive_qkd.keyrate import (
     ProtocolPoint,
     ScenarioParams,
     TransmittanceConvention,
+    _threshold_transmittance,
     binary_entropy,
     dark_probs,
     evaluate_point,
@@ -25,7 +26,7 @@ from dispersive_qkd.keyrate import (
     qber,
     transmittance,
 )
-from oracles import composed_point, domain_params
+from oracles import composed_point, domain_params, threshold_transmittance
 
 PS = 1e-12
 KM = 1e3
@@ -285,10 +286,62 @@ def test_evaluate_point_width_overflow_is_value_error():
 
 
 def test_evaluate_point_names_the_probability_out_of_range():
-    # the mean dark count overflows to inf, so p_one = inf * e^-inf is nan
-    params = ScenarioParams(dark_rate=1e300, window=1e10, dark_model=POISSON)
+    # an infinite mean dark count gives p_one = inf * e^-inf = nan; the
+    # parameter record rejects that mean now, so the message evaluate_point
+    # would pass on is pinned where it is raised
+    p_zero, p_one = dark_probs(math.inf, POISSON)
+    assert p_zero == 0.0 and math.isnan(p_one)
     with pytest.raises(ValueError, match="p_one must be a probability"):
-        evaluate_point(params, 0.0)
+        p_raw_key(0.5, p_zero, p_one)
+
+
+def test_scenario_params_rejects_an_infinite_mean_dark_count():
+    # rate * window overflows to inf, where the QBER would be inf / inf
+    with pytest.raises(ValueError, match="dark_rate \\* window must be finite"):
+        ScenarioParams(dark_rate=1e300, window=1e10, dark_model=POISSON)
+
+
+@settings(deadline=None, max_examples=100)
+@given(params=domain_params(), chirp=st.floats(min_value=-10.0, max_value=10.0))
+def test_at_chirp_equals_replace(params, chirp):
+    got = params._at_chirp(chirp)
+    expected = dataclasses.replace(params, chirp=chirp)
+    assert type(got) is ScenarioParams
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert repr(got) == repr(expected)
+    assert params.chirp == params._at_chirp(params.chirp).chirp
+
+
+def test_at_chirp_checks_the_chirp():
+    for chirp in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="chirp must be finite"):
+            ScenarioParams()._at_chirp(chirp)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    p_sig=st.floats(min_value=1e-6, max_value=1.0),
+    p_w=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    mu=st.floats(min_value=-9.0, max_value=-1e-3).map(lambda e: 10.0 ** e),
+)
+def test_threshold_transmittance_is_where_the_qber_crosses(p_sig, p_w, mu):
+    # where the key is live at eta = 1, the closed form matches a bisection
+    # of the QBER in eta
+    live = qber(1.0, p_sig, p_w, p_detect(1.0, p_sig, p_w), mu) < _QBER_LIMIT
+    got = _threshold_transmittance(p_sig, p_w, mu)
+    if live:
+        expected = threshold_transmittance(p_sig, p_w, mu)
+        assert math.isclose(got, expected, rel_tol=1e-9)
+    else:
+        assert got >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("p_w", [0.0, 1e-9, 0.3, 1.0])
+@pytest.mark.parametrize("mu", [1e-9, 0.05, 0.999])
+def test_threshold_transmittance_is_inf_without_signal(p_w, mu):
+    # with p_sig = 0 the QBER never falls below its threshold
+    assert _threshold_transmittance(0.0, p_w, mu) == math.inf
 
 
 def test_no_noise_reduction():

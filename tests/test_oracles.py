@@ -1,6 +1,7 @@
-"""The adaptive quadrature under the propagator, width and jitter oracles
-in tests/oracles.py, and its bisection root finder, which criterion 06
-uses."""
+"""The oracles' own machinery in tests/oracles.py: the adaptive quadrature
+under the propagator, width and jitter oracles, its bisection root finder,
+which criterion 06 uses, and the Gaussian state and closed-form propagator
+the quadrature oracles start from."""
 
 import math
 import random
@@ -9,7 +10,21 @@ import pytest
 
 from dispersive_qkd.analysis import NonConvergenceError
 from dispersive_qkd.keyrate import binary_entropy
-from oracles import Bracket, BracketError, QuadratureSpec, find_root, integrate
+from oracles import (
+    Bracket,
+    BracketError,
+    GaussianState,
+    QuadratureSpec,
+    find_root,
+    initial_state,
+    integrate,
+    moments,
+    propagate_closed_form,
+)
+
+PS = 1e-12
+KM = 1e3
+TABLE_BETA = -1.15e-26
 
 
 def test_quadrature_spec_defaults():
@@ -127,3 +142,38 @@ def test_find_root_requires_sign_change():
 def test_find_root_rejects_bad_tol():
     with pytest.raises(ValueError):
         find_root(lambda x: x, Bracket(-1.0, 1.0), 0.0)
+
+
+def test_gaussian_state_requires_positive_real_exponent():
+    with pytest.raises(ValueError):
+        GaussianState(exponent_real=0.0, exponent_imag=1.0, norm=1.0 + 0j)
+
+
+def test_initial_state_exponent():
+    st0 = initial_state(10 * PS, 0.0)
+    assert st0.exponent_real == 2.5e21
+    assert st0.exponent_imag == 0.0
+    st1 = initial_state(10 * PS, 1.0)
+    assert st1.exponent_imag == st1.exponent_real == 2.5e21
+
+
+def test_initial_state_moments_any_chirp():
+    norm, mean, variance = moments(initial_state(10 * PS, 3.0))
+    assert abs(norm - 1.0) <= 1e-9
+    assert abs(mean) <= 1e-25
+    assert abs(variance - 1e-22) <= 1e-28
+
+
+def test_propagate_zero_distance_is_identity():
+    out = propagate_closed_form(10 * PS, 0.7, TABLE_BETA, 0.0)
+    assert out == initial_state(10 * PS, 0.7)
+
+
+def test_propagate_zero_beta_is_identity():
+    out = propagate_closed_form(10 * PS, -0.4, 0.0, 80 * KM)
+    assert out == initial_state(10 * PS, -0.4)
+
+
+def test_propagate_rejects_negative_distance():
+    with pytest.raises(ValueError):
+        propagate_closed_form(10 * PS, 0.0, TABLE_BETA, -1.0)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from dispersive_qkd.detection import broadened_sigma
 from oracles import (
-    GaussianState,
     QuadratureSpec,
     initial_state,
     integrate,
@@ -22,41 +21,6 @@ from oracles import (
 PS = 1e-12
 KM = 1e3
 TABLE_BETA = -1.15e-26
-
-
-def test_gaussian_state_requires_positive_real_exponent():
-    with pytest.raises(ValueError):
-        GaussianState(exponent_real=0.0, exponent_imag=1.0, norm=1.0 + 0j)
-
-
-def test_initial_state_exponent():
-    st0 = initial_state(10 * PS, 0.0)
-    assert st0.exponent_real == 2.5e21
-    assert st0.exponent_imag == 0.0
-    st1 = initial_state(10 * PS, 1.0)
-    assert st1.exponent_imag == st1.exponent_real == 2.5e21
-
-
-def test_initial_state_moments_any_chirp():
-    norm, mean, variance = moments(initial_state(10 * PS, 3.0))
-    assert abs(norm - 1.0) <= 1e-9
-    assert abs(mean) <= 1e-25
-    assert abs(variance - 1e-22) <= 1e-28
-
-
-def test_propagate_zero_distance_is_identity():
-    out = propagate_closed_form(10 * PS, 0.7, TABLE_BETA, 0.0)
-    assert out == initial_state(10 * PS, 0.7)
-
-
-def test_propagate_zero_beta_is_identity():
-    out = propagate_closed_form(10 * PS, -0.4, 0.0, 80 * KM)
-    assert out == initial_state(10 * PS, -0.4)
-
-
-def test_propagate_rejects_negative_distance():
-    with pytest.raises(ValueError):
-        propagate_closed_form(10 * PS, 0.0, TABLE_BETA, -1.0)
 
 
 def test_broadened_sigma_matches_closed_form_state():
