@@ -141,13 +141,14 @@ def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
     lower is the top. The margin's sign still decides each of these points,
     and a secure top doubles until it is not. Illinois regula falsi
     (Dowell & Jarratt, BIT 11, 1971) on that margin, which is smooth where
-    the rate's positive part has a kink, then shrinks it. Each step lands at
-    least _L_TOL_KM / 2 inside the bracket, and a bisection step follows any
-    two steps that did not halve it. Where L_f is not secure, the secure
-    set may have a gap below it that interpolation from L = 0 would stop
-    in, so every step bisects. Stops at width _L_TOL_KM and returns the
-    midpoint. Raises NonConvergenceError where the QBER is still below the
-    threshold past _BRACKET_CEILING_KM: a secure range that never ends.
+    the rate's positive part has a kink, then shrinks it. Its halving of the
+    retained end's margin is the one safeguard against a one-sided stall;
+    each step lands at least _L_TOL_KM / 2 inside the bracket, which ends
+    the loop. Where L_f is not secure, the secure set may have a gap below
+    it that interpolation from L = 0 would stop in, so every step bisects.
+    Stops at width _L_TOL_KM and returns the midpoint. Raises
+    NonConvergenceError where the QBER is still below the threshold past
+    _BRACKET_CEILING_KM: a secure range that never ends.
 
     The anchor holds along a path whose chirp is c0 up to past L_f, and
     optimal_chirp's is: it is c0 up to sigma^2 / (|c0| |beta|), which
@@ -206,11 +207,9 @@ def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
                 f"QBER still below the threshold at {lo} km; no extinction point to bracket"
             )
         f_hi = margin(hi)
-    width = hi - lo  # the width the bracket must halve from
-    stalled = 0  # steps since it last did
     side = 0  # the end the last step replaced: -1 lo, +1 hi
     while hi - lo > _L_TOL_KM:
-        if bisect or stalled == 2:
+        if bisect:
             l_km = 0.5 * (lo + hi)
         else:
             l_km = lo + (hi - lo) * f_lo / (f_lo - f_hi)
@@ -226,10 +225,6 @@ def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
             if side > 0:
                 f_lo *= 0.5
             side = 1
-        if hi - lo <= 0.5 * width:
-            width, stalled = hi - lo, 0
-        else:
-            stalled += 1
     return 0.5 * (lo + hi)
 
 

@@ -434,12 +434,12 @@ def reference_range(params: ScenarioParams) -> float:
     bottom and below 1e7 km, the top is g + 5 m, and if that is dead and
     g - 5 m live the result is their midpoint; if both are dead, the top is
     g - 5 m. A live top doubles until the rate dies (giving up past 1e7 km).
-    Illinois regula falsi on the QBER margin, with bisection after two
-    steps that do not halve the bracket, then shrinks it to 10 m; the
-    result is its midpoint. Where the rate is dead at L_f, every step
-    bisects. Live means qber below its threshold, which with dark counts is
-    where key_rate > 0; the interpolation reads the raw margin, the
-    threshold minus qber.
+    Illinois regula falsi on the QBER margin then shrinks it to 10 m; the
+    result is its midpoint. Its halving is the one safeguard, and each step
+    lands at least 5 m inside the bracket, which ends the loop. Where the
+    rate is dead at L_f, every step bisects. Live means qber below its
+    threshold, which with dark counts is where key_rate > 0; the
+    interpolation reads the raw margin, the threshold minus qber.
     """
     # kept apart from analysis's own constants
     l_hint, tol, ceiling = 50.0, 0.01, 1e7
@@ -489,9 +489,9 @@ def reference_range(params: ScenarioParams) -> float:
         if hi > ceiling:
             raise NonConvergenceError(f"rate still positive at {lo} km")
         f_hi = margin(hi)
-    width, stalled, last = hi - lo, 0, None
+    last = None
     while hi - lo > tol:
-        if bisect or stalled == 2:
+        if bisect:
             x = 0.5 * (lo + hi)
         else:
             x = min(max(lo + (hi - lo) * f_lo / (f_lo - f_hi), lo + tol / 2), hi - tol / 2)
@@ -504,10 +504,6 @@ def reference_range(params: ScenarioParams) -> float:
             if last == "hi":
                 f_lo /= 2
             hi, f_hi, last = x, f, "hi"
-        if hi - lo <= width / 2:
-            width, stalled = hi - lo, 0
-        else:
-            stalled += 1
     return 0.5 * (lo + hi)
 
 

@@ -252,9 +252,33 @@ def _counted_evaluations(monkeypatch, run) -> int:
     return calls
 
 
+# (record, evaluations): plain bisection of key_rate > 0 took 15 on the
+# defaults; the overlapping windows took 21 while a bisection step followed
+# any two regula falsi steps that did not halve the bracket
+EVALUATION_BUDGETS = {
+    "defaults": (ScenarioParams(), 9),
+    "overlapping windows": (
+        ScenarioParams(
+            sigma=47 * PS, chirp=0.1, beta=0.48e-26, alpha=0.276, dark_rate=906.0,
+            period=14.6 * PS, jitter=9.6 * PS, window=172 * PS,
+        ),
+        11,
+    ),
+}
+
+
 def test_max_distance_evaluation_budget(monkeypatch):
-    # plain bisection of key_rate > 0 took 15 evaluations here
-    assert 0 < _counted_evaluations(monkeypatch, lambda: max_distance(ScenarioParams())) <= 9
+    for name, (params, budget) in EVALUATION_BUDGETS.items():
+        used = _counted_evaluations(monkeypatch, lambda: max_distance(params))
+        assert 0 < used <= budget, name
+
+
+@settings(deadline=None, max_examples=200)
+@given(params=domain_params())
+def test_max_distance_evaluation_worst_case(params):
+    # at most 21 over the 63,669 searches of bench chirp_scan seeds 1-4
+    with pytest.MonkeyPatch.context() as mp:
+        assert _counted_evaluations(mp, lambda: _outcome(lambda: max_distance(params))) <= 30
 
 
 def test_scan_chirp_evaluation_budget(monkeypatch):
@@ -575,6 +599,8 @@ def test_default_chirp_grid_shape():
         default_chirp_grid(c_step=0.0)
     with pytest.raises(GridError):
         default_chirp_grid(c_step=10.0)
+    with pytest.raises(GridError, match="c_min <= c_max"):
+        default_chirp_grid(1.0, -1.0)
     assert default_chirp_grid(0.0, 0.0, 10.0) == [0.0]
 
 

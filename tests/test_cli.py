@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dispersive_qkd.chart import Series, render_chart
 from dispersive_qkd.cli import CSV_HEADER, SCAN_CSV_HEADER, main
 from dispersive_qkd.config import (
     BETA_UNIT,
@@ -142,6 +143,8 @@ def test_parse_assignments_errors():
         parse_assignments(["fig1_fourth_window_ps=25"])  # fig1's windows are fixed
     with pytest.raises(ConfigError, match="l_steps"):
         parse_assignments(["l_steps=many"])
+    with pytest.raises(ConfigError, match="must be finite"):
+        parse_assignments(["alpha_db_per_km=inf"])
     with pytest.raises(ConfigError, match="^--set: jitter_ps is set twice$"):
         parse_assignments(["jitter_ps=4", "sigma_ps=3", "jitter_ps=4"])
     with pytest.raises(ConfigError, match="^--set: unknown configuration key 'speed'$"):
@@ -290,6 +293,10 @@ def test_sweep_stdout_and_svg(tmp_path, capsys):
     assert text.startswith("<?xml")
     root = ET.fromstring(text)
     assert root.get("version") == "1.1"
+    # the key-rate axis is logarithmic; a flat curve spans one decade
+    flat = render_chart([Series("flat", [0.0, 1.0], [1.0, 1.0])], "t", "x", "y", log_y=True)
+    labels = [t.text for t in ET.fromstring(flat).iter("{http://www.w3.org/2000/svg}text")]
+    assert "1e0" in labels and "1e1" in labels
 
 
 def test_lmax_output(capsys):

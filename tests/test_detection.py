@@ -60,6 +60,8 @@ def test_erf_strictly_increasing():
 
 def test_broadened_sigma_at_zero():
     assert broadened_sigma(7 * PS, 0.0, TABLE_BETA, 0.0) == 7 * PS
+    with pytest.raises(ValueError, match="must be >= 0"):
+        broadened_sigma(7 * PS, 0.0, TABLE_BETA, -1.0)
 
 
 def test_broadened_sigma_overflow_is_value_error():
@@ -189,6 +191,13 @@ def test_p_signal_validation():
         p_signal(0.0, 1.0)
     with pytest.raises(ValueError):
         p_signal(1.0, 0.0)
+    # and the neighbor's mass: sigma, window, period
+    with pytest.raises(ValueError, match="sigma_tot"):
+        shifted_window_mass(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="window"):
+        shifted_window_mass(1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="period"):
+        shifted_window_mass(1.0, 1.0, 0.0)
 
 
 def test_shifted_window_mass_reference_values():
