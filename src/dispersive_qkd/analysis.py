@@ -105,7 +105,9 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
     return SweepResult(rows=rows)
 
 
-def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
+def _edge(
+    params: ScenarioParams, chirp_at: Callable[[float], float], near: float | None = None
+) -> float:
     """Far edge (km) of the secure set along the chirp path L -> chirp_at(L):
     where the pipeline of params with the source chirp chirp_at(L) has
     qber < _QBER_LIMIT at L km; 0.0 if L = 0 lies outside it. The one
@@ -134,21 +136,27 @@ def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
     that end's width, and g is the distance at which the transmittance falls
     to eta*. Where the width grows above the live end the edge lies below
     g, so the top is g + _L_TOL_KM where that is lower. With beta = 0 the
-    width is constant and g is the edge: where g +- _L_TOL_KM / 2 lie above
-    the live end and below _BRACKET_CEILING_KM, the top is g + _L_TOL_KM / 2,
-    and where that is not secure and g - _L_TOL_KM / 2 is, the search
-    returns their midpoint after three evaluations; where neither is, the
-    lower is the top. The margin's sign still decides each of these points,
-    and a secure top doubles until it is not. Illinois regula falsi
-    (Dowell & Jarratt, BIT 11, 1971) on that margin, which is smooth where
-    the rate's positive part has a kink, then shrinks it. Its halving of the
-    retained end's margin is the one safeguard against a one-sided stall;
-    each step lands at least _L_TOL_KM / 2 inside the bracket, which ends
-    the loop. Where L_f is not secure, the secure set may have a gap below
-    it that interpolation from L = 0 would stop in, so every step bisects.
-    Stops at width _L_TOL_KM and returns the midpoint. Raises
-    NonConvergenceError where the QBER is still below the threshold past
-    _BRACKET_CEILING_KM: a secure range that never ends.
+    width is constant and g is the edge. Otherwise a predicted edge `near`,
+    where the caller has one, is g; bisect mode ignores it. Where g +-
+    _L_TOL_KM / 2 lie above the live end and below _BRACKET_CEILING_KM, the
+    top is g + _L_TOL_KM / 2, and where that is not secure and g -
+    _L_TOL_KM / 2 is, the search returns their midpoint after three
+    evaluations; where neither is, the lower is the top. The margin's sign
+    still decides each of these points, and a secure top doubles until it
+    is not. Above the live end the width only grows and the transmittance
+    only falls, so the margin falls through zero once there: whatever
+    `near` is, the result lies within _L_TOL_KM / 2 of the same root as
+    without it, and a prediction moves no result by more than _L_TOL_KM.
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on that margin,
+    which is smooth where the rate's positive part has a kink, then shrinks
+    the bracket. Its halving of the retained end's margin is the one
+    safeguard against a one-sided stall; each step lands at least
+    _L_TOL_KM / 2 inside the bracket, which ends the loop. Where L_f is not
+    secure, the secure set may have a gap below it that interpolation from
+    L = 0 would stop in, so every step bisects. Stops at width _L_TOL_KM
+    and returns the midpoint. Raises NonConvergenceError where the QBER is
+    still below the threshold past _BRACKET_CEILING_KM: a secure range that
+    never ends.
 
     The anchor holds along a path whose chirp is c0 up to past L_f, and
     optimal_chirp's is: it is c0 up to sigma^2 / (|c0| |beta|), which
@@ -179,24 +187,28 @@ def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
                 bisect = True
     half_tol = 0.5 * _L_TOL_KM
     hi, f_hi = lo + _L_HINT_KM, None
-    if 0.0 < mu < 1.0 and params.alpha > 0.0 and not bisect:
+    g = near
+    if bisect:
+        g = None
+    elif 0.0 < mu < 1.0 and params.alpha > 0.0:
         eta_star = _threshold_transmittance(p_sig, p_w, mu)
         if 0.0 < eta_star < 1.0:
             decades = params.alpha
             if params.transmittance_convention is not _LITERAL:
                 decades /= 10.0
-            g = -math.log10(eta_star) / decades
-            if params.beta != 0.0:
-                if lo < g:
-                    hi = min(hi, g + _L_TOL_KM)
-            elif lo < g - half_tol and g + half_tol <= _BRACKET_CEILING_KM:
-                hi = g + half_tol
-                f_hi = margin(hi)
-                if not f_hi > 0.0:
-                    l_km = g - half_tol
-                    if (f := margin(l_km)) > 0.0:
-                        return 0.5 * (l_km + hi)
-                    hi, f_hi = l_km, f
+            g_eta = -math.log10(eta_star) / decades
+            if params.beta == 0.0:
+                g = g_eta
+            elif lo < g_eta:
+                hi = min(hi, g_eta + _L_TOL_KM)
+    if g is not None and lo < g - half_tol and g + half_tol <= _BRACKET_CEILING_KM:
+        hi = g + half_tol
+        f_hi = margin(hi)
+        if not f_hi > 0.0:
+            l_km = g - half_tol
+            if (f := margin(l_km)) > 0.0:
+                return 0.5 * (l_km + hi)
+            hi, f_hi = l_km, f
     if f_hi is None:
         f_hi = margin(hi)
     while f_hi > 0.0:
@@ -228,7 +240,7 @@ def _edge(params: ScenarioParams, chirp_at: Callable[[float], float]) -> float:
     return 0.5 * (lo + hi)
 
 
-def max_distance(params: ScenarioParams) -> float:
+def max_distance(params: ScenarioParams, near: float | None = None) -> float:
     """Largest secure distance in km; 0.0 if the rate is dead at L = 0.
 
     The far edge of the set where qber < _QBER_LIMIT (with dark counts,
@@ -237,8 +249,12 @@ def max_distance(params: ScenarioParams) -> float:
     is live there, so the far edge of a split set, not the near one. Raises
     NonConvergenceError where the QBER is still below the threshold past
     _BRACKET_CEILING_KM.
+
+    near, a predicted edge in km, only saves evaluations where it is close:
+    the search checks _L_TOL_KM / 2 either side of it first. Whatever its
+    value, the result lies within _L_TOL_KM of the one without it.
     """
-    return _edge(params, lambda _: params.chirp)
+    return _edge(params, lambda _: params.chirp, near)
 
 
 def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
@@ -280,12 +296,25 @@ def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
 def scan_chirp(params: ScenarioParams, c_grid: Iterable[float]) -> ChirpScanResult:
     """Secure range at each chirp of a grid, plus the best chirp overall.
 
+    The scan runs by continuation: from the third chirp on, each search
+    starts at the linear extrapolation 2 L_-1 - L_-2 of the last two samples
+    (an even grid, such as default_chirp_grid's, is assumed; on another a
+    prediction costs evaluations, not accuracy). The first two chirps start
+    cold. A prediction moves no sample by more than _L_TOL_KM from
+    max_distance's cold result, and none at all where that returns 0.0 or
+    bisects (the rate dead at the focal point). The width at L = 0 is sigma
+    at any chirp, so a source dead at one grid chirp is dead at all.
+
     The best chirp is optimal_chirp's over the grid's span, with its
     max_distance as l_max_star; a grid sample that is strictly longer
     replaces it, so the reported maximum never falls below the grid.
     """
     grid = _increasing(c_grid, "chirp")
-    samples = tuple((c, max_distance(params._at_chirp(c))) for c in grid)
+    samples = []
+    for c in grid:
+        near = 2.0 * samples[-1][1] - samples[-2][1] if len(samples) > 1 else None
+        samples.append((c, max_distance(params._at_chirp(c), near=near)))
+    samples = tuple(samples)
     c_star = optimal_chirp(params, grid[0], grid[-1])
     l_star = max_distance(params._at_chirp(c_star))
     c_best, l_best = max(samples, key=lambda s: s[1])

@@ -282,9 +282,58 @@ def test_max_distance_evaluation_worst_case(params):
 
 
 def test_scan_chirp_evaluation_budget(monkeypatch):
-    # plain bisection took 1,245: 15 per grid chirp, plus c_star's searches
+    # plain bisection took 1,245: 15 per grid chirp, plus c_star's searches;
+    # a cold search per grid chirp took 644, the scan by continuation 504
     grid = default_chirp_grid()
-    assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(ScenarioParams(), grid)) <= 729
+    assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(ScenarioParams(), grid)) <= 540
+
+
+def _focal_km(params: ScenarioParams) -> float:
+    c = params.chirp
+    return c * params.sigma * params.sigma / ((1.0 + c * c) * params.beta) / KM
+
+
+def _bisects(params: ScenarioParams) -> bool:
+    """The search bisects: the chirp focuses and the QBER at the focal point
+    is not below the threshold."""
+    if not params.chirp * params.beta > 0.0:
+        return False
+    focal_km = _focal_km(params)
+    if not 0.0 < focal_km < analysis._BRACKET_CEILING_KM:
+        return False
+    return not evaluate_point(params, focal_km * KM).qber < _QBER_LIMIT
+
+
+PREDICTED = {
+    "defaults": ScenarioParams(),
+    "live at L_f": SPLIT_SETS["live at L_f"],
+    "dead at L_f": SPLIT_SETS["dead at L_f"],
+}
+
+
+@pytest.mark.parametrize("params", PREDICTED.values(), ids=PREDICTED.keys())
+def test_max_distance_with_any_prediction_stays_within_the_tolerance(params):
+    # the margin falls through zero once above the bracket's live end, so a
+    # prediction, near or far, in range or not, moves no result by more than
+    # _L_TOL_KM; in bisect mode (dead at L_f) the search ignores it
+    cold = max_distance(params)
+    predictions = [cold, cold - 30.0, cold + 30.0, 1e-3, 2.0 * analysis._BRACKET_CEILING_KM]
+    if params.chirp * params.beta > 0.0:
+        predictions.append(0.5 * _focal_km(params))  # below L_f
+    for near in predictions:
+        got = max_distance(params, near=near)
+        if _bisects(params):
+            assert got == cold, near
+        assert abs(got - cold) <= analysis._L_TOL_KM, near
+
+
+def test_max_distance_at_its_own_prediction_checks_the_edge_alone(monkeypatch):
+    # the source, then 5 m on either side of the predicted edge (7 cold)
+    params = ScenarioParams()
+    cold = max_distance(params)
+    got = []
+    assert _counted_evaluations(monkeypatch, lambda: got.append(max_distance(params, near=cold))) <= 3
+    assert abs(got[0] - cold) <= analysis._L_TOL_KM
 
 
 def test_max_distance_without_dispersion_is_the_threshold_transmittance_edge(monkeypatch):
@@ -414,13 +463,23 @@ def test_qber_limit_is_where_the_rate_factor_dies():
 @settings(deadline=None, max_examples=40)
 @given(
     params=domain_params(),
-    chirps=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=3, unique=True),
+    chirps=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=1, max_size=6, unique=True),
 )
-def test_scan_chirp_samples_equal_replaced_params(params, chirps):
-    # each sample is the secure range of the params rebuilt with that chirp
+def test_scan_chirp_samples_are_replaced_params_ranges(params, chirps):
+    # each sample is the secure range of the params rebuilt with that chirp:
+    # exactly where that search returns 0.0 or bisects (dead at L_f), and
+    # within _L_TOL_KM where the scan's predicted edge started it
     grid = sorted(chirps)
-    expected = _outcome(lambda: tuple((c, max_distance(replace(params, chirp=c))) for c in grid))
-    assert _outcome(lambda: scan_chirp(params, grid).samples) == expected
+    expected = _outcome(lambda: [max_distance(replace(params, chirp=c)) for c in grid])
+    got = _outcome(lambda: scan_chirp(params, grid).samples)
+    if not isinstance(expected, list):
+        assert got == expected
+        return
+    assert [c for c, _ in got] == grid
+    for (c, l_km), cold in zip(got, expected):
+        if cold == 0.0 or _bisects(replace(params, chirp=c)):
+            assert l_km == cold, c
+        assert abs(l_km - cold) <= analysis._L_TOL_KM, c
 
 
 @settings(deadline=None, max_examples=200)

@@ -57,8 +57,8 @@ CLI_DIGESTS = {
         "sweep.svg": "8be09ca651e4cfa7a858fa4ecefc5af5ce64bdf3e77488e38c9ed1e1a967d0e4",
     },
     "optimize-chirp --out scan.csv --svg scan.svg": {
-        "scan.csv": "d1df7e8abdf854fc2f9357b94d6473da5ee9de2860dc80d84c63256fb9bf0be3",
-        "scan.svg": "0e77a93978b3d51d4f027612bd75e1c6bf83cf0c4252eeee167cb42298d1d19b",
+        "scan.csv": "93f9e5e48931b767196c76048ff5ba02bbb96b67bab06cf74aa1dee407f80479",
+        "scan.svg": "d74628960fb4d1a65995fd2ed41d325b752c4188a4deb46ed004e3e04db6508c",
     },
     # every secure range is 0: the linear y axis widens a flat range
     "optimize-chirp --set jitter_ps=200 --out scan.csv --svg scan.svg": {

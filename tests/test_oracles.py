@@ -2,7 +2,8 @@
 under the propagator, width and jitter oracles, its bisection root finder,
 which criterion 06 uses, the Gaussian state and closed-form propagator
 the quadrature oracles start from, its density and moments, and the
-numeric propagator integral against the closed form."""
+numeric propagator integral against the closed form; broadened_sigma
+against the closed-form state and the numeric propagator's unit norm."""
 
 import math
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispersive_qkd.analysis import NonConvergenceError
+from dispersive_qkd.detection import broadened_sigma
 from dispersive_qkd.keyrate import binary_entropy
 from oracles import (
     Bracket,
@@ -226,6 +228,14 @@ def test_moments_normalization_random_draws():
         assert abs(variance - state.pdf_sigma ** 2) <= 1e-8 * state.pdf_sigma ** 2
 
 
+def test_broadened_sigma_matches_closed_form_state():
+    for l in (1 * KM, 20 * KM, 150 * KM):
+        state = propagate_closed_form(10 * PS, 0.5, TABLE_BETA, l)
+        ref = broadened_sigma(10 * PS, 0.5, TABLE_BETA, l)
+        assert abs(state.pdf_sigma - ref) <= 1e-12 * ref
+
+
+
 def test_propagate_numeric_requires_positive_length_and_dispersion():
     with pytest.raises(ValueError):
         propagate_numeric(10 * PS, 0.0, TABLE_BETA, 0.0, 0.0)
@@ -265,3 +275,15 @@ def test_closed_form_gated_by_oracle(sigma_ps, chirp, beta_e26, flip):
         num = abs(propagate_numeric(sigma, chirp, beta, length, t)) ** 2
         ref = pdf(closed, t)
         assert abs(num - ref) <= 1e-6 * ref
+
+
+def test_propagate_numeric_unitarity():
+    l = 50 * KM
+    sigma_l = broadened_sigma(10 * PS, 1.0, TABLE_BETA, l)
+    outer = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
+
+    def density(t):
+        return abs(propagate_numeric(10 * PS, 1.0, TABLE_BETA, l, t)) ** 2
+
+    val = integrate(density, -12 * sigma_l, 12 * sigma_l, outer).real
+    assert abs(val - 1.0) <= 1e-8
