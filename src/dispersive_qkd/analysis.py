@@ -37,7 +37,7 @@ _M_PER_KM = 1000.0
 # refinement that optimal_chirp replaced; None reads there as an untraced
 # attribute. Drop it together with that layer.
 maximize_scalar = None
-# secure-range search: the highest first bracket top above its live end,
+# secure-range search: the first bracket top above its live end,
 # the final bracket width (the result, its midpoint, lies within half of it
 # of the edge), and a hard stop far beyond any physical fiber
 _L_HINT_KM = 50.0
@@ -129,24 +129,23 @@ def _edge(
     L_f; past L_f the width only grows. L_f is the anchor. The bracket's
     live end is L = 0, or L_f where that is secure too.
 
-    Its top starts _L_HINT_KM above, or lower where the threshold
-    transmittance places it: where 0 < mu < 1, alpha > 0 and L_f is not
-    dead, eta* = keyrate._threshold_transmittance of the live end's window
-    masses is the transmittance at which the QBER reaches the threshold at
-    that end's width, and g is the distance at which the transmittance falls
-    to eta*. Where the width grows above the live end the edge lies below
-    g, so the top is g + _L_TOL_KM where that is lower. With beta = 0 the
-    width is constant and g is the edge. Otherwise a predicted edge `near`,
-    where the caller has one, is g; bisect mode ignores it. Where g +-
-    _L_TOL_KM / 2 lie above the live end and below _BRACKET_CEILING_KM, the
-    top is g + _L_TOL_KM / 2, and where that is not secure and g -
-    _L_TOL_KM / 2 is, the search returns their midpoint after three
-    evaluations; where neither is, the lower is the top. The margin's sign
-    still decides each of these points, and a secure top doubles until it
-    is not. Above the live end the width only grows and the transmittance
-    only falls, so the margin falls through zero once there: whatever
-    `near` is, the result lies within _L_TOL_KM / 2 of the same root as
-    without it, and a prediction moves no result by more than _L_TOL_KM.
+    Its top starts _L_HINT_KM above. The threshold transmittance is read
+    only without dispersion: with beta = 0 there is no focal point and the
+    width is constant, so where 0 < mu < 1 and alpha > 0, eta* =
+    keyrate._threshold_transmittance of the source's window masses is the
+    transmittance at which the QBER reaches the threshold at every L, and
+    g, the distance at which the transmittance falls to eta*, is the edge.
+    Otherwise a predicted edge `near`, where the caller has one, is g;
+    bisect mode ignores it. Where g +- _L_TOL_KM / 2 lie above the live end
+    and below _BRACKET_CEILING_KM, the top is g + _L_TOL_KM / 2, and where
+    that is not secure and g - _L_TOL_KM / 2 is, the search returns their
+    midpoint after three evaluations; where neither is, the lower is the
+    top. The margin's sign still decides each of these points, and a secure
+    top doubles until it is not. Above the live end the width only grows and
+    the transmittance only falls, so the margin falls through zero once
+    there: whatever `near` is, the result lies within _L_TOL_KM / 2 of the
+    same root as without it, and a prediction moves no result by more than
+    _L_TOL_KM.
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on that margin,
     which is smooth where the rate's positive part has a kink, then shrinks
     the bracket. Its halving of the retained end's margin is the one
@@ -164,43 +163,33 @@ def _edge(
     """
     mu = params.dark_rate * params.window
 
-    def stage(l_km: float) -> tuple[float, float, float]:
-        p_sig, p_w, _, q = _qber_stage(params, chirp_at(l_km), mu, l_km * _M_PER_KM)
-        return _QBER_LIMIT - q, p_sig, p_w
-
     def margin(l_km: float) -> float:
         return _QBER_LIMIT - _qber_stage(params, chirp_at(l_km), mu, l_km * _M_PER_KM)[3]
 
-    f_lo, p_sig, p_w = stage(0.0)
+    c0 = chirp_at(0.0)
+    p_sig, p_w, _, q = _qber_stage(params, c0, mu, 0.0)
+    f_lo = _QBER_LIMIT - q
     if not f_lo > 0.0:
         return 0.0
-    lo, bisect = 0.0, False
-    c0 = chirp_at(0.0)
+    lo, bisect, g = 0.0, False, near
     if c0 * params.beta > 0.0:
         s2 = params.sigma * params.sigma
         focal_km = c0 * s2 / ((1.0 + c0 * c0) * params.beta) / _M_PER_KM
         if 0.0 < focal_km < _BRACKET_CEILING_KM:
-            f, a, w = stage(focal_km)
+            f = margin(focal_km)
             if f > 0.0:
-                lo, f_lo, p_sig, p_w = focal_km, f, a, w
+                lo, f_lo = focal_km, f
             else:
-                bisect = True
-    half_tol = 0.5 * _L_TOL_KM
-    hi, f_hi = lo + _L_HINT_KM, None
-    g = near
-    if bisect:
-        g = None
-    elif 0.0 < mu < 1.0 and params.alpha > 0.0:
+                bisect, g = True, None
+    elif params.beta == 0.0 and 0.0 < mu < 1.0 and params.alpha > 0.0:
         eta_star = _threshold_transmittance(p_sig, p_w, mu)
         if 0.0 < eta_star < 1.0:
             decades = params.alpha
             if params.transmittance_convention is not _LITERAL:
                 decades /= 10.0
-            g_eta = -math.log10(eta_star) / decades
-            if params.beta == 0.0:
-                g = g_eta
-            elif lo < g_eta:
-                hi = min(hi, g_eta + _L_TOL_KM)
+            g = -math.log10(eta_star) / decades
+    half_tol = 0.5 * _L_TOL_KM
+    hi, f_hi = lo + _L_HINT_KM, None
     if g is not None and lo < g - half_tol and g + half_tol <= _BRACKET_CEILING_KM:
         hi = g + half_tol
         f_hi = margin(hi)

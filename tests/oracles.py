@@ -426,14 +426,15 @@ def reference_range(params: ScenarioParams) -> float:
 
     0.0 if dead at the source. Else the bracket starts at the focal point
     L_f = C sigma^2 / ((1 + C^2) beta) where C beta > 0 and the rate is live
-    there, at 0 otherwise. Its top is 50 km above; where 0 < mu < 1, alpha >
-    0 and L_f is not dead, it is instead g + 10 m if that is lower, g being
-    the distance at which the transmittance falls to the threshold
-    transmittance of the bracket bottom's window masses. With beta = 0 the
-    width is constant and g is the edge: where g +- 5 m lies above the
-    bottom and below 1e7 km, the top is g + 5 m, and if that is dead and
-    g - 5 m live the result is their midpoint; if both are dead, the top is
-    g - 5 m. A live top doubles until the rate dies (giving up past 1e7 km).
+    there, at 0 otherwise. Its top is 50 km above. The threshold
+    transmittance is read only with beta = 0, where the width is constant
+    and there is no focal point: where 0 < mu < 1 and alpha > 0, the
+    distance g at which the transmittance falls to the threshold
+    transmittance of the source's window masses is the edge. Where g +- 5 m
+    lies above the bottom and below 1e7 km, the top is g + 5 m, and if that
+    is dead and g - 5 m live the result is their midpoint; if both are dead,
+    the top is g - 5 m. A live top doubles until the rate dies (giving up
+    past 1e7 km).
     Illinois regula falsi on the QBER margin then shrinks it to 10 m; the
     result is its midpoint. Its halving is the one safeguard, and each step
     lands at least 5 m inside the bracket, which ends the loop. Where the
@@ -462,18 +463,15 @@ def reference_range(params: ScenarioParams) -> float:
                 bisect = True
     hi, f_hi = lo + l_hint, None
     mu = params.dark_rate * params.window
-    if 0.0 < mu < 1.0 and params.alpha > 0.0 and not bisect:
-        bottom = composed_point(params, lo * 1e3)
-        eta_star = _threshold_transmittance(bottom.p_sig, bottom.p_w, mu)
+    if params.beta == 0.0 and 0.0 < mu < 1.0 and params.alpha > 0.0:
+        source = composed_point(params, 0.0)
+        eta_star = _threshold_transmittance(source.p_sig, source.p_w, mu)
         if 0.0 < eta_star < 1.0:
             per_km = params.alpha
             if params.transmittance_convention is not TransmittanceConvention.LITERAL:
                 per_km /= 10.0
             g = -math.log10(eta_star) / per_km
-            if params.beta != 0.0:
-                if lo < g:
-                    hi = min(hi, g + tol)
-            elif lo < g - tol / 2 and g + tol / 2 <= ceiling:
+            if lo < g - tol / 2 and g + tol / 2 <= ceiling:
                 hi = g + tol / 2
                 f_hi = margin(hi)
                 if not f_hi > 0.0:

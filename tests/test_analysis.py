@@ -176,6 +176,10 @@ def _outcome(run):
 
 @settings(deadline=None, max_examples=100)
 @given(params=domain_params())
+# the searches read the threshold transmittance only with beta = 0; a first
+# bracket top 10 m above its distance here would end the search at
+# 21.779847 km, not 21.779634 km
+@example(params=ScenarioParams(dark_rate=1e9))
 def test_max_distance_equals_reference_search(params):
     # dual route, bit for bit, over every outcome: a range, 0.0 when dead at
     # the source, NonConvergenceError, and a ValueError
@@ -254,9 +258,11 @@ def _counted_evaluations(monkeypatch, run) -> int:
 
 # (record, evaluations): plain bisection of key_rate > 0 took 15 on the
 # defaults; the overlapping windows took 21 while a bisection step followed
-# any two regula falsi steps that did not halve the bracket
+# any two regula falsi steps that did not halve the bracket; the dark-heavy
+# record's edge, 21.78 km, lies far below its first bracket top at 50 km
 EVALUATION_BUDGETS = {
     "defaults": (ScenarioParams(), 9),
+    "dark-heavy": (ScenarioParams(dark_rate=1e9), 8),
     "overlapping windows": (
         ScenarioParams(
             sigma=47 * PS, chirp=0.1, beta=0.48e-26, alpha=0.276, dark_rate=906.0,
@@ -302,6 +308,36 @@ def _bisects(params: ScenarioParams) -> bool:
     if not 0.0 < focal_km < analysis._BRACKET_CEILING_KM:
         return False
     return not evaluate_point(params, focal_km * KM).qber < _QBER_LIMIT
+
+
+# A focusing chirp whose rate is live at L = 0 and dead at L_f = 176.53 km,
+# secure up to 2.82 km and again on about [15.5, 23.306] km
+BISECT_MODE_SPLIT = ScenarioParams(
+    sigma=103 * PS, chirp=-5.6, beta=-1.04e-26, alpha=0.27, dark_rate=47.0,
+    period=42 * PS, jitter=0.0, window=300 * PS,
+    transmittance_convention=TransmittanceConvention.LITERAL,
+)
+
+
+def test_bisect_mode_split_set_ends_at_23_306_km():
+    params = BISECT_MODE_SPLIT
+    assert evaluate_point(params, 20.0 * KM).key_rate > 0.0
+    assert evaluate_point(params, 23.2 * KM).key_rate > 0.0
+    # 10 m brute scan from 23.32 km up to L_f
+    assert _bisects(params)
+    steps = math.floor((_focal_km(params) - 23.32) * 100) + 1
+    assert not any(
+        evaluate_point(params, (23.32 + 0.01 * i) * KM).key_rate > 0.0 for i in range(steps)
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="bisect mode (dead at L_f) returns the near edge 2.82 km; ROADMAP "
+    "item 2 replaces it with a descent from L_f that reaches the far edge",
+)
+def test_max_distance_in_bisect_mode_finds_the_far_edge():
+    assert abs(max_distance(BISECT_MODE_SPLIT) - 23.306) <= analysis._L_TOL_KM
 
 
 PREDICTED = {
@@ -353,15 +389,6 @@ def test_scan_chirp_without_dispersion_evaluation_budget(monkeypatch):
     grid = default_chirp_grid()
     params = ScenarioParams(beta=0.0)
     assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(params, grid)) <= 250
-
-
-def test_max_distance_first_top_at_the_threshold_distance(monkeypatch):
-    # where the width grows, the edge (21.78 km here) lies below the distance
-    # at which the transmittance falls to the source's threshold
-    # transmittance (31.22 km); 10 m above that is the first bracket top,
-    # not 50 km (10 evaluations)
-    params = ScenarioParams(dark_rate=1e9)
-    assert 0 < _counted_evaluations(monkeypatch, lambda: max_distance(params)) <= 8
 
 
 def test_scan_chirp_builds_no_parameter_record(monkeypatch):

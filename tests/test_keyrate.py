@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dispersive_qkd.config import BETA_UNIT, Config, to_params
+from dispersive_qkd.detection import p_signal, p_wrong, shifted_window_mass
 from dispersive_qkd.keyrate import (
     _QBER_LIMIT,
     DarkCountModel,
@@ -335,6 +336,33 @@ def test_threshold_transmittance_is_where_the_qber_crosses(p_sig, p_w, mu):
         assert math.isclose(got, expected, rel_tol=1e-9)
     else:
         assert got >= 1.0 - 1e-9
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    window=_log_uniform(1 * PS, 1000 * PS),
+    period=_log_uniform(10 * PS, 10000 * PS),
+    mu=st.one_of(
+        _log_uniform(1e-12, 0.5),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    ),
+    widths=st.lists(_log_uniform(0.1 * PS, 10000 * PS), min_size=2, max_size=2),
+)
+def test_threshold_transmittance_does_not_fall_as_the_width_grows(window, period, mu, widths):
+    # at fixed mu the transmittance a wider pulse needs is no lower: one
+    # dead point then proves dead every distance whose transmittance is no
+    # higher at a width no larger. Widths a few ulp apart can dip by 2e-12
+    # relative, so the check allows 1e-9.
+    def eta_star(width):
+        p_w = p_wrong(shifted_window_mass(width, window, period))
+        return _threshold_transmittance(p_signal(width, window), p_w, mu)
+
+    narrow, wide = sorted(widths)
+    assert eta_star(wide) >= eta_star(narrow) * (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("p_w", [0.0, 1e-9, 0.3, 1.0])
