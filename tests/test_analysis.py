@@ -258,11 +258,9 @@ def _counted_evaluations(monkeypatch, run) -> int:
 
 # (record, evaluations): plain bisection of key_rate > 0 took 15 on the
 # defaults; the overlapping windows took 21 while a bisection step followed
-# any two regula falsi steps that did not halve the bracket; the dark-heavy
-# record's edge, 21.78 km, lies far below its first bracket top at 50 km
+# any two regula falsi steps that did not halve the bracket
 EVALUATION_BUDGETS = {
     "defaults": (ScenarioParams(), 9),
-    "dark-heavy": (ScenarioParams(dark_rate=1e9), 8),
     "overlapping windows": (
         ScenarioParams(
             sigma=47 * PS, chirp=0.1, beta=0.48e-26, alpha=0.276, dark_rate=906.0,
@@ -389,6 +387,23 @@ def test_scan_chirp_without_dispersion_evaluation_budget(monkeypatch):
     grid = default_chirp_grid()
     params = ScenarioParams(beta=0.0)
     assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(params, grid)) <= 250
+
+
+def test_max_distance_first_top_at_the_threshold_distance(monkeypatch):
+    # where the width grows, the edge (21.78 km here) lies below the distance
+    # at which the transmittance falls to the source's threshold
+    # transmittance (31.22 km), so that distance would be a valid first
+    # bracket top; with beta != 0 the search starts from 50 km, which it
+    # reaches in the same 8 evaluations
+    params = ScenarioParams(dark_rate=1e9)
+    mu = params.dark_rate * params.window
+    p_sig, p_w, _, _ = keyrate._qber_stage(params, params.chirp, mu, 0.0)
+    g = -math.log10(keyrate._threshold_transmittance(p_sig, p_w, mu)) / (params.alpha / 10.0)
+    assert abs(g - 31.22) <= 0.01
+    assert not evaluate_point(params, g * KM).key_rate > 0.0
+    got = []
+    assert 0 < _counted_evaluations(monkeypatch, lambda: got.append(max_distance(params))) <= 8
+    assert abs(got[0] - 21.78) <= 0.01
 
 
 def test_scan_chirp_builds_no_parameter_record(monkeypatch):
