@@ -19,7 +19,7 @@ from typing import Sequence
 from . import analysis
 from .chart import Series, render_chart
 from .config import KM, PS, Config, parse_config, to_params
-from .keyrate import ProtocolPoint, evaluate_point
+from .keyrate import ProtocolPoint, ScenarioParams, evaluate_point
 
 __all__ = ["main", "build_parser", "CSV_HEADER", "SCAN_CSV_HEADER"]
 
@@ -37,10 +37,6 @@ def _rate_scale(cfg: Config) -> float:
     if cfg.rate_units == "per_second":
         return 1.0 / (cfg.period_ps * PS)
     return 1.0
-
-
-def _chirp_grid(cfg: Config) -> list[float]:
-    return analysis.default_chirp_grid(cfg.c_min, cfg.c_max, cfg.c_step)
 
 
 def _row(l_km: float, p: ProtocolPoint, scale: float) -> tuple[float, ...]:
@@ -85,8 +81,7 @@ def _write_text(path: str | Path, content: str) -> None:
         fh.write(content)
 
 
-def cmd_point(cfg: Config, args: argparse.Namespace) -> int:
-    params = to_params(cfg)
+def cmd_point(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> int:
     point = evaluate_point(params, cfg.distance_km * KM)
     values = _row(cfg.distance_km, point, _rate_scale(cfg))
     width = max(map(len, _COLUMNS))
@@ -97,8 +92,7 @@ def cmd_point(cfg: Config, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
-    params = to_params(cfg)
+def cmd_sweep(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> int:
     l_max = cfg.l_max_km if cfg.l_max_km >= 0 else None  # negative: auto-scale
     grid = analysis.distance_grid([params], cfg.l_steps, cfg.l_min_km, l_max)
     sweep = analysis.sweep_distance(params, grid)
@@ -112,16 +106,14 @@ def cmd_sweep(cfg: Config, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lmax(cfg: Config, args: argparse.Namespace) -> int:
-    params = to_params(cfg)
-    l_max = analysis.max_distance(params)
-    sys.stdout.write(f"L_max_km = {_fmt(l_max)}\n")
+def cmd_lmax(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> int:
+    sys.stdout.write(f"L_max_km = {_fmt(analysis.max_distance(params))}\n")
     return 0
 
 
-def cmd_optimize_chirp(cfg: Config, args: argparse.Namespace) -> int:
-    params = to_params(cfg)
-    scan = analysis.scan_chirp(params, _chirp_grid(cfg))
+def cmd_optimize_chirp(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> int:
+    grid = analysis.default_chirp_grid(cfg.c_min, cfg.c_max, cfg.c_step)
+    scan = analysis.scan_chirp(params, grid)
     sys.stdout.write(f"c_star = {_fmt(scan.c_star)}\n")
     sys.stdout.write(f"L_max_km = {_fmt(scan.l_max_star)}\n")
     if scan.l_max_star == 0.0:
@@ -140,9 +132,8 @@ def cmd_optimize_chirp(cfg: Config, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_reproduce(cfg: Config, args: argparse.Namespace) -> int:
-    params = to_params(cfg)
-    grid = _chirp_grid(cfg)
+def cmd_reproduce(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> int:
+    grid = analysis.default_chirp_grid(cfg.c_min, cfg.c_max, cfg.c_step)
     # every figure is computed before any file is written, so an unknown
     # name or a failed search leaves nothing behind
     results = [
@@ -221,7 +212,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, args.sets)
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command](cfg, to_params(cfg), args)
     except analysis.NonConvergenceError as exc:
         sys.stderr.write(f"error: did not converge: {exc}\n")
         return 3

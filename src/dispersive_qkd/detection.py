@@ -51,10 +51,12 @@ def broadened_sigma(sigma: float, chirp: float, beta: float, length: float) -> f
     at L = chirp*sigma^2/((1+chirp^2)*beta), then re-broadens; otherwise it
     broadens monotonically. The test suite gates this expression against
     quadrature moments of the propagator integral. Raises ValueError where
-    the width is not a finite float (beta*L or a square overflows).
+    length is negative, nan or infinite, the one check of the propagation
+    distance on every path, and where the width is not a finite float
+    (beta*L or a square overflows).
     """
-    if length < 0:
-        raise ValueError(f"propagation distance must be >= 0, got {length}")
+    if not 0.0 <= length < math.inf:
+        raise ValueError(f"propagation distance must be >= 0 m and finite, got {length}")
     s2 = sigma * sigma
     bl = beta * length
     try:

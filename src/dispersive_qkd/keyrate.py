@@ -301,11 +301,10 @@ def _qber_stage(
     params.chirp and adds the rate tail; the secure-range search reads the
     QBER alone, takes mu once per search, and passes the chirp of its path,
     so no step builds a parameter record or reads the dark model. params was
-    validated when it was built, so its scalars feed the formulas directly.
-    See ProtocolPoint for the 0.5 sentinel.
+    validated when it was built, so its scalars feed the formulas directly;
+    broadened_sigma checks the distance. See ProtocolPoint for the 0.5
+    sentinel.
     """
-    if not 0.0 <= distance < math.inf:
-        raise ValueError(f"distance must be >= 0 meters, got {distance}")
     sigma_l = broadened_sigma(params.sigma, chirp, params.beta, distance)
     sigma_tot = detected_sigma(sigma_l, params.jitter)
     p_sig = p_signal(sigma_tot, params.window)

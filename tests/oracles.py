@@ -9,10 +9,11 @@ per-distance pipeline from the public helpers, the reference for
 `evaluate_point`; `reference_range` repeats `max_distance`'s search over
 it, `bisection_range` the plain bisection that search replaced, and
 `best_grid_range` takes the best reference range over a chirp grid, the
-brute-force reference for the best chirp. `threshold_transmittance`
-bisects the QBER in the transmittance, the reference for its closed form.
-`domain_params` draws `ScenarioParams` over the documented robustness
-domain.
+brute-force reference for the best chirp, and `live_points` scans a
+distance range on a 10 m grid, the brute-force reference for a far edge.
+`threshold_transmittance` bisects the QBER in the transmittance, the
+reference for its closed form. `domain_params` draws `ScenarioParams` over
+the documented robustness domain.
 """
 
 from __future__ import annotations
@@ -418,6 +419,13 @@ def composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     return ProtocolPoint(
         p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
     )
+
+
+def live_points(params: ScenarioParams, a_km: float, b_km: float) -> list[float]:
+    """The distances (km) of the 10 m grid a, a + 0.01, ... within [a, b]
+    at which the composed pipeline's key rate is positive, in order."""
+    grid = (a_km + 0.01 * i for i in range(int((b_km - a_km) * 100 + 1e-6) + 1))
+    return [l_km for l_km in grid if composed_point(params, l_km * 1e3).key_rate > 0.0]
 
 
 def reference_range(params: ScenarioParams) -> float:

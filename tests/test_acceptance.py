@@ -34,6 +34,7 @@ from oracles import (
     find_root,
     initial_state,
     integrate,
+    live_points,
     moments,
     pdf,
     propagate_closed_form,
@@ -325,16 +326,6 @@ def test_criterion_10_dispersion_ordering_and_chirp_gain():
     assert ok, detail
 
 
-def _brute_force_l_max(params, top_km):
-    last_positive = 0.0
-    steps = int(round(top_km / 0.01))
-    for i in range(steps + 1):
-        distance = i * 0.01
-        if evaluate_point(params, distance * KM).key_rate > 0.0:
-            last_positive = distance
-    return last_positive + 0.005
-
-
 def test_criterion_11_range_search_matches_brute_scan():
     configs = {
         "defaults": ScenarioParams(),
@@ -352,7 +343,7 @@ def test_criterion_11_range_search_matches_brute_scan():
     found = {}
     for name, params in configs.items():
         found[name] = max_distance(params)
-        brute = _brute_force_l_max(params, found[name] + 1.0)
+        brute = live_points(params, 0.0, found[name] + 1.0)[-1] + 0.005
         dev = abs(found[name] - brute)
         worst = max(worst, dev)
         details.append(f"{name}: {found[name]:.3f} vs {brute:.3f} km")

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -32,6 +33,7 @@ from oracles import (
     bisection_range,
     composed_point,
     domain_params,
+    live_points,
     reference_range,
 )
 
@@ -93,13 +95,9 @@ def test_max_distance_bracketing_contract():
 def test_max_distance_agrees_with_local_scan():
     params = ScenarioParams()
     l_max = max_distance(params)
-    # 10 m sweep across the reported boundary
-    step = 0.01
-    probe = l_max - 0.2
-    while evaluate_point(params, probe * KM).key_rate > 0.0:
-        probe += step
-    brute = probe - step / 2.0
-    assert abs(l_max - brute) <= 0.02
+    # 10 m scan across the reported boundary
+    live = live_points(params, l_max - 0.2, l_max + 0.2)
+    assert abs(l_max - (live[-1] + 0.005)) <= 0.02
 
 
 def test_max_distance_dead_at_source_returns_zero():
@@ -233,27 +231,31 @@ SPLIT_SETS = {
 def test_max_distance_finds_the_far_edge_of_a_split_set(params):
     l_max = max_distance(params)
     # 10 m brute scan to 1 km past it
-    steps = round(l_max * 100) + 101
-    live = [evaluate_point(params, i * 10.0).key_rate > 0.0 for i in range(steps)]
-    last = max(i for i, ok in enumerate(live) if ok)
-    assert not all(live[: last + 1])  # the set is split
-    assert abs(l_max - (last + 0.5) * 0.01) <= 0.01
+    live = live_points(params, 0.0, l_max + 1.0)
+    assert any(b - a > 0.015 for a, b in zip(live, live[1:]))  # the set is split
+    assert abs(l_max - (live[-1] + 0.005)) <= 0.01
+
+
+def _count_calls(monkeypatch, owner, name: str, calls: Counter | None = None) -> Counter:
+    """Wrap owner.name so that each call adds one to calls[name]; returns
+    calls, a new Counter unless one is passed in to share."""
+    calls = Counter() if calls is None else calls
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def _counted_evaluations(monkeypatch, run) -> int:
     # every evaluation, through evaluate_point or a search's stages, widens
     # the pulse exactly once
-    calls = 0
-    real = keyrate.broadened_sigma
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
-
-    monkeypatch.setattr(keyrate, "broadened_sigma", counted)
+    calls = _count_calls(monkeypatch, keyrate, "broadened_sigma")
     run()
-    return calls
+    return calls["broadened_sigma"]
 
 
 # (record, evaluations): plain bisection of key_rate > 0 took 15 on the
@@ -292,6 +294,16 @@ def test_scan_chirp_evaluation_budget(monkeypatch):
     assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(ScenarioParams(), grid)) <= 540
 
 
+def test_figures_evaluation_budget(monkeypatch):
+    # run_scenario over the six figures with defaults makes 16,744: fig1
+    # 3,261, fig2 2,453, fig3a 1,547, fig3b 4,002, fig4a 1,513, fig4b 3,968
+    def run():
+        for name in analysis.SCENARIOS:
+            run_scenario(name)
+
+    assert 0 < _counted_evaluations(monkeypatch, run) <= 17_000
+
+
 def _focal_km(params: ScenarioParams) -> float:
     c = params.chirp
     return c * params.sigma * params.sigma / ((1.0 + c * c) * params.beta) / KM
@@ -323,10 +335,7 @@ def test_bisect_mode_split_set_ends_at_23_306_km():
     assert evaluate_point(params, 23.2 * KM).key_rate > 0.0
     # 10 m brute scan from 23.32 km up to L_f
     assert _bisects(params)
-    steps = math.floor((_focal_km(params) - 23.32) * 100) + 1
-    assert not any(
-        evaluate_point(params, (23.32 + 0.01 * i) * KM).key_rate > 0.0 for i in range(steps)
-    )
+    assert not live_points(params, 23.32, _focal_km(params))
 
 
 @pytest.mark.xfail(
@@ -336,6 +345,35 @@ def test_bisect_mode_split_set_ends_at_23_306_km():
 )
 def test_max_distance_in_bisect_mode_finds_the_far_edge():
     assert abs(max_distance(BISECT_MODE_SPLIT) - 23.306) <= analysis._L_TOL_KM
+
+
+# bench chirp_scan seed 3, draw 150, at C = -1.5: live at L = 0 and dead at
+# L_f = 87.14 km, secure up to 2.44 km and again on about [35.19, 36.13] km
+SEED_3_BISECT_MODE_SPLIT = ScenarioParams(
+    sigma=4.260033579158412e-11, chirp=-1.5, beta=-9.612073750087993e-27,
+    alpha=0.17900013290010736, dark_rate=28.849577455104054,
+    period=2.98150714637442e-11, jitter=5.182921823353509e-13,
+    window=1.246647203548647e-10,
+    transmittance_convention=TransmittanceConvention.LITERAL,
+)
+
+
+def test_seed_3_bisect_mode_split_set_ends_at_36_13_km():
+    params = SEED_3_BISECT_MODE_SPLIT
+    assert _bisects(params)
+    # 10 m brute scan from the source up to L_f
+    live = live_points(params, 0.0, _focal_km(params))
+    assert any(b - a > 0.015 for a, b in zip(live, live[1:]))  # the set is split
+    assert abs(live[-1] + 0.005 - 36.13) <= 0.01
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="bisect mode (dead at L_f) returns the near edge 2.44 km; ROADMAP "
+    "item 2 replaces it with a descent from L_f that reaches the far edge",
+)
+def test_max_distance_in_bisect_mode_finds_the_far_edge_of_seed_3():
+    assert abs(max_distance(SEED_3_BISECT_MODE_SPLIT) - 36.13) <= analysis._L_TOL_KM
 
 
 PREDICTED = {
@@ -409,56 +447,32 @@ def test_max_distance_first_top_at_the_threshold_distance(monkeypatch):
 def test_scan_chirp_builds_no_parameter_record(monkeypatch):
     # each grid chirp's record copies the validated one with only the chirp
     # checked; replace(params, chirp=c) ran __post_init__ 82 times here
-    built = 0
-    real = ScenarioParams.__post_init__
-
-    def counted(self):
-        nonlocal built
-        built += 1
-        real(self)
-
     params = ScenarioParams()
-    monkeypatch.setattr(ScenarioParams, "__post_init__", counted)
+    built = _count_calls(monkeypatch, ScenarioParams, "__post_init__")
     result = scan_chirp(params, default_chirp_grid())
-    assert built == 0
+    assert built["__post_init__"] == 0
     assert len(result.samples) == 81
 
 
 def test_secure_range_search_builds_no_point_record(monkeypatch):
     # the searches read keyrate._qber_stage's tuple; sweeps still build records
-    built = 0
-    real = ProtocolPoint.__init__
-
-    def counted(self, *args):
-        nonlocal built
-        built += 1
-        real(self, *args)
-
-    monkeypatch.setattr(ProtocolPoint, "__init__", counted)
+    built = _count_calls(monkeypatch, ProtocolPoint, "__init__")
     scan_chirp(ScenarioParams(), [-1.0, -0.2, 1.0])
-    assert built == 0
+    assert built["__init__"] == 0
     sweep_distance(ScenarioParams(), [0.0, 10.0])
-    assert built == 2
+    assert built["__init__"] == 2
 
 
 def test_secure_range_search_runs_no_dark_model_or_rate_tail(monkeypatch):
     # the search reads the QBER alone, through mu = rate * window, so it
     # never asks the dark model for p_zero and p_one nor computes the rate
     names = ("dark_probs", "p_raw_key", "key_rate", "binary_entropy")
-    calls = dict.fromkeys(names, 0)
-
-    def counting(name, real):
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return counted
-
+    calls = Counter(dict.fromkeys(names, 0))
     for name in names:
         real = getattr(keyrate, name)
         for module in (keyrate, analysis):
             if getattr(module, name, None) is real:
-                monkeypatch.setattr(module, name, counting(name, real))
+                _count_calls(monkeypatch, module, name, calls)
     params = ScenarioParams()
     max_distance(params)
     assert calls == dict.fromkeys(names, 0)
@@ -483,17 +497,9 @@ def test_max_distance_does_not_depend_on_the_dark_model(params):
 def test_optimal_chirp_builds_no_parameter_record(monkeypatch):
     # the search passes each step's chirp to keyrate._qber_stage, not a record
     params = ScenarioParams()
-    built = 0
-    real = ScenarioParams.__post_init__
-
-    def counted(self):
-        nonlocal built
-        built += 1
-        real(self)
-
-    monkeypatch.setattr(ScenarioParams, "__post_init__", counted)
+    built = _count_calls(monkeypatch, ScenarioParams, "__post_init__")
     optimal_chirp(params, -2.0, 2.0)
-    assert built == 0
+    assert built["__post_init__"] == 0
 
 
 def test_qber_limit_is_where_the_rate_factor_dies():

@@ -64,6 +64,13 @@ def test_broadened_sigma_at_zero():
         broadened_sigma(7 * PS, 0.0, TABLE_BETA, -1.0)
 
 
+def test_broadened_sigma_rejects_bad_distance():
+    # the one distance check of evaluate_point and of every search step
+    for length in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"propagation distance .*, got {length}$"):
+            broadened_sigma(7 * PS, 0.0, TABLE_BETA, length)
+
+
 def test_broadened_sigma_overflow_is_value_error():
     cases = [
         # sigma^2 - C*beta*L = -1e157 s^2 cannot be squared in a float
