@@ -129,14 +129,30 @@ def _edge(
     L_f; past L_f the width only grows. L_f is the anchor. The bracket's
     live end is L = 0, or L_f where that is secure too.
 
-    Its top starts _L_HINT_KM above. The threshold transmittance is read
-    only without dispersion: with beta = 0 there is no focal point and the
-    width is constant, so where 0 < mu < 1 and alpha > 0, eta* =
-    keyrate._threshold_transmittance of the source's window masses is the
-    transmittance at which the QBER reaches the threshold at every L, and
-    g, the distance at which the transmittance falls to eta*, is the edge.
-    Otherwise a predicted edge `near`, where the caller has one, is g;
-    bisect mode ignores it. Where g +- _L_TOL_KM / 2 lie above the live end
+    The threshold transmittance eta* = keyrate._threshold_transmittance of
+    a point's window masses is the transmittance at which the QBER reaches
+    the threshold at that point's width; where 0 < mu < 1 and alpha > 0 it
+    exists and does not fall as the width grows. g(L) is the distance at
+    which the transmittance falls to eta* of the masses at L.
+
+    Where L_f is not secure, the secure set lies below it and may be split,
+    so the search descends from L_f to the far edge: b <- g(b), from b =
+    L_f, the masses of each dead b giving the next step. The width falls
+    with L on [0, L_f], so one dead b proves all of [g(b), b] dead: there
+    the transmittance is at most eta*(b) and eta* is at least eta*(b).
+    Where a step b - g(b) is shorter than _L_TOL_KM, b - _L_TOL_KM is
+    checked instead: where it is secure the search returns
+    b - _L_TOL_KM / 2, and where it is not the descent goes on from it.
+    Where g(b) itself is secure (at the edge, by rounding) [g(b), b] is the
+    bracket, and where the next point would not lie above 0, [0, b].
+    Without eta* (mu = 0, alpha = 0, or mu >= 1 under exact Poisson) the
+    search bisects [0, L_f] instead, which finds the far part of a split set
+    only where a midpoint lands in it. Either way `near` is ignored.
+
+    Elsewhere the top starts _L_HINT_KM above the live end. With beta = 0
+    there is no focal point and the width is constant, so where eta* exists
+    g(0) is the edge. Otherwise a predicted edge `near`, where the caller
+    has one, is g. Where g +- _L_TOL_KM / 2 lie above the live end
     and below _BRACKET_CEILING_KM, the top is g + _L_TOL_KM / 2, and where
     that is not secure and g - _L_TOL_KM / 2 is, the search returns their
     midpoint after three evaluations; where neither is, the lower is the
@@ -148,18 +164,17 @@ def _edge(
     _L_TOL_KM.
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on that margin,
     which is smooth where the rate's positive part has a kink, then shrinks
-    the bracket. Its halving of the retained end's margin is the one
-    safeguard against a one-sided stall; each step lands at least
-    _L_TOL_KM / 2 inside the bracket, which ends the loop. Where L_f is not
-    secure, the secure set may have a gap below it that interpolation from
-    L = 0 would stop in, so every step bisects. Stops at width _L_TOL_KM
-    and returns the midpoint. Raises NonConvergenceError where the QBER is
-    still below the threshold past _BRACKET_CEILING_KM: a secure range that
-    never ends.
+    the bracket, except where it bisects [0, L_f]. Its halving of the
+    retained end's margin is the one safeguard against a one-sided stall;
+    each step lands at least _L_TOL_KM / 2 inside the bracket, which ends
+    the loop. Stops at width _L_TOL_KM and returns the midpoint. Raises
+    NonConvergenceError where the QBER is still below the threshold past
+    _BRACKET_CEILING_KM: a secure range that never ends.
 
-    The anchor holds along a path whose chirp is c0 up to past L_f, and
-    optimal_chirp's is: it is c0 up to sigma^2 / (|c0| |beta|), which
-    exceeds L_f by the factor (1 + c0^2) / c0^2.
+    The anchor and the descent hold along a path whose chirp is c0 up to
+    past L_f, and optimal_chirp's is: it is c0 up to sigma^2 / (|c0|
+    |beta|), which exceeds L_f by the factor (1 + c0^2) / c0^2. So every
+    point at or below L_f is evaluated at c0.
     """
     mu = params.dark_rate * params.window
 
@@ -171,25 +186,41 @@ def _edge(
     f_lo = _QBER_LIMIT - q
     if not f_lo > 0.0:
         return 0.0
-    lo, bisect, g = 0.0, False, near
+    has_eta_star = 0.0 < mu < 1.0 and params.alpha > 0.0
+    decades = params.alpha if params.transmittance_convention is _LITERAL else params.alpha / 10.0
+    lo, hi, f_hi, bisect, g = 0.0, _L_HINT_KM, None, False, near
     if c0 * params.beta > 0.0:
         s2 = params.sigma * params.sigma
         focal_km = c0 * s2 / ((1.0 + c0 * c0) * params.beta) / _M_PER_KM
         if 0.0 < focal_km < _BRACKET_CEILING_KM:
-            f = margin(focal_km)
+            p_sig, p_w, _, q = _qber_stage(params, c0, mu, focal_km * _M_PER_KM)
+            f = _QBER_LIMIT - q
             if f > 0.0:
-                lo, f_lo = focal_km, f
+                lo, f_lo, hi = focal_km, f, focal_km + _L_HINT_KM
             else:
-                bisect, g = True, None
-    elif params.beta == 0.0 and 0.0 < mu < 1.0 and params.alpha > 0.0:
+                hi, f_hi, bisect, g = focal_km, f, not has_eta_star, None
+            # descend from the dead L_f: a dead hi proves [g(hi), hi] dead
+            while f <= 0.0 and has_eta_star:
+                eta_star = _threshold_transmittance(p_sig, p_w, mu)
+                l_km = -math.log10(eta_star) / decades if eta_star > 0.0 else hi
+                probe = not l_km < hi - _L_TOL_KM
+                if probe:
+                    l_km = hi - _L_TOL_KM
+                if not l_km > 0.0:
+                    break
+                p_sig, p_w, _, q = _qber_stage(params, c0, mu, l_km * _M_PER_KM)
+                f = _QBER_LIMIT - q
+                if f > 0.0:
+                    if probe:
+                        return 0.5 * (l_km + hi)
+                    lo, f_lo = l_km, f
+                else:
+                    hi, f_hi = l_km, f
+    elif params.beta == 0.0 and has_eta_star:
         eta_star = _threshold_transmittance(p_sig, p_w, mu)
         if 0.0 < eta_star < 1.0:
-            decades = params.alpha
-            if params.transmittance_convention is not _LITERAL:
-                decades /= 10.0
             g = -math.log10(eta_star) / decades
     half_tol = 0.5 * _L_TOL_KM
-    hi, f_hi = lo + _L_HINT_KM, None
     if g is not None and lo < g - half_tol and g + half_tol <= _BRACKET_CEILING_KM:
         hi = g + half_tol
         f_hi = margin(hi)
@@ -234,8 +265,12 @@ def max_distance(params: ScenarioParams, near: float | None = None) -> float:
 
     The far edge of the set where qber < _QBER_LIMIT (with dark counts,
     where key_rate > 0) at params' own chirp, found by _edge to within
-    _L_TOL_KM / 2: from the focal point of a focusing chirp where the rate
-    is live there, so the far edge of a split set, not the near one. Raises
+    _L_TOL_KM / 2. Where a focusing chirp splits the secure set, that is the
+    far edge, not the near one: the search starts from the focal point where
+    the rate is live there, and descends from it where it is dead, each
+    dead point proving the stretch down to the next one dead. Without dark
+    counts, without loss, or with mu >= 1 under exact Poisson, it bisects
+    below a dead focal point instead, and may stop at a near edge. Raises
     NonConvergenceError where the QBER is still below the threshold past
     _BRACKET_CEILING_KM.
 
@@ -291,7 +326,8 @@ def scan_chirp(params: ScenarioParams, c_grid: Iterable[float]) -> ChirpScanResu
     prediction costs evaluations, not accuracy). The first two chirps start
     cold. A prediction moves no sample by more than _L_TOL_KM from
     max_distance's cold result, and none at all where that returns 0.0 or
-    bisects (the rate dead at the focal point). The width at L = 0 is sigma
+    the rate is dead at the focal point, where the search starts from the
+    focal point and ignores the prediction. The width at L = 0 is sigma
     at any chirp, so a source dead at one grid chirp is dead at all.
 
     The best chirp is optimal_chirp's over the grid's span, with its

@@ -434,21 +434,30 @@ def reference_range(params: ScenarioParams) -> float:
 
     0.0 if dead at the source. Else the bracket starts at the focal point
     L_f = C sigma^2 / ((1 + C^2) beta) where C beta > 0 and the rate is live
-    there, at 0 otherwise. Its top is 50 km above. The threshold
-    transmittance is read only with beta = 0, where the width is constant
-    and there is no focal point: where 0 < mu < 1 and alpha > 0, the
-    distance g at which the transmittance falls to the threshold
-    transmittance of the source's window masses is the edge. Where g +- 5 m
-    lies above the bottom and below 1e7 km, the top is g + 5 m, and if that
-    is dead and g - 5 m live the result is their midpoint; if both are dead,
-    the top is g - 5 m. A live top doubles until the rate dies (giving up
-    past 1e7 km).
-    Illinois regula falsi on the QBER margin then shrinks it to 10 m; the
-    result is its midpoint. Its halving is the one safeguard, and each step
-    lands at least 5 m inside the bracket, which ends the loop. Where the
-    rate is dead at L_f, every step bisects. Live means qber below its
-    threshold, which with dark counts is where key_rate > 0; the
-    interpolation reads the raw margin, the threshold minus qber.
+    there, at 0 otherwise, and its top is 50 km above. Where the rate is
+    dead at L_f and 0 < mu < 1, alpha > 0, the search descends from L_f
+    instead: from a dead b to threshold_km(b), the distance at which the
+    transmittance falls to the threshold transmittance of the window masses
+    at b, or to b - 10 m where that step is shorter, and b - 10 m, if
+    secure, ends it at b - 5 m. The width falls with L below L_f and the
+    threshold transmittance does not fall as the width grows, so a dead b
+    proves [threshold_km(b), b] dead. Where threshold_km(b) is secure, it
+    and b bracket the edge; where the next point would not lie above 0, 0
+    and b do. Outside that domain the bracket is [0, L_f] and every step
+    bisects it. The threshold transmittance also serves with beta = 0,
+    where the width is constant and there is no focal point: where 0 < mu <
+    1 and alpha > 0, the distance g at which the transmittance falls to the
+    threshold transmittance of the source's window masses is the edge.
+    Where g +- 5 m lies above the bottom and below 1e7 km, the top is g + 5
+    m, and if that is dead and g - 5 m live the result is their midpoint;
+    if both are dead, the top is g - 5 m. A live top doubles until the rate
+    dies (giving up past 1e7 km).
+    Illinois regula falsi on the QBER margin then shrinks the bracket to 10
+    m; the result is its midpoint. Its halving is the one safeguard, and
+    each step lands at least 5 m inside the bracket, which ends the loop.
+    Live means qber below its threshold, which with dark counts is where
+    key_rate > 0; the interpolation reads the raw margin, the threshold
+    minus qber.
     """
     # kept apart from analysis's own constants
     l_hint, tol, ceiling = 50.0, 0.01, 1e7
@@ -459,25 +468,48 @@ def reference_range(params: ScenarioParams) -> float:
     f_lo = margin(0.0)
     if not f_lo > 0.0:
         return 0.0
-    lo, bisect = 0.0, False
+    mu = params.dark_rate * params.window
+    has_eta_star = 0.0 < mu < 1.0 and params.alpha > 0.0
+    per_km = params.alpha
+    if params.transmittance_convention is not TransmittanceConvention.LITERAL:
+        per_km /= 10.0
+
+    def threshold_km(l_km: float) -> float:
+        # where the transmittance falls to the threshold transmittance of
+        # the window masses at l_km; +inf where the root does not exist
+        point = composed_point(params, l_km * 1e3)
+        eta_star = _threshold_transmittance(point.p_sig, point.p_w, mu)
+        return -math.log10(eta_star) / per_km if eta_star > 0.0 else math.inf
+
+    lo, hi, f_hi, bisect = 0.0, l_hint, None, False
     if params.chirp * params.beta > 0.0:
         c, s = params.chirp, params.sigma
         l_f = c * (s * s) / ((1.0 + c * c) * params.beta) / 1e3
         if 0.0 < l_f < ceiling:
             f = margin(l_f)
             if f > 0.0:
-                lo, f_lo = l_f, f
+                lo, f_lo, hi = l_f, f, l_f + l_hint
             else:
-                bisect = True
-    hi, f_hi = lo + l_hint, None
-    mu = params.dark_rate * params.window
-    if params.beta == 0.0 and 0.0 < mu < 1.0 and params.alpha > 0.0:
+                hi, f_hi, bisect = l_f, f, not has_eta_star
+            # descend from the dead L_f: [threshold_km(hi), hi] is dead
+            while f <= 0.0 and has_eta_star:
+                x = threshold_km(hi)
+                short = not x < hi - tol
+                if short:
+                    x = hi - tol
+                if not x > 0.0:
+                    break
+                f = margin(x)
+                if f > 0.0 and short:
+                    return 0.5 * (x + hi)
+                if f > 0.0:
+                    lo, f_lo = x, f
+                else:
+                    hi, f_hi = x, f
+    if params.beta == 0.0 and has_eta_star:
         source = composed_point(params, 0.0)
         eta_star = _threshold_transmittance(source.p_sig, source.p_w, mu)
         if 0.0 < eta_star < 1.0:
-            per_km = params.alpha
-            if params.transmittance_convention is not TransmittanceConvention.LITERAL:
-                per_km /= 10.0
             g = -math.log10(eta_star) / per_km
             if lo < g - tol / 2 and g + tol / 2 <= ceiling:
                 hi = g + tol / 2
@@ -556,31 +588,31 @@ def _decades(lo: float, hi: float):
 
 
 @st.composite
-def domain_params(draw) -> ScenarioParams:
+def domain_params(draw, focusing: bool = False) -> ScenarioParams:
     """ScenarioParams over the documented robustness domain: sigma, jitter,
     window and period across three decades (windows may overlap), beta = 0
     and jitter = 0 included, |C| up to 10, dark_rate * window from 1e-9 up
     to 2 under exact_poisson and below 1, the record's bound, under
-    paper_linearized, both transmittance conventions."""
+    paper_linearized, both transmittance conventions. focusing draws
+    beta != 0 only and gives the chirp beta's sign."""
     window = draw(_decades(1.0, 1000.0)) * 1e-12
     dark_model = draw(st.sampled_from(DarkCountModel))
     if dark_model is DarkCountModel.EXACT_POISSON:
         exposure = draw(_decades(1e-9, 2.0))
     else:
         exposure = draw(_decades(1e-9, 1.0).filter(lambda e: e / window * window < 1.0))
+    sigma = draw(_decades(1.0, 1000.0)) * 1e-12
+    chirp = draw(st.floats(min_value=-10.0, max_value=10.0))
+    dispersive = st.builds(
+        lambda mag, sign: sign * mag * 1e-26,
+        _decades(0.1, 10.0),
+        st.sampled_from((-1.0, 1.0)),
+    )
+    beta = draw(dispersive if focusing else st.one_of(st.just(0.0), dispersive))
     return ScenarioParams(
-        sigma=draw(_decades(1.0, 1000.0)) * 1e-12,
-        chirp=draw(st.floats(min_value=-10.0, max_value=10.0)),
-        beta=draw(
-            st.one_of(
-                st.just(0.0),
-                st.builds(
-                    lambda mag, sign: sign * mag * 1e-26,
-                    _decades(0.1, 10.0),
-                    st.sampled_from((-1.0, 1.0)),
-                ),
-            )
-        ),
+        sigma=sigma,
+        chirp=math.copysign(chirp, beta) if focusing else chirp,
+        beta=beta,
         alpha=draw(st.floats(min_value=0.15, max_value=0.3)),
         dark_rate=exposure / window,
         period=draw(_decades(10.0, 10000.0)) * 1e-12,

@@ -236,6 +236,92 @@ def test_max_distance_finds_the_far_edge_of_a_split_set(params):
     assert abs(l_max - (live[-1] + 0.005)) <= 0.01
 
 
+def _focal_km(params: ScenarioParams) -> float:
+    c = params.chirp
+    return c * params.sigma * params.sigma / ((1.0 + c * c) * params.beta) / KM
+
+
+def _dead_at_focal_point(params: ScenarioParams) -> bool:
+    """The chirp focuses and the QBER at the focal point L_f is not below
+    the threshold, so the search descends from L_f."""
+    if not params.chirp * params.beta > 0.0:
+        return False
+    focal_km = _focal_km(params)
+    if not 0.0 < focal_km < analysis._BRACKET_CEILING_KM:
+        return False
+    return not evaluate_point(params, focal_km * KM).qber < _QBER_LIMIT
+
+
+# A focusing chirp whose rate is live at L = 0 and dead at L_f = 176.53 km,
+# secure up to 2.82 km and again on about [15.5, 23.306] km
+BISECT_MODE_SPLIT = ScenarioParams(
+    sigma=103 * PS, chirp=-5.6, beta=-1.04e-26, alpha=0.27, dark_rate=47.0,
+    period=42 * PS, jitter=0.0, window=300 * PS,
+    transmittance_convention=TransmittanceConvention.LITERAL,
+)
+
+
+def test_bisect_mode_split_set_ends_at_23_306_km():
+    params = BISECT_MODE_SPLIT
+    assert evaluate_point(params, 20.0 * KM).key_rate > 0.0
+    assert evaluate_point(params, 23.2 * KM).key_rate > 0.0
+    # 10 m brute scan from 23.32 km up to L_f
+    assert _dead_at_focal_point(params)
+    assert not live_points(params, 23.32, _focal_km(params))
+
+
+def test_max_distance_in_bisect_mode_finds_the_far_edge():
+    assert abs(max_distance(BISECT_MODE_SPLIT) - 23.306) <= analysis._L_TOL_KM
+
+
+# bench chirp_scan seed 3, draw 150, at C = -1.5: live at L = 0 and dead at
+# L_f = 87.14 km, secure up to 2.44 km and again on about [35.19, 36.13] km
+SEED_3_BISECT_MODE_SPLIT = ScenarioParams(
+    sigma=4.260033579158412e-11, chirp=-1.5, beta=-9.612073750087993e-27,
+    alpha=0.17900013290010736, dark_rate=28.849577455104054,
+    period=2.98150714637442e-11, jitter=5.182921823353509e-13,
+    window=1.246647203548647e-10,
+    transmittance_convention=TransmittanceConvention.LITERAL,
+)
+
+
+def test_seed_3_bisect_mode_split_set_ends_at_36_13_km():
+    params = SEED_3_BISECT_MODE_SPLIT
+    assert _dead_at_focal_point(params)
+    # 10 m brute scan from the source up to L_f
+    live = live_points(params, 0.0, _focal_km(params))
+    assert any(b - a > 0.015 for a, b in zip(live, live[1:]))  # the set is split
+    assert abs(live[-1] + 0.005 - 36.13) <= 0.01
+
+
+def test_max_distance_in_bisect_mode_finds_the_far_edge_of_seed_3():
+    assert abs(max_distance(SEED_3_BISECT_MODE_SPLIT) - 36.13) <= analysis._L_TOL_KM
+
+
+# focusing draws of the domain, live at L = 0 and dead at L_f <= 150 km (so
+# the 10 m scan below stays short), with 0 < mu < 1, where the search
+# descends from L_f
+_DEAD_AT_FOCAL_POINT = domain_params(focusing=True).filter(
+    lambda p: p.dark_rate * p.window < 1.0
+    and _focal_km(p) <= 150.0
+    and evaluate_point(p, 0.0).key_rate > 0.0
+    and _dead_at_focal_point(p)
+)
+
+
+@settings(deadline=None, max_examples=10, suppress_health_check=[HealthCheck.filter_too_much])
+@given(params=_DEAD_AT_FOCAL_POINT)
+@example(params=BISECT_MODE_SPLIT)
+@example(params=SEED_3_BISECT_MODE_SPLIT)
+def test_max_distance_from_a_dead_focal_point_is_the_far_edge(params):
+    # 10 m brute scan: nothing live from a step above the result up to L_f,
+    # and live half a step below it (or at the source)
+    got = max_distance(params)
+    tol = analysis._L_TOL_KM
+    assert not live_points(params, got + tol, _focal_km(params))
+    assert evaluate_point(params, max(0.0, got - tol / 2) * KM).key_rate > 0.0
+
+
 def _count_calls(monkeypatch, owner, name: str, calls: Counter | None = None) -> Counter:
     """Wrap owner.name so that each call adds one to calls[name]; returns
     calls, a new Counter unless one is passed in to share."""
@@ -260,7 +346,9 @@ def _counted_evaluations(monkeypatch, run) -> int:
 
 # (record, evaluations): plain bisection of key_rate > 0 took 15 on the
 # defaults; the overlapping windows took 21 while a bisection step followed
-# any two regula falsi steps that did not halve the bracket
+# any two regula falsi steps that did not halve the bracket; the records dead
+# at L_f took 16 each while the search bisected there. The descent from L_f
+# contracts linearly (each step about 0.8 of the last) on the seed-3 record.
 EVALUATION_BUDGETS = {
     "defaults": (ScenarioParams(), 9),
     "overlapping windows": (
@@ -270,6 +358,9 @@ EVALUATION_BUDGETS = {
         ),
         11,
     ),
+    "dead at L_f": (SPLIT_SETS["dead at L_f"], 4),
+    "dead at L_f, split": (BISECT_MODE_SPLIT, 8),
+    "dead at L_f, seed 3": (SEED_3_BISECT_MODE_SPLIT, 24),
 }
 
 
@@ -282,7 +373,11 @@ def test_max_distance_evaluation_budget(monkeypatch):
 @settings(deadline=None, max_examples=200)
 @given(params=domain_params())
 def test_max_distance_evaluation_worst_case(params):
-    # at most 21 over the 63,669 searches of bench chirp_scan seeds 1-4
+    # the 62,976 searches of bench chirp_scan seeds 1-4 take at most 17, 17,
+    # 24 and 140: where the search descends from a dead L_f, each step proves
+    # dead only the stretch down to the next point, so a slow contraction
+    # takes many steps (seven searches above 24, all on seed 4's draw 111 at
+    # C = 1.05 ... 1.35); draws of this domain seldom take that path
     with pytest.MonkeyPatch.context() as mp:
         assert _counted_evaluations(mp, lambda: _outcome(lambda: max_distance(params))) <= 30
 
@@ -304,78 +399,6 @@ def test_figures_evaluation_budget(monkeypatch):
     assert 0 < _counted_evaluations(monkeypatch, run) <= 17_000
 
 
-def _focal_km(params: ScenarioParams) -> float:
-    c = params.chirp
-    return c * params.sigma * params.sigma / ((1.0 + c * c) * params.beta) / KM
-
-
-def _bisects(params: ScenarioParams) -> bool:
-    """The search bisects: the chirp focuses and the QBER at the focal point
-    is not below the threshold."""
-    if not params.chirp * params.beta > 0.0:
-        return False
-    focal_km = _focal_km(params)
-    if not 0.0 < focal_km < analysis._BRACKET_CEILING_KM:
-        return False
-    return not evaluate_point(params, focal_km * KM).qber < _QBER_LIMIT
-
-
-# A focusing chirp whose rate is live at L = 0 and dead at L_f = 176.53 km,
-# secure up to 2.82 km and again on about [15.5, 23.306] km
-BISECT_MODE_SPLIT = ScenarioParams(
-    sigma=103 * PS, chirp=-5.6, beta=-1.04e-26, alpha=0.27, dark_rate=47.0,
-    period=42 * PS, jitter=0.0, window=300 * PS,
-    transmittance_convention=TransmittanceConvention.LITERAL,
-)
-
-
-def test_bisect_mode_split_set_ends_at_23_306_km():
-    params = BISECT_MODE_SPLIT
-    assert evaluate_point(params, 20.0 * KM).key_rate > 0.0
-    assert evaluate_point(params, 23.2 * KM).key_rate > 0.0
-    # 10 m brute scan from 23.32 km up to L_f
-    assert _bisects(params)
-    assert not live_points(params, 23.32, _focal_km(params))
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="bisect mode (dead at L_f) returns the near edge 2.82 km; ROADMAP "
-    "item 2 replaces it with a descent from L_f that reaches the far edge",
-)
-def test_max_distance_in_bisect_mode_finds_the_far_edge():
-    assert abs(max_distance(BISECT_MODE_SPLIT) - 23.306) <= analysis._L_TOL_KM
-
-
-# bench chirp_scan seed 3, draw 150, at C = -1.5: live at L = 0 and dead at
-# L_f = 87.14 km, secure up to 2.44 km and again on about [35.19, 36.13] km
-SEED_3_BISECT_MODE_SPLIT = ScenarioParams(
-    sigma=4.260033579158412e-11, chirp=-1.5, beta=-9.612073750087993e-27,
-    alpha=0.17900013290010736, dark_rate=28.849577455104054,
-    period=2.98150714637442e-11, jitter=5.182921823353509e-13,
-    window=1.246647203548647e-10,
-    transmittance_convention=TransmittanceConvention.LITERAL,
-)
-
-
-def test_seed_3_bisect_mode_split_set_ends_at_36_13_km():
-    params = SEED_3_BISECT_MODE_SPLIT
-    assert _bisects(params)
-    # 10 m brute scan from the source up to L_f
-    live = live_points(params, 0.0, _focal_km(params))
-    assert any(b - a > 0.015 for a, b in zip(live, live[1:]))  # the set is split
-    assert abs(live[-1] + 0.005 - 36.13) <= 0.01
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="bisect mode (dead at L_f) returns the near edge 2.44 km; ROADMAP "
-    "item 2 replaces it with a descent from L_f that reaches the far edge",
-)
-def test_max_distance_in_bisect_mode_finds_the_far_edge_of_seed_3():
-    assert abs(max_distance(SEED_3_BISECT_MODE_SPLIT) - 36.13) <= analysis._L_TOL_KM
-
-
 PREDICTED = {
     "defaults": ScenarioParams(),
     "live at L_f": SPLIT_SETS["live at L_f"],
@@ -387,14 +410,14 @@ PREDICTED = {
 def test_max_distance_with_any_prediction_stays_within_the_tolerance(params):
     # the margin falls through zero once above the bracket's live end, so a
     # prediction, near or far, in range or not, moves no result by more than
-    # _L_TOL_KM; in bisect mode (dead at L_f) the search ignores it
+    # _L_TOL_KM; dead at L_f, the search descends from there and ignores it
     cold = max_distance(params)
     predictions = [cold, cold - 30.0, cold + 30.0, 1e-3, 2.0 * analysis._BRACKET_CEILING_KM]
     if params.chirp * params.beta > 0.0:
         predictions.append(0.5 * _focal_km(params))  # below L_f
     for near in predictions:
         got = max_distance(params, near=near)
-        if _bisects(params):
+        if _dead_at_focal_point(params):
             assert got == cold, near
         assert abs(got - cold) <= analysis._L_TOL_KM, near
 
@@ -515,7 +538,7 @@ def test_qber_limit_is_where_the_rate_factor_dies():
 )
 def test_scan_chirp_samples_are_replaced_params_ranges(params, chirps):
     # each sample is the secure range of the params rebuilt with that chirp:
-    # exactly where that search returns 0.0 or bisects (dead at L_f), and
+    # exactly where that search returns 0.0 or is dead at L_f, and
     # within _L_TOL_KM where the scan's predicted edge started it
     grid = sorted(chirps)
     expected = _outcome(lambda: [max_distance(replace(params, chirp=c)) for c in grid])
@@ -525,7 +548,7 @@ def test_scan_chirp_samples_are_replaced_params_ranges(params, chirps):
         return
     assert [c for c, _ in got] == grid
     for (c, l_km), cold in zip(got, expected):
-        if cold == 0.0 or _bisects(replace(params, chirp=c)):
+        if cold == 0.0 or _dead_at_focal_point(replace(params, chirp=c)):
             assert l_km == cold, c
         assert abs(l_km - cold) <= analysis._L_TOL_KM, c
 
