@@ -105,6 +105,19 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
     return SweepResult(rows=rows)
 
 
+def _descent_evaluations(step: float, ratio: float) -> float:
+    """Evaluations that a descent whose steps shrink by `ratio` each, the
+    next one `step` km long, takes to come within _L_TOL_KM of its fixed
+    point: steps until one is shorter than _L_TOL_KM, then about
+    1 / (1 - ratio) checks _L_TOL_KM apart; inf where steps do not shrink."""
+    if not ratio < 1.0:
+        return math.inf
+    n = 1.0 / (1.0 - ratio)
+    if step > _L_TOL_KM and ratio > 0.0:
+        n += math.log(step / _L_TOL_KM) / -math.log(ratio)
+    return n
+
+
 def _edge(
     params: ScenarioParams, chirp_at: Callable[[float], float], near: float | None = None
 ) -> float:
@@ -145,9 +158,15 @@ def _edge(
     b - _L_TOL_KM / 2, and where it is not the descent goes on from it.
     Where g(b) itself is secure (at the edge, by rounding) [g(b), b] is the
     bracket, and where the next point would not lie above 0, [0, b].
-    Without eta* (mu = 0, alpha = 0, or mu >= 1 under exact Poisson) the
-    search bisects [0, L_f] instead, which finds the far part of a split set
-    only where a midpoint lands in it. Either way `near` is ignored.
+    Near a far edge where eta* climbs almost as fast as the transmittance
+    falls, the steps shrink slowly, so each step is weighed first: where
+    _descent_evaluations at the ratio of this step to the last exceeds
+    log2(b / _L_TOL_KM), what bisecting [0, b] costs, the search bisects
+    [0, b] instead. [b, L_f] is already dead, so no secure point above b is
+    missed, and a slow descent costs about what bisection does. Without
+    eta* (mu = 0, alpha = 0, or mu >= 1 under exact Poisson) the search
+    bisects [0, L_f]. Bisection finds the far part of a split set only
+    where a midpoint lands in it. Either way `near` is ignored.
 
     Elsewhere the top starts _L_HINT_KM above the live end. With beta = 0
     there is no focal point and the width is constant, so where eta* exists
@@ -164,7 +183,7 @@ def _edge(
     _L_TOL_KM.
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on that margin,
     which is smooth where the rate's positive part has a kink, then shrinks
-    the bracket, except where it bisects [0, L_f]. Its halving of the
+    the bracket, except where it bisects below L_f. Its halving of the
     retained end's margin is the one safeguard against a one-sided stall;
     each step lands at least _L_TOL_KM / 2 inside the bracket, which ends
     the loop. Stops at width _L_TOL_KM and returns the midpoint. Raises
@@ -200,9 +219,15 @@ def _edge(
             else:
                 hi, f_hi, bisect, g = focal_km, f, not has_eta_star, None
             # descend from the dead L_f: a dead hi proves [g(hi), hi] dead
+            step = 0.0
             while f <= 0.0 and has_eta_star:
                 eta_star = _threshold_transmittance(p_sig, p_w, mu)
                 l_km = -math.log10(eta_star) / decades if eta_star > 0.0 else hi
+                ratio = (hi - l_km) / step if step > 0.0 else 0.0
+                step = hi - l_km
+                if _descent_evaluations(step, ratio) > math.log2(hi / _L_TOL_KM):
+                    bisect = True
+                    break
                 probe = not l_km < hi - _L_TOL_KM
                 if probe:
                     l_km = hi - _L_TOL_KM
@@ -270,9 +295,10 @@ def max_distance(params: ScenarioParams, near: float | None = None) -> float:
     the rate is live there, and descends from it where it is dead, each
     dead point proving the stretch down to the next one dead. Without dark
     counts, without loss, or with mu >= 1 under exact Poisson, it bisects
-    below a dead focal point instead, and may stop at a near edge. Raises
-    NonConvergenceError where the QBER is still below the threshold past
-    _BRACKET_CEILING_KM.
+    below a dead focal point instead, and so it does below the lowest dead
+    point where the descent's steps shrink too slowly to pay; there it may
+    stop at a near edge. Raises NonConvergenceError where the QBER is still
+    below the threshold past _BRACKET_CEILING_KM.
 
     near, a predicted edge in km, only saves evaluations where it is close:
     the search checks _L_TOL_KM / 2 either side of it first. Whatever its

@@ -443,8 +443,11 @@ def reference_range(params: ScenarioParams) -> float:
     threshold transmittance does not fall as the width grows, so a dead b
     proves [threshold_km(b), b] dead. Where threshold_km(b) is secure, it
     and b bracket the edge; where the next point would not lie above 0, 0
-    and b do. Outside that domain the bracket is [0, L_f] and every step
-    bisects it. The threshold transmittance also serves with beta = 0,
+    and b do. Before each step, where its ratio r to the last step predicts
+    more evaluations to the edge (steps down to one under 10 m, then
+    1 / (1 - r) checks 10 m apart) than log2(b / 10 m), the bracket is
+    [0, b] and every step bisects it; so too with [0, L_f] outside that
+    domain. The threshold transmittance also serves with beta = 0,
     where the width is constant and there is no focal point: where 0 < mu <
     1 and alpha > 0, the distance g at which the transmittance falls to the
     threshold transmittance of the source's window masses is the edge.
@@ -476,10 +479,20 @@ def reference_range(params: ScenarioParams) -> float:
 
     def threshold_km(l_km: float) -> float:
         # where the transmittance falls to the threshold transmittance of
-        # the window masses at l_km; +inf where the root does not exist
+        # the window masses at l_km; l_km itself where the root does not exist
         point = composed_point(params, l_km * 1e3)
         eta_star = _threshold_transmittance(point.p_sig, point.p_w, mu)
-        return -math.log10(eta_star) / per_km if eta_star > 0.0 else math.inf
+        return -math.log10(eta_star) / per_km if eta_star > 0.0 else l_km
+
+    def descent_cost(step: float, ratio: float) -> float:
+        # evaluations to the fixed point if each step is ratio of the last:
+        # steps down to one under 10 m, then 1 / (1 - ratio) 10 m checks
+        if ratio >= 1.0:
+            return math.inf
+        cost = 1.0 / (1.0 - ratio)
+        if step > tol and ratio > 0.0:
+            cost += math.log(step / tol) / -math.log(ratio)
+        return cost
 
     lo, hi, f_hi, bisect = 0.0, l_hint, None, False
     if params.chirp * params.beta > 0.0:
@@ -492,8 +505,14 @@ def reference_range(params: ScenarioParams) -> float:
             else:
                 hi, f_hi, bisect = l_f, f, not has_eta_star
             # descend from the dead L_f: [threshold_km(hi), hi] is dead
+            last_step = 0.0
             while f <= 0.0 and has_eta_star:
                 x = threshold_km(hi)
+                ratio = (hi - x) / last_step if last_step > 0.0 else 0.0
+                last_step = hi - x
+                if descent_cost(last_step, ratio) > math.log2(hi / tol):
+                    bisect = True  # slow contraction: bisect [0, hi]
+                    break
                 short = not x < hi - tol
                 if short:
                     x = hi - tol
@@ -588,31 +607,31 @@ def _decades(lo: float, hi: float):
 
 
 @st.composite
-def domain_params(draw, focusing: bool = False) -> ScenarioParams:
+def domain_params(draw) -> ScenarioParams:
     """ScenarioParams over the documented robustness domain: sigma, jitter,
     window and period across three decades (windows may overlap), beta = 0
     and jitter = 0 included, |C| up to 10, dark_rate * window from 1e-9 up
     to 2 under exact_poisson and below 1, the record's bound, under
-    paper_linearized, both transmittance conventions. focusing draws
-    beta != 0 only and gives the chirp beta's sign."""
+    paper_linearized, both transmittance conventions."""
     window = draw(_decades(1.0, 1000.0)) * 1e-12
     dark_model = draw(st.sampled_from(DarkCountModel))
     if dark_model is DarkCountModel.EXACT_POISSON:
         exposure = draw(_decades(1e-9, 2.0))
     else:
         exposure = draw(_decades(1e-9, 1.0).filter(lambda e: e / window * window < 1.0))
-    sigma = draw(_decades(1.0, 1000.0)) * 1e-12
-    chirp = draw(st.floats(min_value=-10.0, max_value=10.0))
-    dispersive = st.builds(
-        lambda mag, sign: sign * mag * 1e-26,
-        _decades(0.1, 10.0),
-        st.sampled_from((-1.0, 1.0)),
-    )
-    beta = draw(dispersive if focusing else st.one_of(st.just(0.0), dispersive))
     return ScenarioParams(
-        sigma=sigma,
-        chirp=math.copysign(chirp, beta) if focusing else chirp,
-        beta=beta,
+        sigma=draw(_decades(1.0, 1000.0)) * 1e-12,
+        chirp=draw(st.floats(min_value=-10.0, max_value=10.0)),
+        beta=draw(
+            st.one_of(
+                st.just(0.0),
+                st.builds(
+                    lambda mag, sign: sign * mag * 1e-26,
+                    _decades(0.1, 10.0),
+                    st.sampled_from((-1.0, 1.0)),
+                ),
+            )
+        ),
         alpha=draw(st.floats(min_value=0.15, max_value=0.3)),
         dark_rate=exposure / window,
         period=draw(_decades(10.0, 10000.0)) * 1e-12,

@@ -298,11 +298,26 @@ def test_max_distance_in_bisect_mode_finds_the_far_edge_of_seed_3():
     assert abs(max_distance(SEED_3_BISECT_MODE_SPLIT) - 36.13) <= analysis._L_TOL_KM
 
 
-# focusing draws of the domain, live at L = 0 and dead at L_f <= 150 km (so
-# the 10 m scan below stays short), with 0 < mu < 1, where the search
-# descends from L_f
-_DEAD_AT_FOCAL_POINT = domain_params(focusing=True).filter(
+# bench chirp_scan seed 4, draw 111, at C = 1.3: live at L = 0 and dead at
+# L_f = 13.72 km, where the descent's steps shrink ever more slowly (each
+# 0.64, 0.74, 0.79, ... of the last, toward 1). Descending all the way to
+# the edge at 2.096 km took 140 evaluations, so the search bisects below the
+# lowest dead point instead.
+SLOW_DESCENT = ScenarioParams(
+    sigma=4.2280149637714903e-11, chirp=1.3, beta=6.298976516806349e-26,
+    alpha=0.26145921942116473, dark_rate=306040.1621582329,
+    period=4.863362802417947e-11, jitter=0.0, window=7.537730652139107e-11,
+    dark_model=DarkCountModel.EXACT_POISSON,
+)
+
+
+# draws of the domain, the chirp given beta's sign so that it focuses, live
+# at L = 0 and dead at L_f <= 150 km (so the 10 m scan below stays short),
+# with 0 < mu < 1, where the search descends from L_f
+_FOCUSING = domain_params().map(lambda p: replace(p, chirp=math.copysign(p.chirp, p.beta)))
+_DEAD_AT_FOCAL_POINT = _FOCUSING.filter(
     lambda p: p.dark_rate * p.window < 1.0
+    and p.chirp * p.beta > 0.0
     and _focal_km(p) <= 150.0
     and evaluate_point(p, 0.0).key_rate > 0.0
     and _dead_at_focal_point(p)
@@ -313,10 +328,13 @@ _DEAD_AT_FOCAL_POINT = domain_params(focusing=True).filter(
 @given(params=_DEAD_AT_FOCAL_POINT)
 @example(params=BISECT_MODE_SPLIT)
 @example(params=SEED_3_BISECT_MODE_SPLIT)
+@example(params=SLOW_DESCENT)
 def test_max_distance_from_a_dead_focal_point_is_the_far_edge(params):
     # 10 m brute scan: nothing live from a step above the result up to L_f,
-    # and live half a step below it (or at the source)
+    # and live half a step below it (or at the source); the oracle's descent
+    # agrees bit for bit on these draws, which domain_params seldom makes
     got = max_distance(params)
+    assert got == reference_range(params)
     tol = analysis._L_TOL_KM
     assert not live_points(params, got + tol, _focal_km(params))
     assert evaluate_point(params, max(0.0, got - tol / 2) * KM).key_rate > 0.0
@@ -348,7 +366,8 @@ def _counted_evaluations(monkeypatch, run) -> int:
 # defaults; the overlapping windows took 21 while a bisection step followed
 # any two regula falsi steps that did not halve the bracket; the records dead
 # at L_f took 16 each while the search bisected there. The descent from L_f
-# contracts linearly (each step about 0.8 of the last) on the seed-3 record.
+# contracts linearly (each step about 0.8 of the last) on the seed-3 record;
+# on the slow-descent record it took 140 until it gave way to bisection.
 EVALUATION_BUDGETS = {
     "defaults": (ScenarioParams(), 9),
     "overlapping windows": (
@@ -361,6 +380,7 @@ EVALUATION_BUDGETS = {
     "dead at L_f": (SPLIT_SETS["dead at L_f"], 4),
     "dead at L_f, split": (BISECT_MODE_SPLIT, 8),
     "dead at L_f, seed 3": (SEED_3_BISECT_MODE_SPLIT, 24),
+    "dead at L_f, slow descent": (SLOW_DESCENT, 14),
 }
 
 
@@ -372,12 +392,11 @@ def test_max_distance_evaluation_budget(monkeypatch):
 
 @settings(deadline=None, max_examples=200)
 @given(params=domain_params())
+@example(params=SLOW_DESCENT)
 def test_max_distance_evaluation_worst_case(params):
-    # the 62,976 searches of bench chirp_scan seeds 1-4 take at most 17, 17,
-    # 24 and 140: where the search descends from a dead L_f, each step proves
-    # dead only the stretch down to the next point, so a slow contraction
-    # takes many steps (seven searches above 24, all on seed 4's draw 111 at
-    # C = 1.05 ... 1.35); draws of this domain seldom take that path
+    # the 62,976 searches of bench chirp_scan seeds 1-4 take at most 15, 16,
+    # 24 and 15, and 49,402 random draws dead at L_f at most 24: a descent
+    # from a dead L_f that would contract slowly bisects instead
     with pytest.MonkeyPatch.context() as mp:
         assert _counted_evaluations(mp, lambda: _outcome(lambda: max_distance(params))) <= 30
 
