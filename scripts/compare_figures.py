@@ -7,7 +7,9 @@ Lists the files that are byte-identical, the files present on one side
 only, and the files that differ. For CSVs with the same header and row
 count it gives, per column over all such files, the worst absolute and
 relative deviation and the file where each occurs. Relative deviation is
-|a - b| / max(|a|, |b|).
+|a - b| / max(|a|, |b|). For any other differing file, such as an SVG, it
+names the first differing line and column, and both sides of that line cut
+to 120 characters from just before the column.
 
 Exit status: 0 when every file is on both sides and each differing file is
 a CSV of the same shape with no changed non-numeric cell; 1 otherwise.
@@ -17,6 +19,9 @@ import argparse
 import csv
 import sys
 from pathlib import Path
+
+# characters of each side shown for the first differing line of a non-CSV
+_CUT = 120
 
 
 def _csv_rows(path: Path) -> list[list[str]]:
@@ -36,6 +41,26 @@ def _deviation(a: str, b: str) -> tuple[float, float] | None:
     return diff, (diff / scale if scale else 0.0)
 
 
+def _first_difference(a: bytes, b: bytes) -> str:
+    """'line N, column K: A | B' for the first line where a and b differ,
+    each side cut to _CUT characters from a little before column K, so a
+    change deep in a long polyline shows; a side that has run out of lines
+    reads <end of file>."""
+    lines_a = a.decode(errors="replace").splitlines()
+    lines_b = b.decode(errors="replace").splitlines()
+    for n in range(max(len(lines_a), len(lines_b))):
+        la = lines_a[n] if n < len(lines_a) else "<end of file>"
+        lb = lines_b[n] if n < len(lines_b) else "<end of file>"
+        if la != lb:
+            k = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+            start = max(0, k - _CUT // 4)
+            return (
+                f"line {n + 1}, column {k + 1}: "
+                f"{la[start:start + _CUT]!r} | {lb[start:start + _CUT]!r}"
+            )
+    return "line endings differ"
+
+
 def compare(dir_a: Path, dir_b: Path) -> int:
     names_a = {p.name for p in dir_a.iterdir() if p.is_file()}
     names_b = {p.name for p in dir_b.iterdir() if p.is_file()}
@@ -46,12 +71,13 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         problems.append(f"only in {dir_a if name in names_a else dir_b}: {name}")
     for name in sorted(names_a & names_b):
         pa, pb = dir_a / name, dir_b / name
-        if pa.read_bytes() == pb.read_bytes():
+        bytes_a, bytes_b = pa.read_bytes(), pb.read_bytes()
+        if bytes_a == bytes_b:
             identical.append(name)
             continue
         differing.append(name)
         if pa.suffix != ".csv":
-            problems.append(f"{name}: not a CSV, bytes differ")
+            problems.append(f"{name}: not a CSV, {_first_difference(bytes_a, bytes_b)}")
             continue
         rows_a, rows_b = _csv_rows(pa), _csv_rows(pb)
         if not rows_a or not rows_b or rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):

@@ -102,12 +102,11 @@ def render_chart(
         out.append("</svg>")
         return "\n".join(out) + "\n"
 
-    x_lo = min(p[0] for p in all_pts)
-    x_hi = max(p[0] for p in all_pts)
+    xs, ys = zip(*all_pts)
+    x_lo, x_hi = min(xs), max(xs)
     if not x_hi > x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    y_min = min(p[1] for p in all_pts)
-    y_max = max(p[1] for p in all_pts)
+    y_min, y_max = min(ys), max(ys)
     if log_y:
         hi_dec = math.ceil(math.log10(y_max))
         lo_dec = math.floor(math.log10(y_min))
@@ -176,10 +175,21 @@ def render_chart(
         f"{_esc(y_label)}</text>"
     )
 
+    # px and py inlined per point, same arithmetic, one format call: the
+    # y range spans every value, so only a log axis clips, at the bottom
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
     for i, (s, pts) in enumerate(zip(series, pts_per_series)):
         color = _PALETTE[i % len(_PALETTE)]
         if pts:
-            coords = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts)
+            if log_y:
+                vs = [v if v > y_lo else y_lo for v in [math.log10(y) for _, y in pts]]
+            else:
+                vs = [y for _, y in pts]
+            coords = " ".join(
+                "%.2f,%.2f" % (_MARGIN_LEFT + (x - x_lo) / x_span * plot_w,
+                               _MARGIN_TOP + (y_hi - v) / y_span * plot_h)
+                for (x, _), v in zip(pts, vs)
+            )
             out.append(
                 f'<polyline points="{coords}" fill="none" stroke="{color}" '
                 f'stroke-width="1.5"/>'

@@ -340,6 +340,29 @@ def test_max_distance_from_a_dead_focal_point_is_the_far_edge(params):
     assert evaluate_point(params, max(0.0, got - tol / 2) * KM).key_rate > 0.0
 
 
+# Secure on about [0, 1.01] and [7.03, 7.81] km below a dead L_f = 13.57 km.
+# The descent's step ratios rise 0.54, 0.63, 0.69, so it stops at 8.36 km
+# for slow contraction and bisects [0, 8.36], which lands on the near edge
+# (1.0164 km); descending on would reach 7.806 km in 25 evaluations
+SLOW_DESCENT_SPLIT = ScenarioParams(
+    sigma=4.026084834749438e-11, chirp=-8.200251443070414,
+    beta=-1.4348785893431098e-26, alpha=0.1902399425867495,
+    dark_rate=55364632.07282456, period=1.8643709033706552e-11,
+    jitter=0.0, window=8.809110725835379e-11,
+    transmittance_convention=TransmittanceConvention.LITERAL,
+)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the bisection below a slowly contracting descent can return a near edge",
+)
+def test_max_distance_after_a_slow_descent_finds_the_far_edge():
+    params = SLOW_DESCENT_SPLIT
+    far_km = live_points(params, 0.0, 14.0)[-1] + 0.005  # 10 m brute scan
+    assert abs(max_distance(params) - far_km) <= analysis._L_TOL_KM
+
+
 def _count_calls(monkeypatch, owner, name: str, calls: Counter | None = None) -> Counter:
     """Wrap owner.name so that each call adds one to calls[name]; returns
     calls, a new Counter unless one is passed in to share."""

@@ -1,3 +1,4 @@
+import math
 import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dispersive_qkd.analysis import ChirpScanResult, SweepResult
 from dispersive_qkd.chart import Series, render_chart
-from dispersive_qkd.cli import CSV_HEADER, SCAN_CSV_HEADER, main
+from dispersive_qkd.cli import CSV_HEADER, SCAN_CSV_HEADER, _csv, main
 from dispersive_qkd.config import (
     BETA_UNIT,
     KM,
@@ -18,7 +20,12 @@ from dispersive_qkd.config import (
     parse_config,
     to_params,
 )
-from dispersive_qkd.keyrate import DarkCountModel, TransmittanceConvention, evaluate_point
+from dispersive_qkd.keyrate import (
+    DarkCountModel,
+    ProtocolPoint,
+    TransmittanceConvention,
+    evaluate_point,
+)
 
 
 def test_parse_config_defaults():
@@ -258,6 +265,33 @@ def test_sweep_csv_contract(tmp_path, capsys):
     point = evaluate_point(to_params(Config()), 15.0 * KM)
     assert fields[1] == f"{point.p_sig:.10g}"
     assert fields[6] == f"{point.key_rate:.10g}"
+
+
+# any float, with the cells that format unlike a plain decimal drawn often
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+
+
+@settings(max_examples=300)
+@given(
+    rows=st.lists(st.tuples(_CELLS, st.builds(ProtocolPoint, *[_CELLS] * 8)), max_size=4),
+    samples=st.lists(st.tuples(_CELLS, _CELLS), max_size=4),
+    scale=_CELLS,
+)
+def test_csv_formats_every_cell_with_10_significant_digits(rows, samples, scale):
+    def reference(header, table):
+        return "".join(
+            line + "\n" for line in [header, *(",".join(f"{v:.10g}" for v in row) for row in table)]
+        )
+
+    sweep_rows = [
+        (l_km, p.p_sig, p.p_w, p.p_det, p.p_raw, p.qber, p.key_rate * scale) for l_km, p in rows
+    ]
+    assert _csv(SweepResult(rows=tuple(rows)), scale) == reference(CSV_HEADER, sweep_rows)
+    scan = ChirpScanResult(samples=tuple(samples), c_star=0.0, l_max_star=0.0)
+    assert _csv(scan, scale) == reference(SCAN_CSV_HEADER, samples)
 
 
 def test_sweep_dead_at_source_spans_one_km(capsys):

@@ -51,6 +51,13 @@ CLI_DIGESTS = {
         "sweep.csv": "77c8dc658679482d731347ebcd4da1d531b3735e7bdee031ebe70ec183122cb9",
         "sweep.svg": "df1197870243a20fa5f7b0d7306a5f272bfc1ec12edd7eada87adc1363df6330",
     },
+    # no dark counts at 100 dB/km: key rates span 2e-323 to 0.314, so the log
+    # axis clips the tail 12 decades below the top, and the CSV holds
+    # subnormal cells
+    "sweep --set dark_rate_hz=0 --set alpha_db_per_km=100 --out sweep.csv --svg sweep.svg": {
+        "sweep.csv": "011ac7fb96b3f84f2d9ad4554ef3e5fcd8f33c6a24906e63d7117ee4150d3c5f",
+        "sweep.svg": "fa54c79d18268d58b95af0d06a5afc25e890b66980d35a223188a6d5099ebe5a",
+    },
     # dead at the source: the chart has no positive data to draw
     "sweep --set jitter_ps=200 --out sweep.csv --svg sweep.svg": {
         "sweep.csv": "57cdc31f3d3fb6ea582cdfc16548445034ec876ba669917c2c711749fb16d4e4",

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dispersive_qkd.analysis import distance_grid
 from dispersive_qkd.config import BETA_UNIT, Config, to_params
 from dispersive_qkd.detection import p_signal, p_wrong, shifted_window_mass
 from dispersive_qkd.keyrate import (
@@ -544,4 +545,17 @@ def test_key_rate_is_positive_exactly_below_the_qber_limit(params, l_km):
         point = evaluate_point(params, l_km * KM)
     except ValueError:
         return
+    assert (point.key_rate > 0.0) == (point.qber < _QBER_LIMIT)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="key_rate rounds to 0 where p_raw is subnormal and the QBER is below the limit",
+)
+def test_key_rate_is_positive_below_the_qber_limit_at_a_subnormal_raw_key_rate():
+    # no dark counts at 100 dB/km, 32.2327 km: p_raw is 9.88e-324 and the
+    # QBER 0.0897, but the rate p_raw (1 - 2 H(qber)) rounds to 0; a
+    # log-domain rate would keep it positive
+    params = ScenarioParams(dark_rate=0.0, alpha=100.0)
+    point = evaluate_point(params, distance_grid([params], 4)[3] * KM)
     assert (point.key_rate > 0.0) == (point.qber < _QBER_LIMIT)
