@@ -109,7 +109,8 @@ def _descent_evaluations(step: float, ratio: float) -> float:
     """Evaluations that a descent whose steps shrink by `ratio` each, the
     next one `step` km long, takes to come within _L_TOL_KM of its fixed
     point: steps until one is shorter than _L_TOL_KM, then about
-    1 / (1 - ratio) checks _L_TOL_KM apart; inf where steps do not shrink."""
+    1 / (1 - ratio) checks _L_TOL_KM apart; inf where steps do not shrink.
+    _edge stops descending from b where this exceeds log2(b / _L_TOL_KM)."""
     if not ratio < 1.0:
         return math.inf
     n = 1.0 / (1.0 - ratio)
@@ -157,16 +158,16 @@ def _edge(
     checked instead: where it is secure the search returns
     b - _L_TOL_KM / 2, and where it is not the descent goes on from it.
     Where g(b) itself is secure (at the edge, by rounding) [g(b), b] is the
-    bracket, and where the next point would not lie above 0, [0, b].
-    Near a far edge where eta* climbs almost as fast as the transmittance
-    falls, the steps shrink slowly, so each step is weighed first: where
+    bracket. Near a far edge where eta* climbs almost as fast as the
+    transmittance falls, the steps shrink slowly, so each step is weighed
+    first. The descent stops, and [0, b] is the bracket for the last dead
+    b, where the next point would not lie above 0 or where
     _descent_evaluations at the ratio of this step to the last exceeds
-    log2(b / _L_TOL_KM), what bisecting [0, b] costs, the search bisects
-    [0, b] instead. [b, L_f] is already dead, so no secure point above b is
-    missed, and a slow descent costs about what bisection does. Without
-    eta* (mu = 0, alpha = 0, or mu >= 1 under exact Poisson) the search
-    bisects [0, L_f]. Bisection finds the far part of a split set only
-    where a midpoint lands in it. Either way `near` is ignored.
+    log2(b / _L_TOL_KM). [b, L_f] is already dead, so no secure point above
+    b is missed. Without eta* (mu = 0, alpha = 0, or mu >= 1 under exact
+    Poisson) the bracket is [0, L_f]. A bracket with 0 as its live end is
+    not certified: where the set splits inside it, the search may stop at
+    a near edge. Below a dead L_f `near` is ignored.
 
     Elsewhere the top starts _L_HINT_KM above the live end. With beta = 0
     there is no focal point and the width is constant, so where eta* exists
@@ -183,7 +184,7 @@ def _edge(
     _L_TOL_KM.
     Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on that margin,
     which is smooth where the rate's positive part has a kink, then shrinks
-    the bracket, except where it bisects below L_f. Its halving of the
+    every bracket, whichever way it was found. Its halving of the
     retained end's margin is the one safeguard against a one-sided stall;
     each step lands at least _L_TOL_KM / 2 inside the bracket, which ends
     the loop. Stops at width _L_TOL_KM and returns the midpoint. Raises
@@ -207,7 +208,7 @@ def _edge(
         return 0.0
     has_eta_star = 0.0 < mu < 1.0 and params.alpha > 0.0
     decades = params.alpha if params.transmittance_convention is _LITERAL else params.alpha / 10.0
-    lo, hi, f_hi, bisect, g = 0.0, _L_HINT_KM, None, False, near
+    lo, hi, f_hi, g = 0.0, _L_HINT_KM, None, near
     if c0 * params.beta > 0.0:
         s2 = params.sigma * params.sigma
         focal_km = c0 * s2 / ((1.0 + c0 * c0) * params.beta) / _M_PER_KM
@@ -217,7 +218,7 @@ def _edge(
             if f > 0.0:
                 lo, f_lo, hi = focal_km, f, focal_km + _L_HINT_KM
             else:
-                hi, f_hi, bisect, g = focal_km, f, not has_eta_star, None
+                hi, f_hi, g = focal_km, f, None
             # descend from the dead L_f: a dead hi proves [g(hi), hi] dead
             step = 0.0
             while f <= 0.0 and has_eta_star:
@@ -225,13 +226,10 @@ def _edge(
                 l_km = -math.log10(eta_star) / decades if eta_star > 0.0 else hi
                 ratio = (hi - l_km) / step if step > 0.0 else 0.0
                 step = hi - l_km
-                if _descent_evaluations(step, ratio) > math.log2(hi / _L_TOL_KM):
-                    bisect = True
-                    break
                 probe = not l_km < hi - _L_TOL_KM
                 if probe:
                     l_km = hi - _L_TOL_KM
-                if not l_km > 0.0:
+                if not l_km > 0.0 or _descent_evaluations(step, ratio) > math.log2(hi / _L_TOL_KM):
                     break
                 p_sig, p_w, _, q = _qber_stage(params, c0, mu, l_km * _M_PER_KM)
                 f = _QBER_LIMIT - q
@@ -266,11 +264,8 @@ def _edge(
         f_hi = margin(hi)
     side = 0  # the end the last step replaced: -1 lo, +1 hi
     while hi - lo > _L_TOL_KM:
-        if bisect:
-            l_km = 0.5 * (lo + hi)
-        else:
-            l_km = lo + (hi - lo) * f_lo / (f_lo - f_hi)
-            l_km = min(max(l_km, lo + half_tol), hi - half_tol)
+        l_km = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+        l_km = min(max(l_km, lo + half_tol), hi - half_tol)
         f = margin(l_km)
         if f > 0.0:
             lo, f_lo = l_km, f
@@ -294,11 +289,11 @@ def max_distance(params: ScenarioParams, near: float | None = None) -> float:
     far edge, not the near one: the search starts from the focal point where
     the rate is live there, and descends from it where it is dead, each
     dead point proving the stretch down to the next one dead. Without dark
-    counts, without loss, or with mu >= 1 under exact Poisson, it bisects
-    below a dead focal point instead, and so it does below the lowest dead
-    point where the descent's steps shrink too slowly to pay; there it may
-    stop at a near edge. Raises NonConvergenceError where the QBER is still
-    below the threshold past _BRACKET_CEILING_KM.
+    counts, without loss, or with mu >= 1 under exact Poisson, it searches
+    between 0 and a dead focal point instead, and so it does below the
+    lowest dead point where the descent's steps shrink too slowly to pay;
+    there it may stop at a near edge. Raises NonConvergenceError where the
+    QBER is still below the threshold past _BRACKET_CEILING_KM.
 
     near, a predicted edge in km, only saves evaluations where it is close:
     the search checks _L_TOL_KM / 2 either side of it first. Whatever its

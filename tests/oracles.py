@@ -442,12 +442,12 @@ def reference_range(params: ScenarioParams) -> float:
     secure, ends it at b - 5 m. The width falls with L below L_f and the
     threshold transmittance does not fall as the width grows, so a dead b
     proves [threshold_km(b), b] dead. Where threshold_km(b) is secure, it
-    and b bracket the edge; where the next point would not lie above 0, 0
-    and b do. Before each step, where its ratio r to the last step predicts
-    more evaluations to the edge (steps down to one under 10 m, then
-    1 / (1 - r) checks 10 m apart) than log2(b / 10 m), the bracket is
-    [0, b] and every step bisects it; so too with [0, L_f] outside that
-    domain. The threshold transmittance also serves with beta = 0,
+    and b bracket the edge. The descent stops, and 0 and b bracket it,
+    where the next point would not lie above 0 or where the ratio r of the
+    step to the last one predicts more evaluations to the edge (steps down
+    to one under 10 m, then 1 / (1 - r) checks 10 m apart) than
+    log2(b / 10 m); outside that domain 0 and L_f bracket it.
+    The threshold transmittance also serves with beta = 0,
     where the width is constant and there is no focal point: where 0 < mu <
     1 and alpha > 0, the distance g at which the transmittance falls to the
     threshold transmittance of the source's window masses is the edge.
@@ -455,8 +455,8 @@ def reference_range(params: ScenarioParams) -> float:
     m, and if that is dead and g - 5 m live the result is their midpoint;
     if both are dead, the top is g - 5 m. A live top doubles until the rate
     dies (giving up past 1e7 km).
-    Illinois regula falsi on the QBER margin then shrinks the bracket to 10
-    m; the result is its midpoint. Its halving is the one safeguard, and
+    Illinois regula falsi on the QBER margin then shrinks every bracket to
+    10 m; the result is its midpoint. Its halving is the one safeguard, and
     each step lands at least 5 m inside the bracket, which ends the loop.
     Live means qber below its threshold, which with dark counts is where
     key_rate > 0; the interpolation reads the raw margin, the threshold
@@ -494,7 +494,7 @@ def reference_range(params: ScenarioParams) -> float:
             cost += math.log(step / tol) / -math.log(ratio)
         return cost
 
-    lo, hi, f_hi, bisect = 0.0, l_hint, None, False
+    lo, hi, f_hi = 0.0, l_hint, None
     if params.chirp * params.beta > 0.0:
         c, s = params.chirp, params.sigma
         l_f = c * (s * s) / ((1.0 + c * c) * params.beta) / 1e3
@@ -503,21 +503,18 @@ def reference_range(params: ScenarioParams) -> float:
             if f > 0.0:
                 lo, f_lo, hi = l_f, f, l_f + l_hint
             else:
-                hi, f_hi, bisect = l_f, f, not has_eta_star
+                hi, f_hi = l_f, f
             # descend from the dead L_f: [threshold_km(hi), hi] is dead
             last_step = 0.0
             while f <= 0.0 and has_eta_star:
                 x = threshold_km(hi)
                 ratio = (hi - x) / last_step if last_step > 0.0 else 0.0
                 last_step = hi - x
-                if descent_cost(last_step, ratio) > math.log2(hi / tol):
-                    bisect = True  # slow contraction: bisect [0, hi]
-                    break
                 short = not x < hi - tol
                 if short:
                     x = hi - tol
-                if not x > 0.0:
-                    break
+                if not x > 0.0 or descent_cost(last_step, ratio) > math.log2(hi / tol):
+                    break  # bracket [0, hi]
                 f = margin(x)
                 if f > 0.0 and short:
                     return 0.5 * (x + hi)
@@ -548,10 +545,7 @@ def reference_range(params: ScenarioParams) -> float:
         f_hi = margin(hi)
     last = None
     while hi - lo > tol:
-        if bisect:
-            x = 0.5 * (lo + hi)
-        else:
-            x = min(max(lo + (hi - lo) * f_lo / (f_lo - f_hi), lo + tol / 2), hi - tol / 2)
+        x = min(max(lo + (hi - lo) * f_lo / (f_lo - f_hi), lo + tol / 2), hi - tol / 2)
         f = margin(x)
         if f > 0.0:
             if last == "lo":

@@ -254,7 +254,7 @@ def _dead_at_focal_point(params: ScenarioParams) -> bool:
 
 # A focusing chirp whose rate is live at L = 0 and dead at L_f = 176.53 km,
 # secure up to 2.82 km and again on about [15.5, 23.306] km
-BISECT_MODE_SPLIT = ScenarioParams(
+DESCENT_SPLIT = ScenarioParams(
     sigma=103 * PS, chirp=-5.6, beta=-1.04e-26, alpha=0.27, dark_rate=47.0,
     period=42 * PS, jitter=0.0, window=300 * PS,
     transmittance_convention=TransmittanceConvention.LITERAL,
@@ -262,7 +262,7 @@ BISECT_MODE_SPLIT = ScenarioParams(
 
 
 def test_bisect_mode_split_set_ends_at_23_306_km():
-    params = BISECT_MODE_SPLIT
+    params = DESCENT_SPLIT
     assert evaluate_point(params, 20.0 * KM).key_rate > 0.0
     assert evaluate_point(params, 23.2 * KM).key_rate > 0.0
     # 10 m brute scan from 23.32 km up to L_f
@@ -271,12 +271,12 @@ def test_bisect_mode_split_set_ends_at_23_306_km():
 
 
 def test_max_distance_in_bisect_mode_finds_the_far_edge():
-    assert abs(max_distance(BISECT_MODE_SPLIT) - 23.306) <= analysis._L_TOL_KM
+    assert abs(max_distance(DESCENT_SPLIT) - 23.306) <= analysis._L_TOL_KM
 
 
 # bench chirp_scan seed 3, draw 150, at C = -1.5: live at L = 0 and dead at
 # L_f = 87.14 km, secure up to 2.44 km and again on about [35.19, 36.13] km
-SEED_3_BISECT_MODE_SPLIT = ScenarioParams(
+SEED_3_DESCENT_SPLIT = ScenarioParams(
     sigma=4.260033579158412e-11, chirp=-1.5, beta=-9.612073750087993e-27,
     alpha=0.17900013290010736, dark_rate=28.849577455104054,
     period=2.98150714637442e-11, jitter=5.182921823353509e-13,
@@ -286,7 +286,7 @@ SEED_3_BISECT_MODE_SPLIT = ScenarioParams(
 
 
 def test_seed_3_bisect_mode_split_set_ends_at_36_13_km():
-    params = SEED_3_BISECT_MODE_SPLIT
+    params = SEED_3_DESCENT_SPLIT
     assert _dead_at_focal_point(params)
     # 10 m brute scan from the source up to L_f
     live = live_points(params, 0.0, _focal_km(params))
@@ -295,14 +295,14 @@ def test_seed_3_bisect_mode_split_set_ends_at_36_13_km():
 
 
 def test_max_distance_in_bisect_mode_finds_the_far_edge_of_seed_3():
-    assert abs(max_distance(SEED_3_BISECT_MODE_SPLIT) - 36.13) <= analysis._L_TOL_KM
+    assert abs(max_distance(SEED_3_DESCENT_SPLIT) - 36.13) <= analysis._L_TOL_KM
 
 
 # bench chirp_scan seed 4, draw 111, at C = 1.3: live at L = 0 and dead at
 # L_f = 13.72 km, where the descent's steps shrink ever more slowly (each
 # 0.64, 0.74, 0.79, ... of the last, toward 1). Descending all the way to
-# the edge at 2.096 km took 140 evaluations, so the search bisects below the
-# lowest dead point instead.
+# the edge at 2.096 km took 140 evaluations, so the search stops descending
+# and runs regula falsi between 0 and the lowest dead point instead.
 SLOW_DESCENT = ScenarioParams(
     sigma=4.2280149637714903e-11, chirp=1.3, beta=6.298976516806349e-26,
     alpha=0.26145921942116473, dark_rate=306040.1621582329,
@@ -326,8 +326,8 @@ _DEAD_AT_FOCAL_POINT = _FOCUSING.filter(
 
 @settings(deadline=None, max_examples=10, suppress_health_check=[HealthCheck.filter_too_much])
 @given(params=_DEAD_AT_FOCAL_POINT)
-@example(params=BISECT_MODE_SPLIT)
-@example(params=SEED_3_BISECT_MODE_SPLIT)
+@example(params=DESCENT_SPLIT)
+@example(params=SEED_3_DESCENT_SPLIT)
 @example(params=SLOW_DESCENT)
 def test_max_distance_from_a_dead_focal_point_is_the_far_edge(params):
     # 10 m brute scan: nothing live from a step above the result up to L_f,
@@ -340,10 +340,55 @@ def test_max_distance_from_a_dead_focal_point_is_the_far_edge(params):
     assert evaluate_point(params, max(0.0, got - tol / 2) * KM).key_rate > 0.0
 
 
+# The split record with 1.5 dark counts per window under exact Poisson,
+# where eta* does not exist: live at L = 0 and dead at L_f = 176.53 km,
+# secure up to about 0.055 km
+SPLIT_WITHOUT_ETA_STAR = replace(
+    DESCENT_SPLIT, dark_model=DarkCountModel.EXACT_POISSON, dark_rate=1.5 / DESCENT_SPLIT.window
+)
+
+# focusing draws without eta* (no dark counts, or mu >= 1 under exact
+# Poisson), live at L = 0 and dead at L_f <= 60 km, where the bracket is
+# [0, L_f]; domain_params seldom makes them
+_WITHOUT_ETA_STAR = _FOCUSING.flatmap(
+    lambda p: st.one_of(
+        st.just(replace(p, dark_rate=0.0)),
+        st.floats(min_value=1.0, max_value=2.0).map(
+            lambda mu: replace(
+                p, dark_model=DarkCountModel.EXACT_POISSON, dark_rate=mu / p.window
+            )
+        ),
+    )
+).filter(
+    lambda p: not 0.0 < p.dark_rate * p.window < 1.0
+    and p.chirp * p.beta > 0.0
+    and _focal_km(p) <= 60.0
+    and evaluate_point(p, 0.0).key_rate > 0.0
+    and _dead_at_focal_point(p)
+)
+
+
+@settings(deadline=None, max_examples=10, suppress_health_check=[HealthCheck.filter_too_much])
+@given(params=_WITHOUT_ETA_STAR)
+@example(params=SPLIT_WITHOUT_ETA_STAR)
+def test_max_distance_without_eta_star_below_a_dead_focal_point(params):
+    # regula falsi on [0, L_f]: bit for bit the oracle's, the far edge by a
+    # 10 m brute scan up to L_f, and within the worst-case budget
+    got = []
+    with pytest.MonkeyPatch.context() as mp:
+        used = _counted_evaluations(mp, lambda: got.append(max_distance(params)))
+    assert got[0] == reference_range(params)
+    tol = analysis._L_TOL_KM
+    assert not live_points(params, got[0] + tol, _focal_km(params))
+    assert evaluate_point(params, max(0.0, got[0] - tol / 2) * KM).key_rate > 0.0
+    assert used <= 30
+
+
 # Secure on about [0, 1.01] and [7.03, 7.81] km below a dead L_f = 13.57 km.
 # The descent's step ratios rise 0.54, 0.63, 0.69, so it stops at 8.36 km
-# for slow contraction and bisects [0, 8.36], which lands on the near edge
-# (1.0164 km); descending on would reach 7.806 km in 25 evaluations
+# for slow contraction. Regula falsi on [0, 8.36] finds the far edge,
+# 7.8084 km, in 10 evaluations in all; bisecting that bracket landed on the
+# near edge (1.0164 km) in 16, and descending on would take 25
 SLOW_DESCENT_SPLIT = ScenarioParams(
     sigma=4.026084834749438e-11, chirp=-8.200251443070414,
     beta=-1.4348785893431098e-26, alpha=0.1902399425867495,
@@ -353,10 +398,6 @@ SLOW_DESCENT_SPLIT = ScenarioParams(
 )
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="the bisection below a slowly contracting descent can return a near edge",
-)
 def test_max_distance_after_a_slow_descent_finds_the_far_edge():
     params = SLOW_DESCENT_SPLIT
     far_km = live_points(params, 0.0, 14.0)[-1] + 0.005  # 10 m brute scan
@@ -389,8 +430,11 @@ def _counted_evaluations(monkeypatch, run) -> int:
 # defaults; the overlapping windows took 21 while a bisection step followed
 # any two regula falsi steps that did not halve the bracket; the records dead
 # at L_f took 16 each while the search bisected there. The descent from L_f
-# contracts linearly (each step about 0.8 of the last) on the seed-3 record;
-# on the slow-descent record it took 140 until it gave way to bisection.
+# contracts linearly (each step about 0.8 of the last) on the seed-3 record.
+# On the slow-descent records it took 140 and 25 to the edge; stopping it and
+# running regula falsi on [0, b] takes 8 and 10, where bisecting [0, b] took
+# 14 and 16. Without eta* the split record took 17 while the search
+# bisected [0, L_f].
 EVALUATION_BUDGETS = {
     "defaults": (ScenarioParams(), 9),
     "overlapping windows": (
@@ -401,9 +445,11 @@ EVALUATION_BUDGETS = {
         11,
     ),
     "dead at L_f": (SPLIT_SETS["dead at L_f"], 4),
-    "dead at L_f, split": (BISECT_MODE_SPLIT, 8),
-    "dead at L_f, seed 3": (SEED_3_BISECT_MODE_SPLIT, 24),
-    "dead at L_f, slow descent": (SLOW_DESCENT, 14),
+    "dead at L_f, split": (DESCENT_SPLIT, 8),
+    "dead at L_f, seed 3": (SEED_3_DESCENT_SPLIT, 24),
+    "dead at L_f, slow descent": (SLOW_DESCENT, 8),
+    "dead at L_f, slow descent, split": (SLOW_DESCENT_SPLIT, 10),
+    "dead at L_f, without eta*": (SPLIT_WITHOUT_ETA_STAR, 7),
 }
 
 
@@ -417,9 +463,10 @@ def test_max_distance_evaluation_budget(monkeypatch):
 @given(params=domain_params())
 @example(params=SLOW_DESCENT)
 def test_max_distance_evaluation_worst_case(params):
-    # the 62,976 searches of bench chirp_scan seeds 1-4 take at most 15, 16,
-    # 24 and 15, and 49,402 random draws dead at L_f at most 24: a descent
-    # from a dead L_f that would contract slowly bisects instead
+    # the 62,976 searches of bench chirp_scan seeds 1-4 take at most 15, 15,
+    # 24 and 14, and 49,402 random draws dead at L_f at most 24: a descent
+    # from a dead L_f that would contract slowly stops, and regula falsi
+    # shrinks [0, b] instead
     with pytest.MonkeyPatch.context() as mp:
         assert _counted_evaluations(mp, lambda: _outcome(lambda: max_distance(params))) <= 30
 
