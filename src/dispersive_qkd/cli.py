@@ -12,6 +12,7 @@ routine failed to converge.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -203,6 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call of main and reused: parse_args leaves the parser
+# unchanged, and each call's --set list is a fresh one
+_parser = functools.cache(build_parser)
+
 _COMMANDS = {
     "point": cmd_point,
     "sweep": cmd_sweep,
@@ -213,7 +218,7 @@ _COMMANDS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, args.sets)
         return _COMMANDS[args.command](cfg, to_params(cfg), args)

@@ -428,36 +428,43 @@ def live_points(params: ScenarioParams, a_km: float, b_km: float) -> list[float]
     return [l_km for l_km in grid if composed_point(params, l_km * 1e3).key_rate > 0.0]
 
 
-def reference_range(params: ScenarioParams) -> float:
+def reference_range(params: ScenarioParams, near: float | None = None) -> float:
     """max_distance's documented search, over the pipeline composed from the
     public helpers.
 
-    0.0 if dead at the source. Else the bracket starts at the focal point
-    L_f = C sigma^2 / ((1 + C^2) beta) where C beta > 0 and the rate is live
-    there, at 0 otherwise, and its top is 50 km above. Where the rate is
-    dead at L_f and 0 < mu < 1, alpha > 0, the search descends from L_f
-    instead: from a dead b to threshold_km(b), the distance at which the
-    transmittance falls to the threshold transmittance of the window masses
-    at b, or to b - 10 m where that step is shorter, and b - 10 m, if
-    secure, ends it at b - 5 m. The width falls with L below L_f and the
-    threshold transmittance does not fall as the width grows, so a dead b
-    proves [threshold_km(b), b] dead. Where threshold_km(b) is secure, it
-    and b bracket the edge. The descent stops, and 0 and b bracket it,
-    where the next point would not lie above 0 or where the ratio r of the
-    step to the last one predicts more evaluations to the edge (steps down
-    to one under 10 m, then 1 / (1 - r) checks 10 m apart) than
-    log2(b / 10 m); outside that domain 0 and L_f bracket it.
-    The threshold transmittance also serves with beta = 0,
-    where the width is constant and there is no focal point: where 0 < mu <
-    1 and alpha > 0, the distance g at which the transmittance falls to the
-    threshold transmittance of the source's window masses is the edge.
-    Where g +- 5 m lies above the bottom and below 1e7 km, the top is g + 5
-    m, and if that is dead and g - 5 m live the result is their midpoint;
-    if both are dead, the top is g - 5 m. A live top doubles until the rate
-    dies (giving up past 1e7 km).
+    0.0 if dead at the source. The focal point is L_f = C sigma^2 / ((1 +
+    C^2) beta) where C beta > 0 and L_f < 1e7 km. The predicted edge g is
+    `near`, or, with beta = 0, 0 < mu < 1 and alpha > 0, the distance at
+    which the transmittance falls to the threshold transmittance of the
+    source's window masses: the width is constant there, so that is the
+    edge. Where g - 5 m lies above L_f (above 0 without one) and g + 5 m
+    below 1e7 km, the search checks g + 5 m first, and if that is dead
+    g - 5 m: if that is live the result is the secant of the two, and if
+    it is dead it is the top. Past L_f the width only grows, so a live
+    point there proves L_f live: L_f is checked only where no probe ran or
+    both probe points are dead. Where it is live it is the bracket's live
+    end. The top is 50 km above the live end, 0 or L_f, unless a probe or
+    the descent set it.
+    Where the rate is dead at L_f and 0 < mu < 1, alpha > 0, the search
+    descends from L_f: from a dead b to threshold_km(b), the distance at
+    which the transmittance falls to the threshold transmittance of the
+    window masses at b, or to b - 10 m where that step is shorter, and b -
+    10 m, if secure, ends it at the secant of b - 10 m and b. The width
+    falls with L below L_f and the threshold transmittance does not fall as
+    the width grows, so a dead b proves [threshold_km(b), b] dead. Where
+    threshold_km(b) is secure, it and b bracket the edge. The descent
+    stops, and 0 and b bracket it, where the next point would not lie above
+    0 or where the ratio r of the step to the last one predicts more
+    evaluations to the edge (steps down to one under 10 m, then 1 / (1 - r)
+    checks 10 m apart) than log2(b / 10 m); outside that domain 0 and L_f
+    bracket it. A live top doubles until the rate dies (giving up past 1e7
+    km).
     Illinois regula falsi on the QBER margin then shrinks every bracket to
-    10 m; the result is its midpoint. Its halving is the one safeguard, and
-    each step lands at least 5 m inside the bracket, which ends the loop.
+    10 m. Its halving is the one safeguard, and each step lands at least
+    5 m inside the bracket, which ends the loop. The result is the secant
+    of the last bracket's ends at their true margins, not the halved ones:
+    it lies inside that bracket, at most 10 m wide, and in the median under
+    1 mm from the edge (measured figures at analysis._L_TOL_KM).
     Live means qber below its threshold, which with dark counts is where
     key_rate > 0; the interpolation reads the raw margin, the threshold
     minus qber.
@@ -467,6 +474,9 @@ def reference_range(params: ScenarioParams) -> float:
 
     def margin(l_km: float) -> float:
         return _QBER_LIMIT - composed_point(params, l_km * 1e3).qber
+
+    def secant(a: float, f_a: float, b: float, f_b: float) -> float:
+        return a + (b - a) * f_a / (f_a - f_b)
 
     f_lo = margin(0.0)
     if not f_lo > 0.0:
@@ -494,68 +504,73 @@ def reference_range(params: ScenarioParams) -> float:
             cost += math.log(step / tol) / -math.log(ratio)
         return cost
 
-    lo, hi, f_hi = 0.0, l_hint, None
+    l_f, g = 0.0, near
     if params.chirp * params.beta > 0.0:
         c, s = params.chirp, params.sigma
         l_f = c * (s * s) / ((1.0 + c * c) * params.beta) / 1e3
-        if 0.0 < l_f < ceiling:
-            f = margin(l_f)
-            if f > 0.0:
-                lo, f_lo, hi = l_f, f, l_f + l_hint
-            else:
-                hi, f_hi = l_f, f
-            # descend from the dead L_f: [threshold_km(hi), hi] is dead
-            last_step = 0.0
-            while f <= 0.0 and has_eta_star:
-                x = threshold_km(hi)
-                ratio = (hi - x) / last_step if last_step > 0.0 else 0.0
-                last_step = hi - x
-                short = not x < hi - tol
-                if short:
-                    x = hi - tol
-                if not x > 0.0 or descent_cost(last_step, ratio) > math.log2(hi / tol):
-                    break  # bracket [0, hi]
-                f = margin(x)
-                if f > 0.0 and short:
-                    return 0.5 * (x + hi)
-                if f > 0.0:
-                    lo, f_lo = x, f
-                else:
-                    hi, f_hi = x, f
+        if l_f >= ceiling:
+            l_f = 0.0
     if params.beta == 0.0 and has_eta_star:
         source = composed_point(params, 0.0)
         eta_star = _threshold_transmittance(source.p_sig, source.p_w, mu)
         if 0.0 < eta_star < 1.0:
             g = -math.log10(eta_star) / per_km
-            if lo < g - tol / 2 and g + tol / 2 <= ceiling:
-                hi = g + tol / 2
-                f_hi = margin(hi)
-                if not f_hi > 0.0:
-                    below = g - tol / 2
-                    f = margin(below)
-                    if f > 0.0:
-                        return 0.5 * (below + hi)
-                    hi, f_hi = below, f
+    lo, f_hi = 0.0, None
+    if g is not None and l_f < g - tol / 2 and g + tol / 2 <= ceiling:
+        hi = g + tol / 2
+        f_hi = margin(hi)
+        if not f_hi > 0.0:
+            below = g - tol / 2
+            f = margin(below)
+            if f > 0.0:
+                return secant(below, f, hi, f_hi)
+            hi, f_hi = below, f
+    if l_f > 0.0 and not (f_hi is not None and f_hi > 0.0):
+        f = margin(l_f)
+        if f > 0.0:
+            lo, f_lo = l_f, f
+        else:
+            hi, f_hi = l_f, f
+        # descend from the dead L_f: [threshold_km(hi), hi] is dead
+        last_step = 0.0
+        while f <= 0.0 and has_eta_star:
+            x = threshold_km(hi)
+            ratio = (hi - x) / last_step if last_step > 0.0 else 0.0
+            last_step = hi - x
+            short = not x < hi - tol
+            if short:
+                x = hi - tol
+            if not x > 0.0 or descent_cost(last_step, ratio) > math.log2(hi / tol):
+                break  # bracket [0, hi]
+            f = margin(x)
+            if f > 0.0 and short:
+                return secant(x, f, hi, f_hi)
+            if f > 0.0:
+                lo, f_lo = x, f
+            else:
+                hi, f_hi = x, f
     if f_hi is None:
+        hi = lo + l_hint
         f_hi = margin(hi)
     while f_hi > 0.0:
         lo, f_lo, hi = hi, f_hi, 2.0 * hi
         if hi > ceiling:
             raise NonConvergenceError(f"rate still positive at {lo} km")
         f_hi = margin(hi)
+    true_lo, true_hi = f_lo, f_hi
     last = None
     while hi - lo > tol:
-        x = min(max(lo + (hi - lo) * f_lo / (f_lo - f_hi), lo + tol / 2), hi - tol / 2)
+        x = min(max(secant(lo, f_lo, hi, f_hi), lo + tol / 2), hi - tol / 2)
         f = margin(x)
         if f > 0.0:
             if last == "lo":
                 f_hi /= 2
-            lo, f_lo, last = x, f, "lo"
+            lo, f_lo, true_lo, last = x, f, f, "lo"
         else:
             if last == "hi":
                 f_lo /= 2
-            hi, f_hi, last = x, f, "hi"
-    return 0.5 * (lo + hi)
+            hi, f_hi, true_hi, last = x, f, f, "hi"
+    return secant(lo, true_lo, hi, true_hi)
 
 
 def bisection_range(params: ScenarioParams) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dispersive_qkd.analysis import ChirpScanResult, SweepResult
+from dispersive_qkd.analysis import ChirpScanResult, SweepResult, max_distance
 from dispersive_qkd.chart import Series, render_chart
 from dispersive_qkd.cli import CSV_HEADER, SCAN_CSV_HEADER, _csv, main
 from dispersive_qkd.config import (
@@ -341,6 +341,15 @@ def test_lmax_output(capsys):
     assert 36.8 < value < 37.1
 
 
+def test_main_calls_in_one_process_share_no_state(capsys):
+    # main builds its parser once per process and reuses it: each call reads
+    # its own --set values and none of an earlier call's
+    for sets in (["--set", "chirp=-1"], ["--set", "jitter_ps=25"], []):
+        assert main(["lmax", *sets]) == 0
+        expected = max_distance(to_params(parse_config(None, sets[1::2])))
+        assert capsys.readouterr().out == f"L_max_km = {expected:.10g}\n"
+
+
 def test_optimize_chirp_output(tmp_path, capsys):
     out_csv = tmp_path / "scan.csv"
     args = [
@@ -533,9 +542,9 @@ def test_no_dark_counts_search_past_a_transmittance_underflow(capsys):
     # QBER crosses its threshold only at about 35.8 km
     ideal = ["--set", "dark_rate_hz=0", "--set", "alpha_db_per_km=100"]
     assert main(["lmax", *ideal]) == 0
-    assert capsys.readouterr().out == "L_max_km = 35.81411662\n"
+    assert capsys.readouterr().out == "L_max_km = 35.81729906\n"
     assert main(["sweep", *ideal, "--set", "l_steps=4"]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 6
     # past the underflow the raw-key probability is 0, the QBER is not
-    assert rows[-1].split(",")[4:] == ["0", "0.1478877366", "0"]
+    assert rows[-1].split(",")[4:] == ["0", "0.1479064109", "0"]

@@ -44,19 +44,19 @@ CLI_DIGESTS = {
         "stdout": "da33622fdd5373ed9b4b01f5b7c17ef56a2e02d26aed7cbb3dd60453836f1928",
     },
     "sweep --out sweep.csv --svg sweep.svg": {
-        "sweep.csv": "45838f6b0cc2f078c7b02883e2b57ab8befcc3d519e09b260048134b79154c8d",
-        "sweep.svg": "e973d4499bc347a7f17bbf5ece6416ebcd6959d3767deb928c3b7dae25643f91",
+        "sweep.csv": "7865fad58375c049556860922e98f8384b1a058865e6097e5f17d361747a36f8",
+        "sweep.svg": "603a65dcd2e2ea6161b648a6ce2f5997cce767f666961970e9dbf00338d9a0d8",
     },
     "sweep --set rate_units=per_second --out sweep.csv --svg sweep.svg": {
-        "sweep.csv": "77c8dc658679482d731347ebcd4da1d531b3735e7bdee031ebe70ec183122cb9",
-        "sweep.svg": "df1197870243a20fa5f7b0d7306a5f272bfc1ec12edd7eada87adc1363df6330",
+        "sweep.csv": "18613dd575ef6af806020715eef71c3772fab164a819569feb1d4f6acb33edab",
+        "sweep.svg": "b434d355221633d40b898d7f5a35264e381df45c004180b7df45b2fd599b817e",
     },
     # no dark counts at 100 dB/km: key rates span 2e-323 to 0.314, so the log
     # axis clips the tail 12 decades below the top, and the CSV holds
     # subnormal cells
     "sweep --set dark_rate_hz=0 --set alpha_db_per_km=100 --out sweep.csv --svg sweep.svg": {
-        "sweep.csv": "011ac7fb96b3f84f2d9ad4554ef3e5fcd8f33c6a24906e63d7117ee4150d3c5f",
-        "sweep.svg": "fa54c79d18268d58b95af0d06a5afc25e890b66980d35a223188a6d5099ebe5a",
+        "sweep.csv": "d3b38c38e19a99cd710bded53b9489382b5f504e970ffbc2695ad07da500c7b5",
+        "sweep.svg": "b67d0faf60794e54fcd73e1687d9ab6275b9601944b8247b5480efb5ced11002",
     },
     # dead at the source: the chart has no positive data to draw
     "sweep --set jitter_ps=200 --out sweep.csv --svg sweep.svg": {
@@ -64,8 +64,8 @@ CLI_DIGESTS = {
         "sweep.svg": "8be09ca651e4cfa7a858fa4ecefc5af5ce64bdf3e77488e38c9ed1e1a967d0e4",
     },
     "optimize-chirp --out scan.csv --svg scan.svg": {
-        "scan.csv": "93f9e5e48931b767196c76048ff5ba02bbb96b67bab06cf74aa1dee407f80479",
-        "scan.svg": "d74628960fb4d1a65995fd2ed41d325b752c4188a4deb46ed004e3e04db6508c",
+        "scan.csv": "a57c688f33d92665c94acac8e44a15b32fe855a531d7f77a3d53baf21296c5ff",
+        "scan.svg": "93559878b50b3a103f641f37a68341c172c3cc337a9de0f357cf61d1d24f950c",
     },
     # every secure range is 0: the linear y axis widens a flat range
     "optimize-chirp --set jitter_ps=200 --out scan.csv --svg scan.svg": {
@@ -74,8 +74,8 @@ CLI_DIGESTS = {
     },
     # one chirp: the x axis widens a range of zero width
     "optimize-chirp --set c_min=0 --set c_max=0 --out scan.csv --svg scan.svg": {
-        "scan.csv": "2df2c1dd535d7cf6f04d505f4cfe572ee36520ab5035261588dad957278262b9",
-        "scan.svg": "48c0f9bea3427d6712d95c373220314eeb84e2c4e0db425f879912069bebc853",
+        "scan.csv": "e4cadbeea0818c2955a8712e4aba027203621715b24038390377e55fc3630e74",
+        "scan.svg": "34ec359eaaa5f39528bf6604d40bf04284dbdf9d15134f1098c4421b6a7f78dc",
     },
 }
 

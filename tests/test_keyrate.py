@@ -553,7 +553,7 @@ def test_key_rate_is_positive_exactly_below_the_qber_limit(params, l_km):
     reason="key_rate rounds to 0 where p_raw is subnormal and the QBER is below the limit",
 )
 def test_key_rate_is_positive_below_the_qber_limit_at_a_subnormal_raw_key_rate():
-    # no dark counts at 100 dB/km, 32.2327 km: p_raw is 9.88e-324 and the
+    # no dark counts at 100 dB/km, 32.2356 km: p_raw is 9.88e-324 and the
     # QBER 0.0897, but the rate p_raw (1 - 2 H(qber)) rounds to 0; a
     # log-domain rate would keep it positive
     params = ScenarioParams(dark_rate=0.0, alpha=100.0)
