@@ -171,27 +171,29 @@ def _edge(
     is the secant of the two, after three evaluations. A secure point past
     L_f proves L_f secure, so where either is secure L_f is never
     evaluated; a secure upper point is the bracket's live end. Where both
-    are dead the lower is the top, and L_f is checked next.
+    are dead the lower is the top, and the descent from L_f follows.
 
-    Where L_f is not secure, the secure set lies below it and may be split,
-    so the search descends from L_f to the far edge: b <- g(b), from b =
-    L_f, the masses of each dead b giving the next step. The width falls
-    with L on [0, L_f], so one dead b proves all of [g(b), b] dead: there
-    the transmittance is at most eta*(b) and eta* is at least eta*(b).
-    Where a step b - g(b) is shorter than _L_TOL_KM, b - _L_TOL_KM is
-    checked instead: where it is secure the search returns the secant of
-    b - _L_TOL_KM and b, and where it is not the descent goes on from it.
-    Where g(b) itself is secure (at the edge, by rounding) [g(b), b] is the
+    Where L_f exists and no point checked around g is secure, one loop
+    descends from L_f to the far edge, evaluating one point b per pass, L_f
+    first. A secure b ends the loop as the bracket's live end; where L_f is
+    secure, that is L_f itself. A dead b is the new top, and its masses give
+    the next point, g(b). The width falls with L on [0, L_f], so one dead b
+    proves all of [g(b), b] dead: there the transmittance is at most eta*(b)
+    and eta* is at least eta*(b). So where the secure set splits below a
+    dead L_f, the loop reaches its far edge first. Where a step b - g(b) is
+    shorter than _L_TOL_KM, the next point is b - _L_TOL_KM instead, and
+    where that is secure the search returns the secant of it and b. Where
+    g(b) itself is secure (at the edge, by rounding) [g(b), b] is the
     bracket. Near a far edge where eta* climbs almost as fast as the
     transmittance falls, the steps shrink slowly, so each step is weighed
-    first. The descent stops, and [0, b] is the bracket for the last dead
-    b, where the next point would not lie above 0 or where
-    _descent_evaluations at the ratio of this step to the last exceeds
+    first. The loop stops, and [0, b] is the bracket for the last dead b,
+    where eta* does not exist (mu = 0, alpha = 0, or mu >= 1 under exact
+    Poisson; b is then L_f), where the next point would not lie above 0, or
+    where _descent_evaluations at the ratio of this step to the last exceeds
     log2(b / _L_TOL_KM). [b, L_f] is already dead, so no secure point above
-    b is missed. Without eta* (mu = 0, alpha = 0, or mu >= 1 under exact
-    Poisson) the bracket is [0, L_f]. A bracket with 0 as its live end is
-    not certified: where the set splits inside it, the search may stop at
-    a near edge. Below a dead L_f the result does not depend on `near`.
+    b is missed. A bracket with 0 as its live end is not certified: where
+    the set splits inside it, the search may stop at a near edge. Below a
+    dead L_f the result does not depend on `near`.
 
     Elsewhere the top starts _L_HINT_KM above the live end, and a secure top
     doubles until it is not. Above the live end the width only grows and
@@ -250,15 +252,19 @@ def _edge(
                 return _secant(l_km, f, hi, f_hi)
             hi, f_hi = l_km, f
     if focal_km > 0.0 and (f_hi is None or f_hi <= 0.0):
-        p_sig, p_w, _, q = _qber_stage(params, c0, mu, focal_km * _M_PER_KM)
-        f = _QBER_LIMIT - q
-        if f > 0.0:
-            lo, f_lo = focal_km, f
-        else:
-            hi, f_hi = focal_km, f
-        # descend from the dead L_f: a dead hi proves [g(hi), hi] dead
-        step = 0.0
-        while f <= 0.0 and has_eta_star:
+        # descend from L_f: a dead hi proves [g(hi), hi] dead
+        l_km, probe, step = focal_km, False, 0.0
+        while True:
+            p_sig, p_w, _, q = _qber_stage(params, c0, mu, l_km * _M_PER_KM)
+            f = _QBER_LIMIT - q
+            if f > 0.0:
+                if probe:
+                    return _secant(l_km, f, hi, f_hi)
+                lo, f_lo = l_km, f
+                break
+            hi, f_hi = l_km, f
+            if not has_eta_star:
+                break
             eta_star = _threshold_transmittance(p_sig, p_w, mu)
             l_km = -math.log10(eta_star) / decades if eta_star > 0.0 else hi
             ratio = (hi - l_km) / step if step > 0.0 else 0.0
@@ -268,14 +274,6 @@ def _edge(
                 l_km = hi - _L_TOL_KM
             if not l_km > 0.0 or _descent_evaluations(step, ratio) > math.log2(hi / _L_TOL_KM):
                 break
-            p_sig, p_w, _, q = _qber_stage(params, c0, mu, l_km * _M_PER_KM)
-            f = _QBER_LIMIT - q
-            if f > 0.0:
-                if probe:
-                    return _secant(l_km, f, hi, f_hi)
-                lo, f_lo = l_km, f
-            else:
-                hi, f_hi = l_km, f
     if f_hi is None:
         hi = lo + _L_HINT_KM
         f_hi = margin(hi)
@@ -312,16 +310,16 @@ def max_distance(params: ScenarioParams, near: float | None = None) -> float:
     The far edge of the set where qber < _QBER_LIMIT (with dark counts,
     where key_rate > 0) at params' own chirp, found by _edge: the secant of
     its last bracket, which holds the edge and is at most _L_TOL_KM wide
-    (measured errors at _L_TOL_KM). Where a focusing chirp splits the
-    secure set, that is the far edge, not the near one: the search starts
-    from the focal point where the rate is live there, and descends from it
-    where it is dead, each dead point proving the stretch down to the next
-    one dead. Without dark counts, without loss, or with mu >= 1 under
-    exact Poisson, it searches between 0 and a dead focal point instead,
-    and so it does below the lowest dead point where the descent's steps
-    shrink too slowly to pay; there it may stop at a near edge. Raises
-    NonConvergenceError where the QBER is still below the threshold past
-    _BRACKET_CEILING_KM.
+    (measured errors at _L_TOL_KM). Where a focusing chirp splits the secure
+    set, that is the far edge, not the near one: the search descends in one
+    loop from the focal point, each dead point proving the stretch down to
+    the next one dead, until a live point, the focal point itself where the
+    rate is live there. Without dark counts, without loss, or with mu >= 1
+    under exact Poisson, the loop stops at a dead focal point and the search
+    runs between 0 and it, and so it does below the lowest dead point where
+    the descent's steps shrink too slowly to pay; there it may stop at a
+    near edge. Raises NonConvergenceError where the QBER is still below the
+    threshold past _BRACKET_CEILING_KM.
 
     near, a predicted edge in km, only saves evaluations where it is close:
     the search checks _L_TOL_KM / 2 either side of it first, before a focal

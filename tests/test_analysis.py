@@ -174,12 +174,19 @@ def _outcome(run):
         return type(exc)
 
 
+# A focusing chirp whose focal point, 5e7 km, lies past _BRACKET_CEILING_KM:
+# the search sets it aside, grows the bracket from 50 km, and ends at
+# 327.4714 km in 14 evaluations
+FOCAL_POINT_PAST_THE_CEILING = ScenarioParams(beta=1e-33, chirp=1.0)
+
+
 @settings(deadline=None, max_examples=100)
 @given(params=domain_params())
 # the searches read the threshold transmittance only with beta = 0; a first
 # bracket top 10 m above its distance here would end the search at
 # 21.779847 km, not 21.779634 km
 @example(params=ScenarioParams(dark_rate=1e9))
+@example(params=FOCAL_POINT_PAST_THE_CEILING)
 def test_max_distance_equals_reference_search(params):
     # dual route, bit for bit, over every outcome: a range, 0.0 when dead at
     # the source, NonConvergenceError, and a ValueError
@@ -283,7 +290,7 @@ DESCENT_SPLIT = ScenarioParams(
 )
 
 
-def test_bisect_mode_split_set_ends_at_23_306_km():
+def test_descent_split_set_ends_at_23_306_km():
     params = DESCENT_SPLIT
     assert evaluate_point(params, 20.0 * KM).key_rate > 0.0
     assert evaluate_point(params, 23.2 * KM).key_rate > 0.0
@@ -292,7 +299,7 @@ def test_bisect_mode_split_set_ends_at_23_306_km():
     assert not live_points(params, 23.32, _focal_km(params))
 
 
-def test_max_distance_in_bisect_mode_finds_the_far_edge():
+def test_max_distance_by_descent_finds_the_far_edge():
     assert abs(max_distance(DESCENT_SPLIT) - 23.306) <= analysis._L_TOL_KM
 
 
@@ -307,7 +314,7 @@ SEED_3_DESCENT_SPLIT = ScenarioParams(
 )
 
 
-def test_seed_3_bisect_mode_split_set_ends_at_36_13_km():
+def test_seed_3_descent_split_set_ends_at_36_13_km():
     params = SEED_3_DESCENT_SPLIT
     assert _dead_at_focal_point(params)
     # 10 m brute scan from the source up to L_f
@@ -316,8 +323,15 @@ def test_seed_3_bisect_mode_split_set_ends_at_36_13_km():
     assert abs(live[-1] + 0.005 - 36.13) <= 0.01
 
 
-def test_max_distance_in_bisect_mode_finds_the_far_edge_of_seed_3():
+def test_max_distance_by_descent_finds_the_far_edge_of_seed_3():
     assert abs(max_distance(SEED_3_DESCENT_SPLIT) - 36.13) <= analysis._L_TOL_KM
+
+
+# The seed-3 record at C = -1.35 (bench chirp_scan seed 3, draw 150): live
+# at L = 0, dead at L_f = 90.30 km, and secure up to 2.4275 km alone. From
+# 36.33 km the next step would be 5.08 times the last one, so the descent
+# stops there, and regula falsi shrinks [0, 36.33]: 16 evaluations in all
+SEED_3_GROWING_STEP = replace(SEED_3_DESCENT_SPLIT, chirp=-1.35)
 
 
 # bench chirp_scan seed 4, draw 111, at C = 1.3: live at L = 0 and dead at
@@ -363,6 +377,7 @@ def test_max_distance_with_a_prediction_equals_reference_search(params, offset):
 @given(params=_DEAD_AT_FOCAL_POINT)
 @example(params=DESCENT_SPLIT)
 @example(params=SEED_3_DESCENT_SPLIT)
+@example(params=SEED_3_GROWING_STEP)
 @example(params=SLOW_DESCENT)
 def test_max_distance_from_a_dead_focal_point_is_the_far_edge(params):
     # 10 m brute scan: nothing live from a step above the result up to L_f,
@@ -469,7 +484,9 @@ def _counted_evaluations(monkeypatch, run) -> int:
 # On the slow-descent records it took 140 and 25 to the edge; stopping it and
 # running regula falsi on [0, b] takes 8 and 10, where bisecting [0, b] took
 # 14 and 16. Without eta* the split record took 17 while the search
-# bisected [0, L_f].
+# bisected [0, L_f]. The growing-step record stops its descent for a step
+# longer than the last, and the record past the ceiling sets its focal point
+# aside and grows the bracket from 50 km.
 EVALUATION_BUDGETS = {
     "defaults": (ScenarioParams(), 9),
     "overlapping windows": (
@@ -485,6 +502,8 @@ EVALUATION_BUDGETS = {
     "dead at L_f, slow descent": (SLOW_DESCENT, 8),
     "dead at L_f, slow descent, split": (SLOW_DESCENT_SPLIT, 10),
     "dead at L_f, without eta*": (SPLIT_WITHOUT_ETA_STAR, 7),
+    "dead at L_f, growing step": (SEED_3_GROWING_STEP, 16),
+    "focal point past the ceiling": (FOCAL_POINT_PAST_THE_CEILING, 14),
 }
 
 

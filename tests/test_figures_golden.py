@@ -24,19 +24,35 @@ from dispersive_qkd.cli import main
 DIGESTS = Path(__file__).with_name("golden_figures.sha256")
 
 
+# the files each figure writes: its CSVs and one chart
+FIGURE_FILES = {"fig1": 9, "fig2": 7, "fig3a": 4, "fig3b": 7, "fig4a": 4, "fig4b": 7}
+
+
+def _reproduce_digests(out: Path, *figures: str) -> dict[str, str]:
+    """sha256 of each file that `reproduce [figures] --out out` writes."""
+    assert main(["reproduce", *figures, "--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+
+
 def test_reproduce_matches_golden_digests(tmp_path):
-    assert main(["reproduce", "--out", str(tmp_path)]) == 0
     expected = dict(
         reversed(line.split()) for line in DIGESTS.read_text().splitlines()
     )
-    got = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in tmp_path.iterdir()
-    }
+    got = _reproduce_digests(tmp_path / "all")
     assert len(expected) == 38
     assert sorted(got) == sorted(expected)
     differing = sorted(name for name in expected if got[name] != expected[name])
     assert not differing, f"figure files differ from the snapshot: {differing}"
+    # one figure per call, as the benchmark's reproduce_all times it, writes
+    # exactly that figure's entries
+    for fig, count in FIGURE_FILES.items():
+        own = {
+            name: digest
+            for name, digest in expected.items()
+            if name.partition("_")[0].partition(".")[0] == fig
+        }
+        assert len(own) == count, fig
+        assert _reproduce_digests(tmp_path / fig, fig) == own, fig
 
 
 CLI_DIGESTS = {
