@@ -437,7 +437,7 @@ def test_max_distance_without_eta_star_below_a_dead_focal_point(params):
 # Secure on about [0, 1.01] and [7.03, 7.81] km below a dead L_f = 13.57 km.
 # The descent's step ratios rise 0.54, 0.63, 0.69, so it stops at 8.36 km
 # for slow contraction. Regula falsi on [0, 8.36] finds the far edge,
-# 7.8084 km, in 10 evaluations in all; bisecting that bracket landed on the
+# 7.8107 km, in 10 evaluations in all; bisecting that bracket landed on the
 # near edge (1.0164 km) in 16, and descending on would take 25
 SLOW_DESCENT_SPLIT = ScenarioParams(
     sigma=4.026084834749438e-11, chirp=-8.200251443070414,
@@ -613,11 +613,11 @@ def test_scan_chirp_without_dispersion_evaluation_budget(monkeypatch):
 
 
 def test_max_distance_first_top_at_the_threshold_distance(monkeypatch):
-    # where the width grows, the edge (21.78 km here) lies below the distance
-    # at which the transmittance falls to the source's threshold
-    # transmittance (31.22 km), so that distance would be a valid first
-    # bracket top; with beta != 0 the search starts from 50 km, which it
-    # reaches in the same 8 evaluations
+    # where the width grows, the edge (21.7774 km by bisection here) lies
+    # below the distance at which the transmittance falls to the source's
+    # threshold transmittance (31.22 km), so that distance would be a valid
+    # first bracket top; with beta != 0 the search starts from 50 km, which
+    # it reaches in the same 8 evaluations
     params = ScenarioParams(dark_rate=1e9)
     mu = params.dark_rate * params.window
     p_sig, p_w, _, _ = keyrate._qber_stage(params, params.chirp, mu, 0.0)
@@ -626,7 +626,7 @@ def test_max_distance_first_top_at_the_threshold_distance(monkeypatch):
     assert not evaluate_point(params, g * KM).key_rate > 0.0
     got = []
     assert 0 < _counted_evaluations(monkeypatch, lambda: got.append(max_distance(params))) <= 8
-    assert abs(got[0] - 21.78) <= 0.01
+    assert abs(got[0] - 21.7774) <= 0.01
 
 
 def test_scan_chirp_builds_no_parameter_record(monkeypatch):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
@@ -350,6 +353,29 @@ def test_main_calls_in_one_process_share_no_state(capsys):
         assert capsys.readouterr().out == f"L_max_km = {expected:.10g}\n"
 
 
+def test_module_entry_point_runs_in_its_own_process(capsys):
+    # python -m dispersive_qkd.cli: the module's __main__ guard passes main's
+    # status to the process
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "dispersive_qkd.cli", *args],
+            capture_output=True, text=True, env=env, check=False, timeout=60,
+        )
+
+    assert main(["lmax"]) == 0
+    done = run("lmax")
+    assert (done.returncode, done.stdout, done.stderr) == (0, capsys.readouterr().out, "")
+    # 1.5 dark counts per window: the parameter record rejects the
+    # linearized model when it is built
+    done = run("lmax", "--set", "dark_rate_hz=3e10")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: linearized dark model needs rate*window < 1")
+
+
 def test_optimize_chirp_output(tmp_path, capsys):
     out_csv = tmp_path / "scan.csv"
     args = [
@@ -404,6 +430,44 @@ def test_optimize_chirp_dead_at_source_warning(capsys):
     assert captured.out == "c_star = -2\nL_max_km = 0\n"
     assert "key rate is zero at the source" in captured.err
     assert "boundary" not in captured.err
+
+
+def test_optimize_chirp_takes_the_far_edges_chirp(capsys):
+    # secure along the compensating chirp path c(L) on [0, 1.29] km and
+    # again from about 78 to 236 km: the best chirp is the far edge's
+    # (C = -1.786, 236.07 km), not the near edge's clipped -2 (234.59 km)
+    args = [
+        "optimize-chirp",
+        "--set", "sigma_ps=86.59643233600653",
+        "--set", "beta_e26=-1.778279410038923",
+        "--set", "alpha_db_per_km=0.25",
+        "--set", "dark_rate_hz=749.8942093324558",
+        "--set", "period_ps=133.3521432163324",
+        "--set", "window_ps=133.3521432163324",
+        "--set", "jitter_ps=0",
+        "--set", "c_step=0.5",
+    ]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    c_star = float(out.split("c_star = ")[1].splitlines()[0])
+    l_star = float(out.split("L_max_km = ")[1].splitlines()[0])
+    assert -1.80 < c_star < -1.77
+    assert l_star > 236.0
+
+
+def test_optimize_chirp_samples_match_lmax_near_unit_chirps(tmp_path, capsys):
+    # the scan starts each grid chirp's search at the edge its last
+    # neighbours predict, lmax searches cold; both return the secant of a
+    # last bracket at most 10 m wide, about 2e-7 km apart here
+    out_csv = tmp_path / "scan.csv"
+    assert main(["optimize-chirp", "--out", str(out_csv)]) == 0
+    rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+    for target in (-1.0, 1.0):
+        chirp, sample = min(rows, key=lambda row: abs(float(row[0]) - target))
+        capsys.readouterr()
+        assert main(["lmax", "--set", f"chirp={chirp}"]) == 0
+        cold = float(capsys.readouterr().out.split("=")[1])
+        assert abs(float(sample) - cold) <= 0.001, (chirp, sample, cold)
 
 
 def test_reproduce_fig2(tmp_path, capsys):

@@ -1,0 +1,92 @@
+"""The command-line scripts under scripts/, run as their users run them."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from dispersive_qkd.analysis import default_chirp_grid, scan_chirp
+from dispersive_qkd.config import BETA_UNIT, PS
+from dispersive_qkd.keyrate import ScenarioParams
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _run(capsys, monkeypatch, name: str, *args: str) -> tuple[int | None, str]:
+    """(exit status, stdout) of scripts/name run as __main__ with args."""
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    capsys.readouterr()
+    status = None
+    try:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    except SystemExit as exc:
+        status = exc.code
+    return status, capsys.readouterr().out
+
+
+@pytest.fixture
+def figure_dirs(tmp_path):
+    """Two directories that each hold the same sweep CSV and chart."""
+    csv = "L_km,key_rate,qber\n0,0.5,0.01\n10,0.25,0.02\n"
+    svg = '<svg>\n<polyline points="0,1 2,3"/>\n</svg>\n'
+    dirs = tmp_path / "a", tmp_path / "b"
+    for d in dirs:
+        d.mkdir()
+        (d / "fig.csv").write_text(csv)
+        (d / "fig.svg").write_text(svg)
+    return dirs
+
+
+def _compare(capsys, monkeypatch, dirs) -> tuple[int | None, str]:
+    return _run(capsys, monkeypatch, "compare_figures.py", *map(str, dirs))
+
+
+def test_compare_figures_identical_dirs(capsys, monkeypatch, figure_dirs):
+    status, out = _compare(capsys, monkeypatch, figure_dirs)
+    assert status == 0
+    assert out.startswith("byte-identical: 2 of 2 files\n")
+    assert "differing: 0\n" in out and "!" not in out
+
+
+def test_compare_figures_reports_a_numeric_csv_deviation(capsys, monkeypatch, figure_dirs):
+    (figure_dirs[1] / "fig.csv").write_text("L_km,key_rate,qber\n0,0.5,0.01\n10,0.2,0.02\n")
+    status, out = _compare(capsys, monkeypatch, figure_dirs)
+    assert status == 0
+    assert "  ~ fig.csv\n" in out
+    assert "  key_rate: abs 0.05 (fig.csv), rel 0.2 (fig.csv)\n" in out
+    assert "qber:" not in out and "!" not in out
+
+
+def test_compare_figures_names_the_first_changed_svg_line(capsys, monkeypatch, figure_dirs):
+    (figure_dirs[1] / "fig.svg").write_text('<svg>\n<polyline points="0,1 2,4"/>\n</svg>\n')
+    status, out = _compare(capsys, monkeypatch, figure_dirs)
+    assert status == 1
+    assert "! fig.svg: not a CSV, line 2, column 25: " in out
+
+
+def test_compare_figures_fails_on_a_file_on_one_side_only(capsys, monkeypatch, figure_dirs):
+    (figure_dirs[0] / "extra.csv").write_text("x\n1\n")
+    status, out = _compare(capsys, monkeypatch, figure_dirs)
+    assert status == 1
+    assert f"! only in {figure_dirs[0]}: extra.csv\n" in out
+
+
+def test_compare_figures_fails_on_a_changed_non_numeric_csv_cell(capsys, monkeypatch, figure_dirs):
+    (figure_dirs[1] / "fig.csv").write_text("L_km,key_rate,qber\n0,0.5,0.01\n10,n/a,0.02\n")
+    status, out = _compare(capsys, monkeypatch, figure_dirs)
+    assert status == 1
+    assert "! fig.csv: column key_rate: '0.25' vs 'n/a'\n" in out
+
+
+def test_chirp_gain_summary_prints_each_configurations_scan(capsys, monkeypatch):
+    status, out = _run(capsys, monkeypatch, "chirp_gain_summary.py")
+    assert status is None
+    header, *rows = out.splitlines()
+    assert header.split() == ["jitter_ps", "beta_e26", "L0_km", "c_star", "Lstar_km", "gain_%"]
+    assert len(rows) == 9
+    for row in rows:
+        jitter_ps, beta_e26, _, c_star, l_star = row.split()[:5]
+        params = ScenarioParams(jitter=float(jitter_ps) * PS, beta=float(beta_e26) * BETA_UNIT)
+        scan = scan_chirp(params, default_chirp_grid())
+        assert (c_star, l_star) == (f"{scan.c_star:.3f}", f"{scan.l_max_star:.2f}"), row
