@@ -143,10 +143,12 @@ def _edge(
     transmittance cancels from the QBER, so the QBER still decides where the
     float transmittance has reached 0 and p_raw and key_rate read 0.
 
-    Each step runs keyrate._qber_stage, the pipeline up to the QBER, with
-    mu = rate * window computed once per search and the path's chirp passed
-    in: no step reads the dark model, runs the rate tail, or builds a
-    ProtocolPoint or a ScenarioParams.
+    The source point comes with the record: params._source, computed when
+    it was built, is the stage at L = 0 at any chirp, so no search evaluates
+    L = 0. Each further step runs keyrate._qber_stage, the pipeline up to
+    the QBER, with mu = rate * window computed once per search and the
+    path's chirp passed in: no step reads the dark model, runs the rate
+    tail, or builds a ProtocolPoint or a ScenarioParams.
 
     The sign of the QBER margin _QBER_LIMIT - qber decides the side of every
     point. Where the source chirp c0 = chirp_at(0) focuses (c0 beta > 0),
@@ -168,7 +170,7 @@ def _edge(
     _L_TOL_KM / 2 lie above L_f (above 0 without one) and below
     _BRACKET_CEILING_KM, the search checks g + _L_TOL_KM / 2, and where that
     is not secure, g - _L_TOL_KM / 2. Where the lower is secure the result
-    is the secant of the two, after three evaluations. A secure point past
+    is the secant of the two, after two evaluations. A secure point past
     L_f proves L_f secure, so where either is secure L_f is never
     evaluated; a secure upper point is the bracket's live end. Where both
     are dead the lower is the top, and the descent from L_f follows.
@@ -217,7 +219,8 @@ def _edge(
     The anchor and the descent hold along a path whose chirp is c0 up to
     past L_f, and optimal_chirp's is: it is c0 up to sigma^2 / (|c0|
     |beta|), which exceeds L_f by the factor (1 + c0^2) / c0^2. So every
-    point at or below L_f is evaluated at c0.
+    point at or below L_f is evaluated at c0, and at L = 0 its clipped
+    +-inf chirp gives the record's source point too.
     """
     mu = params.dark_rate * params.window
 
@@ -225,7 +228,7 @@ def _edge(
         return _QBER_LIMIT - _qber_stage(params, chirp_at(l_km), mu, l_km * _M_PER_KM)[3]
 
     c0 = chirp_at(0.0)
-    p_sig, p_w, _, q = _qber_stage(params, c0, mu, 0.0)
+    p_sig, p_w, _, q = params._source
     f_lo = _QBER_LIMIT - q
     if not f_lo > 0.0:
         return 0.0
@@ -308,13 +311,14 @@ def max_distance(params: ScenarioParams, near: float | None = None) -> float:
     """Largest secure distance in km; 0.0 if the rate is dead at L = 0.
 
     The far edge of the set where qber < _QBER_LIMIT (with dark counts,
-    where key_rate > 0) at params' own chirp, found by _edge: the secant of
-    its last bracket, which holds the edge and is at most _L_TOL_KM wide
-    (measured errors at _L_TOL_KM). Where a focusing chirp splits the secure
-    set, that is the far edge, not the near one: the search descends in one
-    loop from the focal point, each dead point proving the stretch down to
-    the next one dead, until a live point, the focal point itself where the
-    rate is live there. Without dark counts, without loss, or with mu >= 1
+    where key_rate > 0) at params' own chirp, found by _edge from the
+    source point the record carries, so it never evaluates L = 0: the
+    secant of its last bracket, which holds the edge and is at most
+    _L_TOL_KM wide (measured errors at _L_TOL_KM). Where a focusing chirp
+    splits the secure set, that is the far edge, not the near one: the
+    search descends in one loop from the focal point, each dead point
+    proving the stretch down to the next one dead, until a live point, the
+    focal point itself where the rate is live there. Without dark counts, without loss, or with mu >= 1
     under exact Poisson, the loop stops at a dead focal point and the search
     runs between 0 and it, and so it does below the lowest dead point where
     the descent's steps shrink too slowly to pay; there it may stop at a

@@ -173,6 +173,12 @@ class ScenarioParams:
     Defaults are the standard telecom setup used throughout: 10 ps pulses,
     beta = -1.15e-26 s^2/m, 0.2 dB/km loss, 1 kHz dark rate, 100 ps train
     period, 25 ps jitter, 50 ps window.
+
+    Building a record checks its fields, then evaluates its source point:
+    _source, not a field, holds _qber_stage's (p_sig, p_w, p_det, qber) at
+    L = 0, where the width is sigma at any chirp. Every secure-range search
+    of the record, at any chirp along any path, reads it there. Equality,
+    hashing and repr read the fields alone, and replace() builds it anew.
     """
 
     sigma: float = 10e-12  # s
@@ -225,11 +231,17 @@ class ScenarioParams:
             raise ValueError(f"dark_rate * window must be finite, got {mu}")
         if self.dark_model is DarkCountModel.PAPER_LINEARIZED and mu >= 1.0:
             raise _linearized_domain_error(mu)
+        # the source point, not a field: at L = 0 the width is sigma at any
+        # chirp, so every search of this record and of its _at_chirp copies
+        # reads it here
+        object.__setattr__(self, "_source", _qber_stage(self, self.chirp, mu, 0.0))
 
     def _at_chirp(self, chirp: float) -> ScenarioParams:
         """This record with its chirp replaced: replace(self, chirp=chirp),
         but with only the chirp checked, since every other field was checked
-        when this record was built. scan_chirp builds one per grid chirp."""
+        when this record was built. The source point is carried unchanged:
+        at L = 0, chirp * beta * 0.0 is +-0.0, so the width is the same
+        float at any finite chirp. scan_chirp builds one per grid chirp."""
         _check_chirp(chirp)
         record = object.__new__(ScenarioParams)
         record.__dict__.update(self.__dict__, chirp=chirp)
@@ -298,12 +310,12 @@ def _qber_stage(
     source chirp, given mu = params.dark_rate * params.window.
 
     The one composition of the helpers up to the QBER. evaluate_point passes
-    params.chirp and adds the rate tail; the secure-range search reads the
-    QBER alone, takes mu once per search, and passes the chirp of its path,
-    so no step builds a parameter record or reads the dark model. params was
-    validated when it was built, so its scalars feed the formulas directly;
-    broadened_sigma checks the distance. See ProtocolPoint for the 0.5
-    sentinel.
+    params.chirp and adds the rate tail; a record stores it at L = 0 when it
+    is built; the secure-range search reads the QBER alone, takes mu once
+    per search, and passes the chirp of its path, so no step builds a
+    parameter record or reads the dark model. params was validated when it
+    was built, so its scalars feed the formulas directly; broadened_sigma
+    checks the distance. See ProtocolPoint for the 0.5 sentinel.
     """
     sigma_l = broadened_sigma(params.sigma, chirp, params.beta, distance)
     sigma_tot = detected_sigma(sigma_l, params.jitter)

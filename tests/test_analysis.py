@@ -176,7 +176,7 @@ def _outcome(run):
 
 # A focusing chirp whose focal point, 5e7 km, lies past _BRACKET_CEILING_KM:
 # the search sets it aside, grows the bracket from 50 km, and ends at
-# 327.4714 km in 14 evaluations
+# 327.4714 km in 13 evaluations
 FOCAL_POINT_PAST_THE_CEILING = ScenarioParams(beta=1e-33, chirp=1.0)
 
 
@@ -184,7 +184,7 @@ FOCAL_POINT_PAST_THE_CEILING = ScenarioParams(beta=1e-33, chirp=1.0)
 @given(params=domain_params())
 # the searches read the threshold transmittance only with beta = 0; a first
 # bracket top 10 m above its distance here would end the search at
-# 21.779847 km, not 21.779634 km
+# 21.7773921019 km, not 21.7773920838 km
 @example(params=ScenarioParams(dark_rate=1e9))
 @example(params=FOCAL_POINT_PAST_THE_CEILING)
 def test_max_distance_equals_reference_search(params):
@@ -330,7 +330,7 @@ def test_max_distance_by_descent_finds_the_far_edge_of_seed_3():
 # The seed-3 record at C = -1.35 (bench chirp_scan seed 3, draw 150): live
 # at L = 0, dead at L_f = 90.30 km, and secure up to 2.4275 km alone. From
 # 36.33 km the next step would be 5.08 times the last one, so the descent
-# stops there, and regula falsi shrinks [0, 36.33]: 16 evaluations in all
+# stops there, and regula falsi shrinks [0, 36.33]: 15 evaluations in all
 SEED_3_GROWING_STEP = replace(SEED_3_DESCENT_SPLIT, chirp=-1.35)
 
 
@@ -437,7 +437,7 @@ def test_max_distance_without_eta_star_below_a_dead_focal_point(params):
 # Secure on about [0, 1.01] and [7.03, 7.81] km below a dead L_f = 13.57 km.
 # The descent's step ratios rise 0.54, 0.63, 0.69, so it stops at 8.36 km
 # for slow contraction. Regula falsi on [0, 8.36] finds the far edge,
-# 7.8107 km, in 10 evaluations in all; bisecting that bracket landed on the
+# 7.8107 km, in 9 evaluations in all; bisecting that bracket landed on the
 # near edge (1.0164 km) in 16, and descending on would take 25
 SLOW_DESCENT_SPLIT = ScenarioParams(
     sigma=4.026084834749438e-11, chirp=-8.200251443070414,
@@ -476,34 +476,35 @@ def _counted_evaluations(monkeypatch, run) -> int:
     return calls["broadened_sigma"]
 
 
-# (record, evaluations): plain bisection of key_rate > 0 took 15 on the
-# defaults; the overlapping windows took 21 while a bisection step followed
-# any two regula falsi steps that did not halve the bracket; the records dead
-# at L_f took 16 each while the search bisected there. The descent from L_f
+# (record, evaluations), the source point read from the record: plain
+# bisection of key_rate > 0 took 15 on the defaults; the overlapping windows
+# took 21 while a bisection step followed any two regula falsi steps that
+# did not halve the bracket; the records dead at L_f took 16 each while the
+# search bisected there. The descent from L_f
 # contracts linearly (each step about 0.8 of the last) on the seed-3 record.
 # On the slow-descent records it took 140 and 25 to the edge; stopping it and
-# running regula falsi on [0, b] takes 8 and 10, where bisecting [0, b] took
+# running regula falsi on [0, b] takes 7 and 9, where bisecting [0, b] took
 # 14 and 16. Without eta* the split record took 17 while the search
 # bisected [0, L_f]. The growing-step record stops its descent for a step
 # longer than the last, and the record past the ceiling sets its focal point
 # aside and grows the bracket from 50 km.
 EVALUATION_BUDGETS = {
-    "defaults": (ScenarioParams(), 9),
+    "defaults": (ScenarioParams(), 6),
     "overlapping windows": (
         ScenarioParams(
             sigma=47 * PS, chirp=0.1, beta=0.48e-26, alpha=0.276, dark_rate=906.0,
             period=14.6 * PS, jitter=9.6 * PS, window=172 * PS,
         ),
-        11,
+        10,
     ),
-    "dead at L_f": (SPLIT_SETS["dead at L_f"], 4),
-    "dead at L_f, split": (DESCENT_SPLIT, 8),
-    "dead at L_f, seed 3": (SEED_3_DESCENT_SPLIT, 24),
-    "dead at L_f, slow descent": (SLOW_DESCENT, 8),
-    "dead at L_f, slow descent, split": (SLOW_DESCENT_SPLIT, 10),
-    "dead at L_f, without eta*": (SPLIT_WITHOUT_ETA_STAR, 7),
-    "dead at L_f, growing step": (SEED_3_GROWING_STEP, 16),
-    "focal point past the ceiling": (FOCAL_POINT_PAST_THE_CEILING, 14),
+    "dead at L_f": (SPLIT_SETS["dead at L_f"], 3),
+    "dead at L_f, split": (DESCENT_SPLIT, 7),
+    "dead at L_f, seed 3": (SEED_3_DESCENT_SPLIT, 23),
+    "dead at L_f, slow descent": (SLOW_DESCENT, 7),
+    "dead at L_f, slow descent, split": (SLOW_DESCENT_SPLIT, 9),
+    "dead at L_f, without eta*": (SPLIT_WITHOUT_ETA_STAR, 6),
+    "dead at L_f, growing step": (SEED_3_GROWING_STEP, 15),
+    "focal point past the ceiling": (FOCAL_POINT_PAST_THE_CEILING, 13),
 }
 
 
@@ -517,48 +518,71 @@ def test_max_distance_evaluation_budget(monkeypatch):
 @given(params=domain_params())
 @example(params=SLOW_DESCENT)
 def test_max_distance_evaluation_worst_case(params):
-    # the 62,976 searches of bench chirp_scan seeds 1-4 take at most 15, 15,
-    # 24 and 14, and 49,402 random draws dead at L_f at most 24: a descent
-    # from a dead L_f that would contract slowly stops, and regula falsi
-    # shrinks [0, b] instead
+    # the 62,976 searches of bench chirp_scan seeds 1-4 take at most 14, 16,
+    # 23 and 14, and 49,402 random draws dead at L_f took at most 24 while
+    # each search evaluated its source itself: a descent from a dead L_f
+    # that would contract slowly stops, and regula falsi shrinks [0, b]
+    # instead
     with pytest.MonkeyPatch.context() as mp:
         assert _counted_evaluations(mp, lambda: _outcome(lambda: max_distance(params))) <= 30
 
 
 def test_max_distance_warm_above_a_live_focal_point_skips_it(monkeypatch):
     # a focusing chirp live at L_f = 17 km, its edge predicted to within
-    # 5 m: the source, then 5 m on either side of the prediction. The margin
-    # only falls past L_f, so the live lower probe proves L_f live, and the
-    # search never evaluates it (4 while it checked L_f first)
+    # 5 m: 5 m on either side of the prediction, the source read from the
+    # record. The margin only falls past L_f, so the live lower probe proves
+    # L_f live, and the search never evaluates it (4 while it checked L_f
+    # first, 3 while it evaluated the source)
     params = SPLIT_SETS["live at L_f"]
     cold = max_distance(params)
     near = cold + 0.004
     assert cold > _focal_km(params)
     got = []
-    assert _counted_evaluations(monkeypatch, lambda: got.append(max_distance(params, near))) == 3
+    assert _counted_evaluations(monkeypatch, lambda: got.append(max_distance(params, near))) == 2
     assert got[0] == reference_range(params, near)
     assert abs(got[0] - cold) <= 1e-6
+
+
+def test_searches_read_the_source_point_from_the_record(monkeypatch):
+    # each record evaluates L = 0 once, when it is built; no search, warm or
+    # cold, split or not, evaluates it again
+    records = [params for params, _ in EVALUATION_BUDGETS.values()]
+    lengths = []
+    real = keyrate.broadened_sigma
+
+    def recorded(sigma, chirp, beta, length):
+        lengths.append(length)
+        return real(sigma, chirp, beta, length)
+
+    monkeypatch.setattr(keyrate, "broadened_sigma", recorded)
+    for params in records:
+        max_distance(params)
+        max_distance(params, near=1.0)
+    scan_chirp(records[0], default_chirp_grid())
+    assert lengths and 0.0 not in lengths
 
 
 def test_scan_chirp_evaluation_budget(monkeypatch):
     # plain bisection took 1,245: 15 per grid chirp, plus c_star's searches;
     # a cold search per grid chirp took 644, the scan by linear continuation
-    # from midpoint edges 504, and by second-order continuation from secant
-    # edges 306
+    # from midpoint edges 504, by second-order continuation from secant edges
+    # 306, and with the source point read from the record 223
     grid = default_chirp_grid()
-    assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(ScenarioParams(), grid)) <= 320
+    params = ScenarioParams()
+    assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(params, grid)) <= 223
 
 
 def test_figures_evaluation_budget(monkeypatch):
-    # run_scenario over the six figures with defaults makes 14,386: fig1
-    # 3,261, fig2 2,453, fig3a 937, fig3b 3,392, fig4a 944, fig4b 3,399
-    # (16,744 with midpoint edges and linear continuation, fig3a 1,547 and
-    # fig4a 1,513)
+    # run_scenario over the six figures with defaults makes 13,395, counting
+    # one evaluation of the source point per record a figure builds: fig1
+    # 3,261, fig2 2,454, fig3a 692, fig3b 3,141, fig4a 699, fig4b 3,148
+    # (14,386 while each search evaluated its source; 16,744 with midpoint
+    # edges and linear continuation, fig3a 1,547 and fig4a 1,513)
     def run():
         for name in analysis.SCENARIOS:
             run_scenario(name)
 
-    assert 0 < _counted_evaluations(monkeypatch, run) <= 14_386
+    assert 0 < _counted_evaluations(monkeypatch, run) <= 13_395
 
 
 PREDICTED = {
@@ -585,31 +609,34 @@ def test_max_distance_with_any_prediction_stays_within_the_tolerance(params):
 
 
 def test_max_distance_at_its_own_prediction_checks_the_edge_alone(monkeypatch):
-    # the source, then 5 m on either side of the predicted edge (7 cold)
+    # 5 m on either side of the predicted edge, the source read from the
+    # record (6 cold)
     params = ScenarioParams()
     cold = max_distance(params)
     got = []
-    assert _counted_evaluations(monkeypatch, lambda: got.append(max_distance(params, near=cold))) <= 3
+    assert _counted_evaluations(monkeypatch, lambda: got.append(max_distance(params, near=cold))) <= 2
     assert abs(got[0] - cold) <= analysis._L_TOL_KM
 
 
 def test_max_distance_without_dispersion_is_the_threshold_transmittance_edge(monkeypatch):
     # with beta = 0 the width is constant, so the distance at which the
     # transmittance falls to the threshold transmittance of the source's
-    # window masses is the edge: the search checks the source, then 5 m on
-    # either side of it (growing the bracket from 50 km took 14)
+    # window masses is the edge: the search reads the source's masses from
+    # the record, then checks 5 m on either side of it (growing the bracket
+    # from 50 km took 14)
     params = ScenarioParams(beta=0.0)
     got = []
-    assert _counted_evaluations(monkeypatch, lambda: got.append(max_distance(params))) <= 3
+    assert _counted_evaluations(monkeypatch, lambda: got.append(max_distance(params))) <= 2
     assert abs(got[0] - _qber_crossing(params, 0.0, 400.0)) <= 1e-6
     assert abs(got[0] - 327.4714106) <= 1e-6
 
 
 def test_scan_chirp_without_dispersion_evaluation_budget(monkeypatch):
-    # 3 evaluations per grid chirp and for c_star's range (1,148 from 50 km)
+    # 2 evaluations per grid chirp and for c_star's range (1,148 from 50 km,
+    # 246 while each search evaluated the source)
     grid = default_chirp_grid()
     params = ScenarioParams(beta=0.0)
-    assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(params, grid)) <= 250
+    assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(params, grid)) <= 164
 
 
 def test_max_distance_first_top_at_the_threshold_distance(monkeypatch):
@@ -617,7 +644,7 @@ def test_max_distance_first_top_at_the_threshold_distance(monkeypatch):
     # below the distance at which the transmittance falls to the source's
     # threshold transmittance (31.22 km), so that distance would be a valid
     # first bracket top; with beta != 0 the search starts from 50 km, which
-    # it reaches in the same 8 evaluations
+    # it reaches in the same 7 evaluations
     params = ScenarioParams(dark_rate=1e9)
     mu = params.dark_rate * params.window
     p_sig, p_w, _, _ = keyrate._qber_stage(params, params.chirp, mu, 0.0)
@@ -625,7 +652,7 @@ def test_max_distance_first_top_at_the_threshold_distance(monkeypatch):
     assert abs(g - 31.22) <= 0.01
     assert not evaluate_point(params, g * KM).key_rate > 0.0
     got = []
-    assert 0 < _counted_evaluations(monkeypatch, lambda: got.append(max_distance(params))) <= 8
+    assert 0 < _counted_evaluations(monkeypatch, lambda: got.append(max_distance(params))) <= 7
     assert abs(got[0] - 21.7774) <= 0.01
 
 

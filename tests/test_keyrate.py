@@ -18,6 +18,7 @@ from dispersive_qkd.keyrate import (
     ProtocolPoint,
     ScenarioParams,
     TransmittanceConvention,
+    _qber_stage,
     _threshold_transmittance,
     binary_entropy,
     dark_probs,
@@ -244,6 +245,26 @@ def test_scenario_params_accepts_domain_edges():
     # the extreme widths whose fourth power is still a normal float
     for sigma in (1e-76, 1e76):
         assert evaluate_point(ScenarioParams(sigma=sigma), 0.0).key_rate >= 0.0
+    # a 1e308 s jitter leaves no mass in the window: the QBER's 0.5 sentinel
+    assert ScenarioParams(jitter=1e308)._source == (0.0, 0.0, 0.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"jitter": 1e308},
+        {"sigma": 1e-70, "jitter": 1e300},
+        {"window": 1e300, "dark_rate": 0.0},
+        {"period": 1e-300},
+    ],
+)
+def test_scenario_params_builds_its_source_point_at_the_edges_of_its_fields(kwargs):
+    # a record evaluates its source point when it is built, so a record that
+    # passes the field checks must not fail there
+    params = ScenarioParams(**kwargs)
+    mu = params.dark_rate * params.window
+    assert params._source == _qber_stage(params, params.chirp, mu, 0.0)
+    assert 0.0 <= params._source[3] <= 0.5
 
 
 def test_evaluate_point_at_source():
@@ -312,7 +333,19 @@ def test_at_chirp_equals_replace(params, chirp):
     assert got == expected
     assert hash(got) == hash(expected)
     assert repr(got) == repr(expected)
+    assert got._source == expected._source
     assert params.chirp == params._at_chirp(params.chirp).chirp
+
+
+@settings(deadline=None, max_examples=100)
+@given(params=domain_params(), chirp=st.floats(min_value=-10.0, max_value=10.0))
+def test_record_source_point_is_the_source_at_any_chirp(params, chirp):
+    # at L = 0 the width is sigma at any chirp, so the source point a record
+    # computes when it is built is, bit for bit, the one at every chirp, and
+    # the copy _at_chirp makes carries it unchanged
+    mu = params.dark_rate * params.window
+    assert params._source == _qber_stage(params, chirp, mu, 0.0)
+    assert params._at_chirp(chirp)._source == dataclasses.replace(params, chirp=chirp)._source
 
 
 def test_at_chirp_checks_the_chirp():

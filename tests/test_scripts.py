@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from dispersive_qkd.analysis import default_chirp_grid, scan_chirp
+from dispersive_qkd import keyrate
+from dispersive_qkd.analysis import SCENARIOS, default_chirp_grid, run_scenario, scan_chirp
 from dispersive_qkd.config import BETA_UNIT, PS
 from dispersive_qkd.keyrate import ScenarioParams
 
@@ -90,3 +91,26 @@ def test_chirp_gain_summary_prints_each_configurations_scan(capsys, monkeypatch)
         params = ScenarioParams(jitter=float(jitter_ps) * PS, beta=float(beta_e26) * BETA_UNIT)
         scan = scan_chirp(params, default_chirp_grid())
         assert (c_star, l_star) == (f"{scan.c_star:.3f}", f"{scan.l_max_star:.2f}"), row
+
+
+def test_count_evaluations_matches_a_direct_count(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds bench/
+    status, out = _run(capsys, monkeypatch, "count_evaluations.py", "3")
+    assert status is None
+    lines = [line.split(None, 1) for line in out.splitlines()]
+    counts = {label: int(count) for count, label in lines}
+    assert list(counts) == [
+        "chirp_scan seed 3", "chirp_scan total", *SCENARIOS, "figures total"
+    ]
+    assert counts["chirp_scan seed 3"] == counts["chirp_scan total"] > 0
+    calls = [0]
+    real = keyrate.broadened_sigma
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(keyrate, "broadened_sigma", counted)
+    for name in SCENARIOS:
+        run_scenario(name)
+    assert counts["figures total"] == sum(counts[name] for name in SCENARIOS) == calls[0]
