@@ -7,12 +7,14 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence, Union
 
 from .keyrate import (
-    _LITERAL,
+    _BETA_UNIT,
+    _KM,
+    _PS,
     _QBER_LIMIT,
     ProtocolPoint,
     ScenarioParams,
     _qber_stage,
-    _threshold_transmittance,
+    _threshold_distance,
     evaluate_point,
 )
 
@@ -32,7 +34,6 @@ __all__ = [
     "run_scenario",
 ]
 
-_M_PER_KM = 1000.0
 # bench/worker.py traces a layer under this name, the golden-section
 # refinement that optimal_chirp replaced; None reads there as an untraced
 # attribute. Drop it together with that layer.
@@ -107,7 +108,7 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
     grid = _increasing(l_grid, "distance")
     if grid[0] < 0:
         raise GridError(f"distances must be >= 0 km, got {grid[0]}")
-    rows = tuple((l, evaluate_point(params, l * _M_PER_KM)) for l in grid)
+    rows = tuple((l, evaluate_point(params, l * _KM)) for l in grid)
     return SweepResult(rows=rows)
 
 
@@ -146,9 +147,9 @@ def _edge(
     The source point comes with the record: params._source, computed when
     it was built, is the stage at L = 0 at any chirp, so no search evaluates
     L = 0. Each further step runs keyrate._qber_stage, the pipeline up to
-    the QBER, with mu = rate * window computed once per search and the
-    path's chirp passed in: no step reads the dark model, runs the rate
-    tail, or builds a ProtocolPoint or a ScenarioParams.
+    the QBER, with the record's mu = rate * window and the path's chirp
+    passed in: no step reads the dark model, runs the rate tail, or builds
+    a ProtocolPoint or a ScenarioParams.
 
     The sign of the QBER margin _QBER_LIMIT - qber decides the side of every
     point. Where the source chirp c0 = chirp_at(0) focuses (c0 beta > 0),
@@ -158,11 +159,11 @@ def _edge(
     the anchor. The bracket's live end is L = 0, or L_f where that is
     secure too.
 
-    The threshold transmittance eta* = keyrate._threshold_transmittance of
-    a point's window masses is the transmittance at which the QBER reaches
-    the threshold at that point's width; where 0 < mu < 1 and alpha > 0 it
-    exists and does not fall as the width grows. g(L) is the distance at
-    which the transmittance falls to eta* of the masses at L.
+    The threshold transmittance eta* of a point's window masses is the
+    transmittance at which the QBER reaches the threshold at that point's
+    width; where 0 < mu < 1 and alpha > 0 it exists and does not fall as
+    the width grows. g(L), keyrate._threshold_distance of the masses at L,
+    is the distance at which the transmittance falls to their eta*.
 
     A predicted edge g is checked first: `near`, where the caller has one,
     or with beta = 0, where there is no focal point and the width is
@@ -179,7 +180,8 @@ def _edge(
     descends from L_f to the far edge, evaluating one point b per pass, L_f
     first. A secure b ends the loop as the bracket's live end; where L_f is
     secure, that is L_f itself. A dead b is the new top, and its masses give
-    the next point, g(b). The width falls with L on [0, L_f], so one dead b
+    the next point, g(b), or b itself where g(b) lies above it (inf where
+    eta* rounds to 0). The width falls with L on [0, L_f], so one dead b
     proves all of [g(b), b] dead: there the transmittance is at most eta*(b)
     and eta* is at least eta*(b). So where the secure set splits below a
     dead L_f, the loop reaches its far edge first. Where a step b - g(b) is
@@ -222,28 +224,24 @@ def _edge(
     point at or below L_f is evaluated at c0, and at L = 0 its clipped
     +-inf chirp gives the record's source point too.
     """
-    mu = params.dark_rate * params.window
-
     def margin(l_km: float) -> float:
-        return _QBER_LIMIT - _qber_stage(params, chirp_at(l_km), mu, l_km * _M_PER_KM)[3]
+        return _QBER_LIMIT - _qber_stage(params, chirp_at(l_km), params._mu, l_km * _KM)[3]
 
     c0 = chirp_at(0.0)
     p_sig, p_w, _, q = params._source
     f_lo = _QBER_LIMIT - q
     if not f_lo > 0.0:
         return 0.0
-    has_eta_star = 0.0 < mu < 1.0 and params.alpha > 0.0
-    decades = params.alpha if params.transmittance_convention is _LITERAL else params.alpha / 10.0
+    has_eta_star = 0.0 < params._mu < 1.0 and params.alpha > 0.0
     lo, f_hi, g, focal_km = 0.0, None, near, 0.0
     if c0 * params.beta > 0.0:
         s2 = params.sigma * params.sigma
-        focal_km = c0 * s2 / ((1.0 + c0 * c0) * params.beta) / _M_PER_KM
+        focal_km = c0 * s2 / ((1.0 + c0 * c0) * params.beta) / _KM
         if not focal_km < _BRACKET_CEILING_KM:
             focal_km = 0.0
     elif params.beta == 0.0 and has_eta_star:
-        eta_star = _threshold_transmittance(p_sig, p_w, mu)
-        if 0.0 < eta_star < 1.0:
-            g = -math.log10(eta_star) / decades
+        if 0.0 < (g_src := _threshold_distance(params, p_sig, p_w)) < math.inf:
+            g = g_src
     half_tol = 0.5 * _L_TOL_KM
     # past L_f the margin only falls, so a secure probe there proves L_f secure
     if g is not None and focal_km < g - half_tol and g + half_tol <= _BRACKET_CEILING_KM:
@@ -258,7 +256,7 @@ def _edge(
         # descend from L_f: a dead hi proves [g(hi), hi] dead
         l_km, probe, step = focal_km, False, 0.0
         while True:
-            p_sig, p_w, _, q = _qber_stage(params, c0, mu, l_km * _M_PER_KM)
+            p_sig, p_w, _, q = _qber_stage(params, c0, params._mu, l_km * _KM)
             f = _QBER_LIMIT - q
             if f > 0.0:
                 if probe:
@@ -268,8 +266,7 @@ def _edge(
             hi, f_hi = l_km, f
             if not has_eta_star:
                 break
-            eta_star = _threshold_transmittance(p_sig, p_w, mu)
-            l_km = -math.log10(eta_star) / decades if eta_star > 0.0 else hi
+            l_km = min(_threshold_distance(params, p_sig, p_w), hi)
             ratio = (hi - l_km) / step if step > 0.0 else 0.0
             step = hi - l_km
             probe = not l_km < hi - _L_TOL_KM
@@ -362,7 +359,7 @@ def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> float:
     s2 = params.sigma * params.sigma
 
     def chirp_at(l_km: float) -> float:
-        bl = params.beta * (l_km * _M_PER_KM)
+        bl = params.beta * (l_km * _KM)
         c = s2 / bl if bl else math.copysign(math.inf, params.beta)
         return min(max(c, c_min), c_max)
 
@@ -465,7 +462,6 @@ class ScenarioResult:
 
 SCENARIOS = ("fig1", "fig2", "fig3a", "fig3b", "fig4a", "fig4b")
 
-_PS = 1e-12
 _JITTERS = (4e-12, 25e-12)
 _FIG1_WINDOWS = (5e-12, 25e-12, 50e-12, 125e-12)
 _FIG3_JITTERS = (4e-12, 10e-12, 25e-12)
@@ -497,7 +493,7 @@ def _variants(family: str, params: ScenarioParams) -> list[tuple[str, ScenarioPa
             for j in _FIG3_JITTERS
         ]
     return [
-        (f"beta{round(b / 1e-26, 6):g}", replace(at_50, jitter=25e-12, beta=b))
+        (f"beta{round(b / _BETA_UNIT, 6):g}", replace(at_50, jitter=25e-12, beta=b))
         for b in (-1.15e-26, -1.5e-26, -0.7e-26)
     ]
 

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
+from .keyrate import _BETA_UNIT as BETA_UNIT, _KM as KM, _PS as PS
 from .keyrate import DarkCountModel, ScenarioParams, TransmittanceConvention
 
 __all__ = [
@@ -23,10 +24,6 @@ __all__ = [
     "KM",
     "BETA_UNIT",
 ]
-
-PS = 1e-12  # seconds per picosecond
-KM = 1e3  # meters per kilometer
-BETA_UNIT = 1e-26  # s^2/m per beta_e26 unit
 
 
 class ConfigError(ValueError):

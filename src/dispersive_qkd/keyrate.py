@@ -54,6 +54,11 @@ class DarkCountModel(str, Enum):
 _LITERAL = TransmittanceConvention.LITERAL
 _EXACT_POISSON = DarkCountModel.EXACT_POISSON
 
+# unit scales, SI per human unit; config exports them as PS, KM and BETA_UNIT
+_PS = 1e-12  # seconds per picosecond
+_KM = 1e3  # meters per kilometer
+_BETA_UNIT = 1e-26  # s^2/m per beta_e26 unit
+
 
 def transmittance(
     alpha: float, length_km: float, convention: TransmittanceConvention
@@ -64,19 +69,23 @@ def transmittance(
     return 10.0 ** (-alpha * length_km / 10.0)
 
 
+def _threshold_distance(params: ScenarioParams, p_sig: float, p_w: float) -> float:
+    """The distance (km) at which params' transmittance falls to the
+    threshold transmittance eta* of the window masses p_sig and p_w: the
+    inverse of transmittance there, read from the record's mu and loss in
+    decades per km. Not positive where eta* >= 1 (-inf where eta* = inf),
+    and inf where eta* rounds to 0, which the transmittance never reaches.
+    """
+    eta_star = _threshold_transmittance(p_sig, p_w, params._mu)
+    return -math.log10(eta_star) / params._decades if eta_star > 0.0 else math.inf
+
+
 def p_detect(eta: float, p_sig: float, p_w: float) -> float:
     """Click probability in the window: the signal photon, else a leaked
     neighbor that survived while the signal missed."""
     if not (0.0 <= eta <= 1.0 and 0.0 <= p_sig <= 1.0 and 0.0 <= p_w <= 1.0):
         raise _probability_error(eta=eta, p_sig=p_sig, p_w=p_w)
     return eta * (p_sig + p_w * (1.0 - eta * p_sig))
-
-
-def _linearized_domain_error(mean_count: float) -> ValueError:
-    return ValueError(
-        f"linearized dark model needs rate*window < 1, got {mean_count}; "
-        "use the exact_poisson model for this regime"
-    )
 
 
 def dark_probs(mean_count: float, model: DarkCountModel) -> tuple[float, float]:
@@ -86,7 +95,10 @@ def dark_probs(mean_count: float, model: DarkCountModel) -> tuple[float, float]:
         e = math.exp(-mean_count)
         return e, mean_count * e
     if mean_count >= 1.0:
-        raise _linearized_domain_error(mean_count)
+        raise ValueError(
+            f"linearized dark model needs rate*window < 1, got {mean_count}; "
+            "use the exact_poisson model for this regime"
+        )
     return 1.0 - mean_count, mean_count * (1.0 - mean_count)
 
 
@@ -174,18 +186,22 @@ class ScenarioParams:
     beta = -1.15e-26 s^2/m, 0.2 dB/km loss, 1 kHz dark rate, 100 ps train
     period, 25 ps jitter, 50 ps window.
 
-    Building a record checks its fields, then evaluates its source point:
-    _source, not a field, holds _qber_stage's (p_sig, p_w, p_det, qber) at
-    L = 0, where the width is sigma at any chirp. Every secure-range search
-    of the record, at any chirp along any path, reads it there. Equality,
-    hashing and repr read the fields alone, and replace() builds it anew.
+    Building a record checks its fields, then derives what every evaluation
+    of it shares, as attributes that are not fields: _mu, the mean dark
+    count rate * window; _dark, dark_probs' (p_zero, p_one) for it, whose
+    call is the one check of the linearized model's domain; _decades, the
+    loss in decades of transmittance per km; and _source, _qber_stage's
+    (p_sig, p_w, p_det, qber) at L = 0, where the width is sigma at any
+    chirp. Every secure-range search of the record, at any chirp along any
+    path, reads its source point there. Equality, hashing and repr read the
+    fields alone, and replace() derives them anew.
     """
 
     sigma: float = 10e-12  # s
     chirp: float = 0.0
     # -1.15 * 1e-26, the float config.to_params builds from the default
     # beta_e26, which is one ulp off the literal -1.15e-26
-    beta: float = -1.15 * 1e-26  # s^2/m
+    beta: float = -1.15 * _BETA_UNIT  # s^2/m
     alpha: float = 0.2  # dB/km (or 1/km under the literal convention)
     dark_rate: float = 1000.0  # Hz
     period: float = 100e-12  # s
@@ -223,25 +239,23 @@ class ScenarioParams:
             raise ValueError(f"jitter must be >= 0 seconds, got {self.jitter}")
         if not (self.window > 0 and math.isfinite(self.window)):
             raise ValueError(f"window must be > 0 seconds, got {self.window}")
-        # dark_probs checks this too, but the QBER reads only mu, so the
-        # secure-range search never calls it; an infinite mu makes the QBER
-        # inf / inf
+        # an infinite mu makes the QBER inf / inf
         mu = self.dark_rate * self.window
         if not mu < math.inf:
             raise ValueError(f"dark_rate * window must be finite, got {mu}")
-        if self.dark_model is DarkCountModel.PAPER_LINEARIZED and mu >= 1.0:
-            raise _linearized_domain_error(mu)
-        # the source point, not a field: at L = 0 the width is sigma at any
-        # chirp, so every search of this record and of its _at_chirp copies
-        # reads it here
+        object.__setattr__(self, "_mu", mu)
+        object.__setattr__(self, "_dark", dark_probs(mu, self.dark_model))
+        decades = self.alpha if self.transmittance_convention is _LITERAL else self.alpha / 10.0
+        object.__setattr__(self, "_decades", decades)
         object.__setattr__(self, "_source", _qber_stage(self, self.chirp, mu, 0.0))
 
     def _at_chirp(self, chirp: float) -> ScenarioParams:
         """This record with its chirp replaced: replace(self, chirp=chirp),
         but with only the chirp checked, since every other field was checked
-        when this record was built. The source point is carried unchanged:
-        at L = 0, chirp * beta * 0.0 is +-0.0, so the width is the same
-        float at any finite chirp. scan_chirp builds one per grid chirp."""
+        when this record was built. The derived attributes are carried
+        unchanged; for the source point that is exact because at L = 0,
+        chirp * beta * 0.0 is +-0.0, so the width is the same float at any
+        finite chirp. scan_chirp builds one per grid chirp."""
         _check_chirp(chirp)
         record = object.__new__(ScenarioParams)
         record.__dict__.update(self.__dict__, chirp=chirp)
@@ -307,22 +321,23 @@ def _qber_stage(
     params: ScenarioParams, chirp: float, mu: float, distance: float
 ) -> tuple[float, float, float, float]:
     """(p_sig, p_w, p_det, qber) at one propagation distance (meters) and
-    source chirp, given mu = params.dark_rate * params.window.
+    source chirp, given mu = params._mu.
 
     The one composition of the helpers up to the QBER. evaluate_point passes
-    params.chirp and adds the rate tail; a record stores it at L = 0 when it
-    is built; the secure-range search reads the QBER alone, takes mu once
-    per search, and passes the chirp of its path, so no step builds a
-    parameter record or reads the dark model. params was validated when it
-    was built, so its scalars feed the formulas directly; broadened_sigma
-    checks the distance. See ProtocolPoint for the 0.5 sentinel.
+    params.chirp and adds the rate tail from the record's dark-count
+    probabilities; a record stores it at L = 0 when it is built; the
+    secure-range search reads the QBER alone and passes the chirp of its
+    path, so no step builds a parameter record or reads the dark model.
+    params was validated when it was built, so its scalars feed the formulas
+    directly; broadened_sigma checks the distance. See ProtocolPoint for the
+    0.5 sentinel.
     """
     sigma_l = broadened_sigma(params.sigma, chirp, params.beta, distance)
     sigma_tot = detected_sigma(sigma_l, params.jitter)
     p_sig = p_signal(sigma_tot, params.window)
     q = shifted_window_mass(sigma_tot, params.window, params.period)
     p_w = p_wrong(q)
-    eta = transmittance(params.alpha, distance / 1000.0, params.transmittance_convention)
+    eta = transmittance(params.alpha, distance / _KM, params.transmittance_convention)
     p_det = p_detect(eta, p_sig, p_w)
     q_err = qber(eta, p_sig, p_w, p_det, mu) if mu > 0.0 or p_sig + p_w > 0.0 else 0.5
     return p_sig, p_w, p_det, q_err
@@ -332,12 +347,12 @@ def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     """Run the full pipeline at one propagation distance (meters).
 
     The QBER stage _qber_stage, shared with the secure-range search, then
-    the rate tail: the window's dark-count probabilities, p_raw and the key
-    rate. Sweeps and the CLI's point read this record.
+    the rate tail: the window's dark-count probabilities, which the record
+    derived when it was built, p_raw and the key rate. Sweeps and the CLI's
+    point read this record.
     """
-    mu = params.dark_rate * params.window
-    p_sig, p_w, p_det, q_err = _qber_stage(params, params.chirp, mu, distance)
-    p_zero, p_one = dark_probs(mu, params.dark_model)
+    p_sig, p_w, p_det, q_err = _qber_stage(params, params.chirp, params._mu, distance)
+    p_zero, p_one = params._dark
     p_raw = p_raw_key(p_det, p_zero, p_one)
     return ProtocolPoint(
         p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)

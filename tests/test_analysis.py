@@ -303,6 +303,30 @@ def test_max_distance_by_descent_finds_the_far_edge():
     assert abs(max_distance(DESCENT_SPLIT) - 23.306) <= analysis._L_TOL_KM
 
 
+def test_descent_steps_to_the_top_where_eta_star_rounds_to_0(monkeypatch):
+    # where eta* rounds to 0, keyrate._threshold_distance is inf, so the
+    # descent takes the dead point itself as its next one and probes
+    # _L_TOL_KM below it: here below the dead L_f, its first point
+    real_eta_star = keyrate._threshold_transmittance
+    real_width = keyrate.broadened_sigma
+    calls, lengths = [], []
+
+    def eta_star(p_sig, p_w, mu):
+        calls.append(mu)
+        return 0.0 if len(calls) == 1 else real_eta_star(p_sig, p_w, mu)
+
+    def width(sigma, chirp, beta, length):
+        lengths.append(length)
+        return real_width(sigma, chirp, beta, length)
+
+    monkeypatch.setattr(keyrate, "_threshold_transmittance", eta_star)
+    monkeypatch.setattr(keyrate, "broadened_sigma", width)
+    got = max_distance(DESCENT_SPLIT)
+    assert lengths[0] / KM == pytest.approx(_focal_km(DESCENT_SPLIT), rel=1e-12)
+    assert lengths[1] / KM == pytest.approx(lengths[0] / KM - analysis._L_TOL_KM, rel=1e-12)
+    assert abs(got - 23.306) <= analysis._L_TOL_KM
+
+
 # bench chirp_scan seed 3, draw 150, at C = -1.5: live at L = 0 and dead at
 # L_f = 87.14 km, secure up to 2.44 km and again on about [35.19, 36.13] km
 SEED_3_DESCENT_SPLIT = ScenarioParams(
@@ -646,9 +670,8 @@ def test_max_distance_first_top_at_the_threshold_distance(monkeypatch):
     # first bracket top; with beta != 0 the search starts from 50 km, which
     # it reaches in the same 7 evaluations
     params = ScenarioParams(dark_rate=1e9)
-    mu = params.dark_rate * params.window
-    p_sig, p_w, _, _ = keyrate._qber_stage(params, params.chirp, mu, 0.0)
-    g = -math.log10(keyrate._threshold_transmittance(p_sig, p_w, mu)) / (params.alpha / 10.0)
+    p_sig, p_w, _, _ = params._source
+    g = keyrate._threshold_distance(params, p_sig, p_w)
     assert abs(g - 31.22) <= 0.01
     assert not evaluate_point(params, g * KM).key_rate > 0.0
     got = []
@@ -677,7 +700,9 @@ def test_secure_range_search_builds_no_point_record(monkeypatch):
 
 def test_secure_range_search_runs_no_dark_model_or_rate_tail(monkeypatch):
     # the search reads the QBER alone, through mu = rate * window, so it
-    # never asks the dark model for p_zero and p_one nor computes the rate
+    # never asks the dark model for p_zero and p_one nor computes the rate;
+    # the record asks the dark model once, when it is built, and
+    # evaluate_point reads its answer from there
     names = ("dark_probs", "p_raw_key", "key_rate", "binary_entropy")
     calls = Counter(dict.fromkeys(names, 0))
     for name in names:
@@ -686,8 +711,10 @@ def test_secure_range_search_runs_no_dark_model_or_rate_tail(monkeypatch):
             if getattr(module, name, None) is real:
                 _count_calls(monkeypatch, module, name, calls)
     params = ScenarioParams()
+    built = dict.fromkeys(names, 0) | {"dark_probs": 1}
+    assert calls == built
     max_distance(params)
-    assert calls == dict.fromkeys(names, 0)
+    assert calls == built
     evaluate_point(params, 0.0)
     assert calls == dict.fromkeys(names, 1)
 

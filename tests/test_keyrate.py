@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dispersive_qkd.analysis import distance_grid
 from dispersive_qkd.config import BETA_UNIT, Config, to_params
@@ -19,6 +19,7 @@ from dispersive_qkd.keyrate import (
     ScenarioParams,
     TransmittanceConvention,
     _qber_stage,
+    _threshold_distance,
     _threshold_transmittance,
     binary_entropy,
     dark_probs,
@@ -205,9 +206,9 @@ def test_scenario_params_validation(kwargs):
 
 
 def test_scenario_params_rejects_linearized_dark_counts_past_one_per_window():
-    # the secure-range search reads the dark counts only through mu = rate *
-    # window and never calls dark_probs, so the record refuses mu >= 1 under
-    # the linearized model when it is built: here mu = 1.5, then exactly 1
+    # the record calls dark_probs once when it is built, so that call refuses
+    # mu >= 1 under the linearized model before any search or sweep runs:
+    # here mu = 1.5, then exactly 1
     with pytest.raises(ValueError, match="rate\\*window"):
         ScenarioParams(dark_rate=3e10)
     with pytest.raises(ValueError, match="rate\\*window < 1, got 1.0;"):
@@ -333,7 +334,7 @@ def test_at_chirp_equals_replace(params, chirp):
     assert got == expected
     assert hash(got) == hash(expected)
     assert repr(got) == repr(expected)
-    assert got._source == expected._source
+    assert got.__dict__ == expected.__dict__  # the derived attributes too
     assert params.chirp == params._at_chirp(params.chirp).chirp
 
 
@@ -402,8 +403,47 @@ def test_threshold_transmittance_does_not_fall_as_the_width_grows(window, period
 @pytest.mark.parametrize("p_w", [0.0, 1e-9, 0.3, 1.0])
 @pytest.mark.parametrize("mu", [1e-9, 0.05, 0.999])
 def test_threshold_transmittance_is_inf_without_signal(p_w, mu):
-    # with p_sig = 0 the QBER never falls below its threshold
+    # with p_sig = 0 the QBER never falls below its threshold, and no
+    # distance has so high a transmittance
     assert _threshold_transmittance(0.0, p_w, mu) == math.inf
+    assert _threshold_distance(ScenarioParams(dark_rate=mu / WINDOW), 0.0, p_w) == -math.inf
+
+
+@pytest.mark.parametrize("convention", TransmittanceConvention)
+@settings(deadline=None, max_examples=150)
+@given(params=domain_params(), distance=st.floats(min_value=0.0, max_value=500.0))
+def test_threshold_distance_inverts_the_transmittance(convention, params, distance):
+    # the public transmittance at the threshold distance of a point's masses
+    # is their eta*: each rounding of the exponent costs an ulp of log10
+    # eta*, so the bound grows with |ln eta*|
+    assume(params.dark_rate * params.window < 1.0 and params.alpha > 0.0)
+    params = dataclasses.replace(params, transmittance_convention=convention)
+    p_sig, p_w, _, _ = _qber_stage(params, params.chirp, params._mu, distance * KM)
+    eta_star = _threshold_transmittance(p_sig, p_w, params._mu)
+    assume(0.0 < eta_star < 1.0)
+    l_km = _threshold_distance(params, p_sig, p_w)
+    eta = transmittance(params.alpha, l_km, params.transmittance_convention)
+    assert l_km > 0.0
+    assert abs(eta - eta_star) <= 4.0 * max(1.0, -math.log(eta_star)) * math.ulp(eta_star)
+
+
+def test_threshold_distance_is_not_positive_where_the_source_is_dead():
+    # eta* >= 1: no transmittance a fiber passes makes the QBER secure
+    params = ScenarioParams(jitter=200 * PS)
+    p_sig, p_w, _, q = params._source
+    assert q >= _QBER_LIMIT
+    assert _threshold_transmittance(p_sig, p_w, params._mu) >= 1.0
+    assert _threshold_distance(params, p_sig, p_w) <= 0.0
+
+
+def test_threshold_distance_is_inf_where_eta_star_rounds_to_0():
+    # one subnormal ulp of dark counts per window: (1/2 - Q) mu rounds to 0,
+    # and so does eta*, which no finite distance's transmittance reaches
+    params = ScenarioParams(dark_rate=5e-324 / WINDOW)
+    assert params._mu == 5e-324
+    p_sig, p_w, _, _ = params._source
+    assert _threshold_transmittance(p_sig, p_w, params._mu) == 0.0
+    assert _threshold_distance(params, p_sig, p_w) == math.inf
 
 
 def test_no_noise_reduction():

@@ -114,3 +114,41 @@ def test_count_evaluations_matches_a_direct_count(capsys, monkeypatch):
     for name in SCENARIOS:
         run_scenario(name)
     assert counts["figures total"] == sum(counts[name] for name in SCENARIOS) == calls[0]
+
+
+def _bench_record(correct: bool = True, failed: int = 0, **values: float) -> dict:
+    """A made-up result record of bench/run.py --trace 0, as its last line."""
+    metrics = {name: {"value": value, "unit": "s"} for name, value in values.items()}
+    return {"correct": correct, "attempted": 10, "failed": failed, "metrics": metrics}
+
+
+def test_bench_pairs_summarizes_made_up_runs():
+    summarize = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["summarize"]
+    metrics = [
+        {"name": "wall_s", "unit": "s", "better": "lower"},
+        {"name": "pass_ratio", "unit": "ratio", "better": "higher"},
+    ]
+    parent = [_bench_record(wall_s=w, pass_ratio=1.0) for w in (0.10, 0.20, 0.30, 0.40, 0.50)]
+    # wall_s: lower in pairs 1 and 3, a tie in pair 2, higher in pairs 4 and 5
+    change = [_bench_record(wall_s=w, pass_ratio=1.0) for w in (0.05, 0.20, 0.25, 0.45, 0.60)]
+    change[4]["metrics"]["pass_ratio"]["value"] = 0.9
+    table, ok = summarize(metrics, parent, change)
+    assert ok
+    assert table.splitlines() == [
+        "5 pairs; runs not correct or with failed items: 0 of 10",
+        "wall_s: parent 0.3 [0.15, 0.45], change 0.25 s; change better in 2 of 5 pairs",
+        "pass_ratio: parent 1 [1, 1], change 1 ratio; change better in 0 of 5 pairs",
+    ]
+
+
+def test_bench_pairs_fails_on_a_run_not_correct_or_with_failed_items():
+    summarize = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["summarize"]
+    metrics = [{"name": "wall_s", "unit": "s", "better": "lower"}]
+    parent = [_bench_record(wall_s=0.1), _bench_record(wall_s=0.2)]
+    for change in (
+        [_bench_record(wall_s=0.1), _bench_record(correct=False, wall_s=0.2)],
+        [_bench_record(wall_s=0.1), _bench_record(failed=1, wall_s=0.2)],
+    ):
+        table, ok = summarize(metrics, parent, change)
+        assert not ok
+        assert table.splitlines()[0] == "2 pairs; runs not correct or with failed items: 1 of 4"
