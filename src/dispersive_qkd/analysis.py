@@ -194,10 +194,14 @@ def _edge(
     where eta* does not exist (mu = 0, alpha = 0, or mu >= 1 under exact
     Poisson; b is then L_f), where the next point would not lie above 0, or
     where _descent_evaluations at the ratio of this step to the last exceeds
-    log2(b / _L_TOL_KM). [b, L_f] is already dead, so no secure point above
-    b is missed. A bracket with 0 as its live end is not certified: where
-    the set splits inside it, the search may stop at a near edge. Below a
-    dead L_f the result does not depend on `near`.
+    log2(b / _L_TOL_KM). A zero step, where g(b) is not below b, restarts
+    that ratio, and a second zero step in a row counts as a ratio of 1:
+    where eta* rounds to 0 at every point (mu of one subnormal ulp), the
+    loop would otherwise walk down _L_TOL_KM at a time. [b, L_f] is already
+    dead, so no secure point above b is missed. A bracket with 0 as its live
+    end is not certified: where the set splits inside it, the search may
+    stop at a near edge. Below a dead L_f the result does not depend on
+    `near`.
 
     Elsewhere the top starts _L_HINT_KM above the live end, and a secure top
     doubles until it is not. Above the live end the width only grows and
@@ -254,7 +258,7 @@ def _edge(
             hi, f_hi = l_km, f
     if focal_km > 0.0 and (f_hi is None or f_hi <= 0.0):
         # descend from L_f: a dead hi proves [g(hi), hi] dead
-        l_km, probe, step = focal_km, False, 0.0
+        l_km, probe, step = focal_km, False, math.inf
         while True:
             p_sig, p_w, _, q = _qber_stage(params, c0, params._mu, l_km * _KM)
             f = _QBER_LIMIT - q
@@ -267,7 +271,10 @@ def _edge(
             if not has_eta_star:
                 break
             l_km = min(_threshold_distance(params, p_sig, p_w), hi)
-            ratio = (hi - l_km) / step if step > 0.0 else 0.0
+            if step > 0.0:
+                ratio = (hi - l_km) / step
+            else:  # a zero step restarts the ratio; two in a row do not shrink
+                ratio = 1.0 if l_km == hi else 0.0
             step = hi - l_km
             probe = not l_km < hi - _L_TOL_KM
             if probe:

@@ -8,7 +8,8 @@ zero-mean Gaussian jitter and accepts a click only inside a window of width
 `window` centered on the expected arrival. Photons from the neighboring
 slots of the pulse train sit one period off-center and leak into the window
 once dispersion plus jitter have smeared them enough; exactly one such leak
-produces a wrong bit.
+produces a wrong bit. keyrate's QBER stage adds the jitter to the width in
+quadrature and combines the masses these functions return.
 
 Window masses use the standard library's `math.erf` and `math.erfc`: the C
 library's piecewise rational approximations in the style of W. J. Cody
@@ -24,23 +25,11 @@ from math import erf, erfc
 
 __all__ = [
     "broadened_sigma",
-    "detected_sigma",
     "p_signal",
     "shifted_window_mass",
-    "p_wrong",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def _probability_error(**named: float) -> ValueError:
-    """The error for the first of `named` outside [0, 1].
-
-    The probability helpers test their inputs with one chained comparison
-    and build this message only when it fails.
-    """
-    name, p = next((name, p) for name, p in named.items() if not 0.0 <= p <= 1.0)
-    return ValueError(f"{name} must be a probability in [0, 1], got {p}")
 
 
 def broadened_sigma(sigma: float, chirp: float, beta: float, length: float) -> float:
@@ -69,15 +58,6 @@ def broadened_sigma(sigma: float, chirp: float, beta: float, length: float) -> f
             f"beta={beta:g} s^2/m, L={length:g} m"
         )
     return width
-
-
-def detected_sigma(sigma_l: float, jitter: float) -> float:
-    """Spread of the measured arrival PDF: Gaussian convolved with Gaussian."""
-    if not sigma_l > 0:
-        raise ValueError(f"sigma_l must be > 0, got {sigma_l}")
-    if jitter < 0:
-        raise ValueError(f"jitter must be >= 0, got {jitter}")
-    return math.hypot(sigma_l, jitter)
 
 
 def p_signal(sigma_tot: float, window: float) -> float:
@@ -110,14 +90,3 @@ def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float
     # where the two tails nearly coincide, rounding can dip a few ulp below 0
     return mass if mass > 0.0 else 0.0
 
-
-def p_wrong(q: float) -> float:
-    """Probability that exactly one neighbor photon lands in the window.
-
-    Each neighbor lands with the same mass q (shifted_window_mass). Both
-    clicking is a discarded double count, hence the exclusive combination
-    q(1-q) + (1-q)q.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise _probability_error(q=q)
-    return 2.0 * q * (1.0 - q)

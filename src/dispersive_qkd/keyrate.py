@@ -14,14 +14,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-from .detection import (
-    _probability_error,
-    broadened_sigma,
-    detected_sigma,
-    p_signal,
-    p_wrong,
-    shifted_window_mass,
-)
+from .detection import broadened_sigma, p_signal, shifted_window_mass
 
 __all__ = [
     "TransmittanceConvention",
@@ -29,9 +22,7 @@ __all__ = [
     "ScenarioParams",
     "ProtocolPoint",
     "transmittance",
-    "p_detect",
     "dark_probs",
-    "p_raw_key",
     "qber",
     "binary_entropy",
     "key_rate",
@@ -80,14 +71,6 @@ def _threshold_distance(params: ScenarioParams, p_sig: float, p_w: float) -> flo
     return -math.log10(eta_star) / params._decades if eta_star > 0.0 else math.inf
 
 
-def p_detect(eta: float, p_sig: float, p_w: float) -> float:
-    """Click probability in the window: the signal photon, else a leaked
-    neighbor that survived while the signal missed."""
-    if not (0.0 <= eta <= 1.0 and 0.0 <= p_sig <= 1.0 and 0.0 <= p_w <= 1.0):
-        raise _probability_error(eta=eta, p_sig=p_sig, p_w=p_w)
-    return eta * (p_sig + p_w * (1.0 - eta * p_sig))
-
-
 def dark_probs(mean_count: float, model: DarkCountModel) -> tuple[float, float]:
     """(p_zero, p_one): no dark count / exactly one dark count in a window
     that holds `mean_count` = rate * window dark counts on average."""
@@ -102,13 +85,6 @@ def dark_probs(mean_count: float, model: DarkCountModel) -> tuple[float, float]:
     return 1.0 - mean_count, mean_count * (1.0 - mean_count)
 
 
-def p_raw_key(p_det: float, p_zero: float, p_one: float) -> float:
-    """Raw-key bit probability per window; the 1/2 sifts basis mismatches."""
-    if not (0.0 <= p_det <= 1.0 and 0.0 <= p_zero <= 1.0 and 0.0 <= p_one <= 1.0):
-        raise _probability_error(p_det=p_det, p_zero=p_zero, p_one=p_one)
-    return (p_det * p_zero + (1.0 - p_det) * p_one) / 2.0
-
-
 def qber(eta: float, p_sig: float, p_w: float, p_det: float, mu: float) -> float:
     """Error fraction of the sifted key, given mu = rate * window.
 
@@ -119,15 +95,16 @@ def qber(eta: float, p_sig: float, p_w: float, p_det: float, mu: float) -> float
     counts only through p_one / p_zero = mu under both models. Divided by
     p_zero it is 0.5 (eta leak + D mu) / (p_det + D mu) with D = 1 - p_det,
     exact where p_zero and p_one underflow. Without dark counts eta cancels
-    as well, which keeps it exact down to eta = 0.
+    as well, which keeps it exact down to eta = 0. The 1/2 is applied after
+    the division, where it is exact for every normal ratio; applied first,
+    it rounds a sum of one subnormal ulp to 0. At mu = 0 with p_sig = p_w =
+    0 the ratio is 0/0, and qber returns the sentinel 0.5.
     """
     leak = p_w * (1.0 - eta * p_sig)
     if mu > 0.0:
         d_mu = (1.0 - p_det) * mu
-        return 0.5 * (eta * leak + d_mu) / (p_det + d_mu)
-    if not p_sig + leak > 0.0:
-        raise ValueError("qber is undefined at mu = 0 with p_sig = p_w = 0 (0/0)")
-    return 0.5 * leak / (p_sig + leak)
+        return (eta * leak + d_mu) / (p_det + d_mu) * 0.5
+    return leak / (p_sig + leak) * 0.5 if p_sig + leak > 0.0 else 0.5
 
 
 def binary_entropy(q: float) -> float:
@@ -274,7 +251,8 @@ class ProtocolPoint:
     At the degenerate p_raw = 0 edge key_rate is exactly 0, and qber is
     still exact: it reads the dark counts through mu = rate * window alone,
     and without them the transmittance cancels from it. Only at mu = 0 with
-    p_sig = p_w = 0, where it is 0/0, does qber carry the 0.5 sentinel.
+    p_sig = p_w = 0, where it is 0/0, does it carry the 0.5 sentinel, which
+    the qber function returns there.
     """
 
     p_sig: float
@@ -323,24 +301,28 @@ def _qber_stage(
     """(p_sig, p_w, p_det, qber) at one propagation distance (meters) and
     source chirp, given mu = params._mu.
 
-    The one composition of the helpers up to the QBER. evaluate_point passes
+    The pipeline up to the QBER, in one place. evaluate_point passes
     params.chirp and adds the rate tail from the record's dark-count
     probabilities; a record stores it at L = 0 when it is built; the
     secure-range search reads the QBER alone and passes the chirp of its
     path, so no step builds a parameter record or reads the dark model.
     params was validated when it was built, so its scalars feed the formulas
-    directly; broadened_sigma checks the distance. See ProtocolPoint for the
-    0.5 sentinel.
+    directly; broadened_sigma checks the distance. The detected spread is
+    the pulse convolved with the Gaussian jitter, hypot(sigma_L, jitter). A
+    wrong bit needs exactly one of the two neighbors, each landing with mass
+    q, in the window: p_w = 2 q (1 - q), since both landing is a discarded
+    double count. A click comes from the signal photon, else from a leaked
+    neighbor that survived while the signal missed: p_det = eta (p_sig +
+    p_w (1 - eta p_sig)). qber returns the 0.5 sentinel where it is 0/0.
     """
     sigma_l = broadened_sigma(params.sigma, chirp, params.beta, distance)
-    sigma_tot = detected_sigma(sigma_l, params.jitter)
+    sigma_tot = math.hypot(sigma_l, params.jitter)
     p_sig = p_signal(sigma_tot, params.window)
     q = shifted_window_mass(sigma_tot, params.window, params.period)
-    p_w = p_wrong(q)
+    p_w = 2.0 * q * (1.0 - q)
     eta = transmittance(params.alpha, distance / _KM, params.transmittance_convention)
-    p_det = p_detect(eta, p_sig, p_w)
-    q_err = qber(eta, p_sig, p_w, p_det, mu) if mu > 0.0 or p_sig + p_w > 0.0 else 0.5
-    return p_sig, p_w, p_det, q_err
+    p_det = eta * (p_sig + p_w * (1.0 - eta * p_sig))
+    return p_sig, p_w, p_det, qber(eta, p_sig, p_w, p_det, mu)
 
 
 def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
@@ -348,12 +330,14 @@ def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
 
     The QBER stage _qber_stage, shared with the secure-range search, then
     the rate tail: the window's dark-count probabilities, which the record
-    derived when it was built, p_raw and the key rate. Sweeps and the CLI's
-    point read this record.
+    derived when it was built, the raw-key bit probability p_raw (a click
+    with no dark count, or a lone dark count without a click; the 1/2 sifts
+    basis mismatches) and the key rate. Sweeps and the CLI's point read this
+    record.
     """
     p_sig, p_w, p_det, q_err = _qber_stage(params, params.chirp, params._mu, distance)
     p_zero, p_one = params._dark
-    p_raw = p_raw_key(p_det, p_zero, p_one)
+    p_raw = (p_det * p_zero + (1.0 - p_det) * p_one) / 2.0
     return ProtocolPoint(
         p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
     )

@@ -5,7 +5,10 @@ closed form by an independent route: the propagator integral for the
 propagated pulse, quadrature moments for its width, a jitter convolution
 for the detected spread, and adaptive Gauss-Kronrod quadrature plus a
 bisection root finder underneath them all. `composed_point` rebuilds the
-per-distance pipeline from the public helpers, the reference for
+per-distance pipeline from the record's fields, the public formula
+functions and the four one-line combinations the QBER stage writes inline
+(the detected spread, the wrong-bit mass, the click probability and the
+raw-key probability), in the same float order; it is the reference for
 `evaluate_point`; `reference_range` repeats `max_distance`'s search over
 it, `bisection_range` the plain bisection that search replaced, and
 `best_grid_range` takes the best reference range over a chirp grid, the
@@ -27,13 +30,7 @@ from typing import Callable
 from hypothesis import strategies as st
 
 from dispersive_qkd.analysis import NonConvergenceError
-from dispersive_qkd.detection import (
-    broadened_sigma,
-    detected_sigma,
-    p_signal,
-    p_wrong,
-    shifted_window_mass,
-)
+from dispersive_qkd.detection import broadened_sigma, p_signal, shifted_window_mass
 from dispersive_qkd.keyrate import (
     DarkCountModel,
     ProtocolPoint,
@@ -42,8 +39,6 @@ from dispersive_qkd.keyrate import (
     _threshold_transmittance,
     dark_probs,
     key_rate,
-    p_detect,
-    p_raw_key,
     qber,
     transmittance,
 )
@@ -218,7 +213,8 @@ def convolve_numeric(
     *,
     p_width: float,
 ) -> float:
-    """(p_arrival * jitter kernel)(t) by quadrature; oracle for detected_sigma.
+    """(p_arrival * jitter kernel)(t) by quadrature; oracle for the detected
+    spread hypot(sigma_L, jitter).
 
     p_arrival is opaque, so its Gaussian scale must be passed as p_width.
     The integration runs in units of the narrower factor; the wider one then
@@ -387,7 +383,8 @@ def threshold_transmittance(p_sig: float, p_w: float, mu: float) -> float:
     floats. Needs the key live at eta = 1; at eta = 0 the QBER is 1/2."""
 
     def secure(eta: float) -> bool:
-        return qber(eta, p_sig, p_w, p_detect(eta, p_sig, p_w), mu) < _QBER_LIMIT
+        p_det = eta * (p_sig + p_w * (1.0 - eta * p_sig))
+        return qber(eta, p_sig, p_w, p_det, mu) < _QBER_LIMIT
 
     dead, live = 0.0, 1.0
     if secure(dead) or not secure(live):
@@ -401,21 +398,22 @@ def threshold_transmittance(p_sig: float, p_w: float, mu: float) -> float:
 
 
 def composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
-    """The pipeline rebuilt from the public helpers."""
+    """The pipeline rebuilt from the public functions, with the detected
+    spread, the wrong-bit mass, the click probability and the raw-key
+    probability written out in the package's float order, from the fields
+    alone: mu and the dark-count probabilities are computed here, not read
+    from the record."""
     sigma_l = broadened_sigma(params.sigma, params.chirp, params.beta, distance)
-    sigma_tot = detected_sigma(sigma_l, params.jitter)
+    sigma_tot = math.hypot(sigma_l, params.jitter)
     p_sig = p_signal(sigma_tot, params.window)
     q = shifted_window_mass(sigma_tot, params.window, params.period)
-    p_w = p_wrong(q)
+    p_w = 2.0 * q * (1.0 - q)
     eta = transmittance(params.alpha, distance / 1000.0, params.transmittance_convention)
-    p_det = p_detect(eta, p_sig, p_w)
+    p_det = eta * (p_sig + p_w * (1.0 - eta * p_sig))
     mu = params.dark_rate * params.window
-    try:
-        q_err = qber(eta, p_sig, p_w, p_det, mu)
-    except ValueError:  # mu = 0 with p_sig = p_w = 0: the 0/0 sentinel
-        q_err = 0.5
+    q_err = qber(eta, p_sig, p_w, p_det, mu)
     p_zero, p_one = dark_probs(mu, params.dark_model)
-    p_raw = p_raw_key(p_det, p_zero, p_one)
+    p_raw = (p_det * p_zero + (1.0 - p_det) * p_one) / 2.0
     return ProtocolPoint(
         p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
     )
@@ -429,8 +427,7 @@ def live_points(params: ScenarioParams, a_km: float, b_km: float) -> list[float]
 
 
 def reference_range(params: ScenarioParams, near: float | None = None) -> float:
-    """max_distance's documented search, over the pipeline composed from the
-    public helpers.
+    """max_distance's documented search, over composed_point's pipeline.
 
     0.0 if dead at the source. The focal point is L_f = C sigma^2 / ((1 +
     C^2) beta) where C beta > 0 and L_f < 1e7 km. The predicted edge g is
@@ -456,9 +453,10 @@ def reference_range(params: ScenarioParams, near: float | None = None) -> float:
     stops, and 0 and b bracket it, where the next point would not lie above
     0 or where the ratio r of the step to the last one predicts more
     evaluations to the edge (steps down to one under 10 m, then 1 / (1 - r)
-    checks 10 m apart) than log2(b / 10 m); outside that domain 0 and L_f
-    bracket it. A live top doubles until the rate dies (giving up past 1e7
-    km).
+    checks 10 m apart) than log2(b / 10 m); a step that proves nothing
+    (threshold_km(b) >= b) restarts r, and a second such step in a row
+    counts as r = 1. Outside that domain 0 and L_f bracket it. A live top
+    doubles until the rate dies (giving up past 1e7 km).
     Illinois regula falsi on the QBER margin then shrinks every bracket to
     10 m. Its halving is the one safeguard, and each step lands at least
     5 m inside the bracket, which ends the loop. The result is the secant
@@ -532,10 +530,13 @@ def reference_range(params: ScenarioParams, near: float | None = None) -> float:
         else:
             hi, f_hi = l_f, f
         # descend from the dead L_f: [threshold_km(hi), hi] is dead
-        last_step = 0.0
+        last_step = math.inf
         while f <= 0.0 and has_eta_star:
             x = threshold_km(hi)
-            ratio = (hi - x) / last_step if last_step > 0.0 else 0.0
+            if last_step > 0.0:
+                ratio = (hi - x) / last_step
+            else:  # after a step that proved nothing: restart, or stop at a second
+                ratio = 1.0 if x >= hi else 0.0
             last_step = hi - x
             short = not x < hi - tol
             if short:

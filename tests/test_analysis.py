@@ -137,6 +137,21 @@ def test_max_distance_reads_the_qber_past_a_transmittance_underflow(params, expe
     assert _outcome(lambda: reference_range(params)) == expected
 
 
+def test_max_distance_at_a_subnormal_mean_dark_count_ends_past_the_underflow():
+    # mu is one subnormal ulp: once the transmittance underflows, the lone
+    # dark count makes the QBER 1/2, so the key dies where the few photons
+    # left stop outweighing it (with the 1/2 applied before the division the
+    # QBER would read 0.0 there, and the search would find no extinction
+    # point)
+    params = ScenarioParams(
+        sigma=0.3e-9, chirp=-1.0, window=5e-9, period=100e-9, jitter=0.0, dark_rate=1.2e-315
+    )
+    l_max = max_distance(params)
+    assert abs(l_max - 16138.1068) <= 1e-4
+    assert evaluate_point(params, (l_max - 0.005) * KM).qber < _QBER_LIMIT
+    assert not evaluate_point(params, (l_max + 0.005) * KM).qber < _QBER_LIMIT
+
+
 def _qber_crossing(params, lo_km, hi_km):
     """Where qber reaches _QBER_LIMIT on [lo_km, hi_km], by bisection down
     to adjacent floats."""
@@ -325,6 +340,39 @@ def test_descent_steps_to_the_top_where_eta_star_rounds_to_0(monkeypatch):
     assert lengths[0] / KM == pytest.approx(_focal_km(DESCENT_SPLIT), rel=1e-12)
     assert lengths[1] / KM == pytest.approx(lengths[0] / KM - analysis._L_TOL_KM, rel=1e-12)
     assert abs(got - 23.306) <= analysis._L_TOL_KM
+
+
+def test_descent_stops_where_eta_star_rounds_to_0_at_every_point(monkeypatch):
+    # mu is one subnormal ulp, so eta* rounds to 0 at every point and each
+    # dead point proves nothing below itself; L_f = 76,214 km is dead, and a
+    # descent _L_TOL_KM at a time would take 7.5 million evaluations down to
+    # the edge where the transmittance underflows. The second zero step in
+    # a row stops it, and [0, b] brackets the edge.
+    params = ScenarioParams(
+        sigma=6.257687260357256e-10, chirp=0.1, beta=5.087095195635695e-28,
+        alpha=0.27869356057514527, dark_rate=3.3409642211e-313,
+        period=6.307505746626643e-09, jitter=5.233840627765336e-12,
+        window=1.478811544037639e-11,
+        transmittance_convention=TransmittanceConvention.LITERAL,
+    )
+    assert params._mu == 5e-324
+    assert _dead_at_focal_point(params) and abs(_focal_km(params) - 76214.3) <= 0.1
+    real_width = keyrate.broadened_sigma
+    calls = [0]
+
+    def width(*args):
+        calls[0] += 1
+        assert calls[0] <= 1000, "the descent walks down _L_TOL_KM at a time"
+        return real_width(*args)
+
+    monkeypatch.setattr(keyrate, "broadened_sigma", width)
+    l_max = max_distance(params)
+    assert calls[0] <= 30
+    assert abs(l_max - 1150.858) <= 0.001
+    assert evaluate_point(params, (l_max - 0.005) * KM).qber < _QBER_LIMIT
+    assert not evaluate_point(params, (l_max + 0.005) * KM).qber < _QBER_LIMIT
+    monkeypatch.setattr(keyrate, "broadened_sigma", real_width)
+    assert reference_range(params) == l_max
 
 
 # bench chirp_scan seed 3, draw 150, at C = -1.5: live at L = 0 and dead at
@@ -703,7 +751,7 @@ def test_secure_range_search_runs_no_dark_model_or_rate_tail(monkeypatch):
     # never asks the dark model for p_zero and p_one nor computes the rate;
     # the record asks the dark model once, when it is built, and
     # evaluate_point reads its answer from there
-    names = ("dark_probs", "p_raw_key", "key_rate", "binary_entropy")
+    names = ("dark_probs", "key_rate", "binary_entropy")
     calls = Counter(dict.fromkeys(names, 0))
     for name in names:
         real = getattr(keyrate, name)

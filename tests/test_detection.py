@@ -1,17 +1,12 @@
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dispersive_qkd.detection import (
-    broadened_sigma,
-    detected_sigma,
-    erf,
-    p_signal,
-    p_wrong,
-    shifted_window_mass,
-)
+from dispersive_qkd import keyrate
+from dispersive_qkd.detection import broadened_sigma, erf, p_signal, shifted_window_mass
 from dispersive_qkd.keyrate import ScenarioParams, evaluate_point
 from oracles import QuadratureSpec, convolve_numeric, integrate
 
@@ -153,21 +148,24 @@ def test_broadened_sigma_lower_bound(sigma_ps, chirp, beta_e26, l_km):
     assert got * sigma >= abs(beta_e26 * 1e-26 * l_km * KM) * (1.0 - 1e-12)
 
 
+def _detected_sigma(params, distance):
+    """The detected spread the QBER stage hands to the window masses."""
+    with mock.patch.object(keyrate, "p_signal", wraps=keyrate.p_signal) as spy:
+        evaluate_point(params, distance)
+    return spy.call_args.args[0]
+
+
 def test_detected_sigma_identity_and_pythagoras():
-    assert detected_sigma(3.7e-11, 0.0) == 3.7e-11
-    assert detected_sigma(3.0, 4.0) == 5.0
+    # at L = 0 the width is sigma; the jitter adds to it in quadrature
+    assert _detected_sigma(ScenarioParams(sigma=3.7e-11, jitter=0.0), 0.0) == 3.7e-11
+    params = ScenarioParams(sigma=3.0, jitter=4.0, window=1.0, period=10.0, dark_rate=0.0)
+    assert _detected_sigma(params, 0.0) == 5.0
 
 
 def test_detected_sigma_table_values():
-    got = detected_sigma(115.434 * PS, 25 * PS)
+    # defaults at 100 km: sigma_L = 115.434 ps, detected 118.111 ps
+    got = _detected_sigma(ScenarioParams(), 100 * KM)
     assert abs(got - 118.111 * PS) <= 1e-3 * PS
-
-
-def test_detected_sigma_validation():
-    with pytest.raises(ValueError):
-        detected_sigma(0.0, 1e-12)
-    with pytest.raises(ValueError):
-        detected_sigma(1e-12, -1e-12)
 
 
 def test_convolve_numeric_delta_limit():
@@ -306,42 +304,41 @@ def test_shifted_mass_below_signal_mass():
         )
 
 
+_DEFAULTS = ScenarioParams()
+
+
+def _stage_p_w(q):
+    """The wrong-bit mass p_w the QBER stage makes of a neighbor mass q."""
+    with mock.patch.object(keyrate, "shifted_window_mass", return_value=q):
+        return evaluate_point(_DEFAULTS, 0.0).p_w
+
+
 def test_p_wrong_reference_values():
-    assert p_wrong(0.0) == 0.0
-    assert p_wrong(0.5) == 0.5
-    assert p_wrong(1.0) == 0.0
-
-
-@pytest.mark.parametrize("bad", [(-0.1,), (1.2,)])
-def test_p_wrong_domain(bad):
-    with pytest.raises(ValueError):
-        p_wrong(*bad)
-
-
-def test_p_wrong_names_the_first_bad_mass():
-    for bad in (-0.1, 1.2, math.nan):
-        with pytest.raises(ValueError, match="q must be a probability"):
-            p_wrong(bad)
+    assert _stage_p_w(0.0) == 0.0
+    assert _stage_p_w(0.5) == 0.5
+    assert _stage_p_w(1.0) == 0.0
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_p_wrong_symmetric_case(q):
-    val = p_wrong(q)
+    # exactly one of the two neighbors lands: q(1-q) + (1-q)q
+    val = _stage_p_w(q)
     assert abs(val - 2.0 * q * (1.0 - q)) <= 1e-15
     assert 0.0 <= val <= 0.5
 
 
 def test_p_wrong_peaks_at_half():
     qs = [i / 50.0 for i in range(51)]
-    vals = [p_wrong(q) for q in qs]
+    vals = [_stage_p_w(q) for q in qs]
     assert max(vals) == vals[25]
 
 
 def test_overlap_regime_stays_probabilistic():
     # window wider than the period: neighbors overlap the acceptance window
-    sigma_tot = detected_sigma(115.434 * PS, 25 * PS)
-    q = shifted_window_mass(sigma_tot, 125 * PS, 100 * PS)
-    for value in (p_signal(sigma_tot, 125 * PS), q, p_wrong(q)):
+    params = ScenarioParams(window=125 * PS, period=100 * PS)
+    point = evaluate_point(params, 100 * KM)
+    q = shifted_window_mass(_detected_sigma(params, 100 * KM), 125 * PS, 100 * PS)
+    for value in (point.p_sig, q, point.p_w):
         assert 0.0 <= value <= 1.0
 
 
@@ -350,9 +347,9 @@ def test_window_probabilities_consistency():
     # one shifted mass serves both neighbors, which by symmetry see the same
     params = ScenarioParams(sigma=50 * PS, jitter=25 * PS, window=50 * PS, period=100 * PS)
     point = evaluate_point(params, 0.0)
-    sigma_tot = detected_sigma(50 * PS, 25 * PS)
+    sigma_tot = math.hypot(50 * PS, 25 * PS)
     q = shifted_window_mass(sigma_tot, 50 * PS, 100 * PS)
     assert point.p_sig == p_signal(sigma_tot, 50 * PS)
-    assert point.p_w == p_wrong(q)
+    assert point.p_w == 2.0 * q * (1.0 - q)
     q_minus = integrate(gaussian(sigma_tot), -125 * PS, -75 * PS).real
     assert abs(q - q_minus) <= 1e-9

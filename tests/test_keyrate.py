@@ -5,13 +5,15 @@ import dataclasses
 import inspect
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dispersive_qkd import keyrate
 from dispersive_qkd.analysis import distance_grid
 from dispersive_qkd.config import BETA_UNIT, Config, to_params
-from dispersive_qkd.detection import p_signal, p_wrong, shifted_window_mass
+from dispersive_qkd.detection import broadened_sigma, p_signal, shifted_window_mass
 from dispersive_qkd.keyrate import (
     _QBER_LIMIT,
     DarkCountModel,
@@ -25,8 +27,6 @@ from dispersive_qkd.keyrate import (
     dark_probs,
     evaluate_point,
     key_rate,
-    p_detect,
-    p_raw_key,
     qber,
     transmittance,
 )
@@ -53,15 +53,24 @@ def test_transmittance_literal_convention():
     assert transmittance(0.2, 5.0, LITERAL) == transmittance(0.2, 50.0, DB)
 
 
+def _stage_with_masses(p_sig, p_w, distance):
+    """_qber_stage on the defaults at `distance` with the window masses
+    replaced: p_signal returns p_sig and the neighbor mass q gives p_w."""
+    params = ScenarioParams()
+    q = 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * p_w))  # 2 q (1 - q) = p_w
+    with (
+        mock.patch.object(keyrate, "p_signal", return_value=p_sig),
+        mock.patch.object(keyrate, "shifted_window_mass", return_value=q),
+    ):
+        return _qber_stage(params, params.chirp, params._mu, distance)
+
+
 def test_p_detect_reference():
-    assert abs(p_detect(0.1, 0.9, 0.01) - 0.090910) <= 1e-9
-    assert p_detect(0.0, 0.9, 0.01) == 0.0
-    with pytest.raises(ValueError, match="eta must be a probability"):
-        p_detect(1.1, 0.5, 0.5)
-    with pytest.raises(ValueError, match="p_sig must be a probability"):
-        p_detect(0.5, -0.1, 0.5)
-    with pytest.raises(ValueError, match="p_w must be a probability in \\[0, 1\\], got nan"):
-        p_detect(0.5, 0.5, math.nan)
+    # the click probability: the signal photon, else a surviving neighbor
+    # while the signal missed; 50 km of 0.2 dB/km pass eta = 0.1, and eta
+    # underflows to 0 by 100,000 km
+    assert abs(_stage_with_masses(0.9, 0.01, 50 * KM)[2] - 0.090910) <= 1e-9
+    assert _stage_with_masses(0.9, 0.01, 1e5 * KM)[2] == 0.0
 
 
 def test_dark_probs_reference():
@@ -86,16 +95,20 @@ def test_dark_probs_linearized_domain():
 
 
 def test_p_raw_key_reference():
-    assert p_raw_key(1.0, 1.0, 0.3) == 0.5
-    assert p_raw_key(0.0, 1.0, 0.0) == 0.0
-    # the detected and undetected dark terms cancel exactly at p_det = 1/2
-    assert p_raw_key(0.5, 1.0 - 5e-8, 5e-8) == 0.25
-    with pytest.raises(ValueError, match="p_zero must be a probability"):
-        p_raw_key(0.5, 1.5, 0.0)
-    with pytest.raises(ValueError, match="p_det must be a probability"):
-        p_raw_key(-0.5, 1.5, 2.0)
-    with pytest.raises(ValueError, match="p_one must be a probability"):
-        p_raw_key(0.5, 1.0, 1.5)
+    # the raw-key bit probability: a click without a dark count, or a lone
+    # dark count without a click; the 1/2 sifts basis mismatches
+    dark_free = ScenarioParams(dark_rate=0.0)
+    with mock.patch.object(keyrate, "p_signal", return_value=1.0):
+        assert evaluate_point(dark_free, 0.0).p_raw == 0.5
+    point = evaluate_point(dark_free, 10 * KM)
+    assert point.p_raw == point.p_det / 2.0 > 0.0
+    point = evaluate_point(ScenarioParams(), 1e5 * KM)  # eta underflows to 0
+    assert point.p_det == 0.0
+    assert point.p_raw == point.p_one / 2.0 > 0.0
+    point = evaluate_point(ScenarioParams(), 10 * KM)
+    p_det, p_zero, p_one = map(Fraction, (point.p_det, point.p_zero, point.p_one))
+    exact = (p_det * p_zero + (1 - p_det) * p_one) / 2
+    assert math.isclose(point.p_raw, float(exact), rel_tol=4e-16)
 
 
 def test_qber_reference():
@@ -106,10 +119,24 @@ def test_qber_reference():
 
 
 def test_qber_degenerate_denominator():
-    # 0/0 only without dark counts and without light in the window
-    with pytest.raises(ValueError, match="undefined"):
-        qber(0.1, 0.0, 0.0, 0.0, 0.0)
+    # 0/0 only without dark counts and without light in the window, where
+    # qber returns the sentinel 0.5
+    assert qber(0.1, 0.0, 0.0, 0.0, 0.0) == 0.5
     assert qber(0.1, 0.0, 0.0, 0.0, 5000.0) == 0.5
+
+
+def test_qber_halves_after_the_division_at_a_subnormal_mean_dark_count():
+    # with no photon through and mu one subnormal ulp the lone dark count
+    # is the whole error mass: qber is 1/2. Halving the numerator before the
+    # division would round 5e-324 to 0 and read 0.0.
+    assert qber(0.0, 0.9, 0.01, 0.0, 5e-324) == 0.5
+    params = ScenarioParams(
+        sigma=0.3e-9, chirp=-1.0, window=5e-9, period=100e-9, jitter=0.0, dark_rate=1.2e-315
+    )
+    assert params._mu == 5e-324
+    point = evaluate_point(params, 8e9)
+    assert point.p_det == 0.0
+    assert point.qber == 0.5
 
 
 def test_binary_entropy_reference_values():
@@ -309,16 +336,6 @@ def test_evaluate_point_width_overflow_is_value_error():
         evaluate_point(params, 1 * KM)
 
 
-def test_evaluate_point_names_the_probability_out_of_range():
-    # an infinite mean dark count gives p_one = inf * e^-inf = nan; the
-    # parameter record rejects that mean now, so the message evaluate_point
-    # would pass on is pinned where it is raised
-    p_zero, p_one = dark_probs(math.inf, POISSON)
-    assert p_zero == 0.0 and math.isnan(p_one)
-    with pytest.raises(ValueError, match="p_one must be a probability"):
-        p_raw_key(0.5, p_zero, p_one)
-
-
 def test_scenario_params_rejects_an_infinite_mean_dark_count():
     # rate * window overflows to inf, where the QBER would be inf / inf
     with pytest.raises(ValueError, match="dark_rate \\* window must be finite"):
@@ -364,7 +381,7 @@ def test_at_chirp_checks_the_chirp():
 def test_threshold_transmittance_is_where_the_qber_crosses(p_sig, p_w, mu):
     # where the key is live at eta = 1, the closed form matches a bisection
     # of the QBER in eta
-    live = qber(1.0, p_sig, p_w, p_detect(1.0, p_sig, p_w), mu) < _QBER_LIMIT
+    live = qber(1.0, p_sig, p_w, p_sig + p_w * (1.0 - p_sig), mu) < _QBER_LIMIT
     got = _threshold_transmittance(p_sig, p_w, mu)
     if live:
         expected = threshold_transmittance(p_sig, p_w, mu)
@@ -393,7 +410,8 @@ def test_threshold_transmittance_does_not_fall_as_the_width_grows(window, period
     # higher at a width no larger. Widths a few ulp apart can dip by 2e-12
     # relative, so the check allows 1e-9.
     def eta_star(width):
-        p_w = p_wrong(shifted_window_mass(width, window, period))
+        q = shifted_window_mass(width, window, period)
+        p_w = 2.0 * q * (1.0 - q)
         return _threshold_transmittance(p_signal(width, window), p_w, mu)
 
     narrow, wide = sorted(widths)
@@ -606,7 +624,7 @@ def test_point_bounds_hold_everywhere(
 @given(params=domain_params(), l_km=st.floats(min_value=0.0, max_value=500.0))
 def test_evaluate_point_equals_composed_helpers(params, l_km):
     # dual route: evaluate_point must reproduce, bit for bit, the pipeline
-    # assembled from the public helpers
+    # oracles.composed_point assembles from the fields and public functions
     assert evaluate_point(params, l_km * KM) == composed_point(params, l_km * KM)
 
 
@@ -619,6 +637,24 @@ def test_key_rate_is_positive_exactly_below_the_qber_limit(params, l_km):
     except ValueError:
         return
     assert (point.key_rate > 0.0) == (point.qber < _QBER_LIMIT)
+
+
+@pytest.mark.parametrize("jitter_ps", [4, 25])
+def test_chirp_minus_one_beats_zero_below_the_equal_width_distance(jitter_ps):
+    # what the model predicts where acceptance criterion 08 fails: with
+    # C beta > 0 the width at chirp C equals the unchirped width at
+    # L* = 2 sigma^2 / (C beta), so C = -1 focuses the pulse, and out-rates
+    # C = 0, exactly below L* = 2 sigma^2 / |beta|, 17.3913 km at the defaults
+    focused, plain = (ScenarioParams(chirp=c, jitter=jitter_ps * PS) for c in (-1.0, 0.0))
+    l_star = 2.0 * plain.sigma**2 / abs(plain.beta)
+    assert abs(l_star / KM - 17.3913) <= 1e-4
+    width = broadened_sigma(plain.sigma, -1.0, plain.beta, l_star)
+    assert width == broadened_sigma(plain.sigma, 0.0, plain.beta, l_star)
+    assert evaluate_point(focused, l_star) == evaluate_point(plain, l_star)
+    for f in (0.5, 0.999, 1.001, 1.5):
+        k_focused = evaluate_point(focused, f * l_star).key_rate
+        k_plain = evaluate_point(plain, f * l_star).key_rate
+        assert k_focused > k_plain if f < 1.0 else k_focused < k_plain, (f, k_focused, k_plain)
 
 
 @pytest.mark.xfail(

@@ -116,6 +116,26 @@ def test_count_evaluations_matches_a_direct_count(capsys, monkeypatch):
     assert counts["figures total"] == sum(counts[name] for name in SCENARIOS) == calls[0]
 
 
+def test_result_digest_is_stable_and_sees_a_changed_result(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds bench/
+    runs = [_run(capsys, monkeypatch, "result_digest.py") for _ in range(2)]
+    assert runs[0] == runs[1]
+    status, out = runs[0]
+    assert status is None
+    digests = dict(line.split()[::-1] for line in out.splitlines())
+    assert list(digests) == ["chirp_scan", "point_sweep", "reproduce_all"]
+    assert all(len(d) == 64 for d in digests.values())
+    # halving every key rate moves the sweeps and the figures; the chirp
+    # scans read the QBER alone
+    real = keyrate.key_rate
+    monkeypatch.setattr(keyrate, "key_rate", lambda p_raw, q: 0.5 * real(p_raw, q))
+    _, out = _run(capsys, monkeypatch, "result_digest.py")
+    patched = dict(line.split()[::-1] for line in out.splitlines())
+    assert [name for name in digests if patched[name] != digests[name]] == [
+        "point_sweep", "reproduce_all"
+    ]
+
+
 def _bench_record(correct: bool = True, failed: int = 0, **values: float) -> dict:
     """A made-up result record of bench/run.py --trace 0, as its last line."""
     metrics = {name: {"value": value, "unit": "s"} for name, value in values.items()}
