@@ -147,9 +147,9 @@ def _edge(
     The source point comes with the record: params._source, computed when
     it was built, is the stage at L = 0 at any chirp, so no search evaluates
     L = 0. Each further step runs keyrate._qber_stage, the pipeline up to
-    the QBER, with the record's mu = rate * window and the path's chirp
-    passed in: no step reads the dark model, runs the rate tail, or builds
-    a ProtocolPoint or a ScenarioParams.
+    the QBER, with the path's chirp passed in: it reads the record's mu =
+    rate * window and loss divisor, and no step reads the dark model, runs
+    the rate tail, or builds a ProtocolPoint or a ScenarioParams.
 
     The sign of the QBER margin _QBER_LIMIT - qber decides the side of every
     point. Where the source chirp c0 = chirp_at(0) focuses (c0 beta > 0),
@@ -196,12 +196,11 @@ def _edge(
     where _descent_evaluations at the ratio of this step to the last exceeds
     log2(b / _L_TOL_KM). A zero step, where g(b) is not below b, restarts
     that ratio, and a second zero step in a row counts as a ratio of 1:
-    where eta* rounds to 0 at every point (mu of one subnormal ulp), the
-    loop would otherwise walk down _L_TOL_KM at a time. [b, L_f] is already
-    dead, so no secure point above b is missed. A bracket with 0 as its live
-    end is not certified: where the set splits inside it, the search may
-    stop at a near edge. Below a dead L_f the result does not depend on
-    `near`.
+    where eta* rounds to 0 at every point, the loop would otherwise walk
+    down _L_TOL_KM at a time. [b, L_f] is already dead, so no secure point
+    above b is missed. A bracket with 0 as its live end is not certified:
+    where the set splits inside it, the search may stop at a near edge.
+    Below a dead L_f the result does not depend on `near`.
 
     Elsewhere the top starts _L_HINT_KM above the live end, and a secure top
     doubles until it is not. Above the live end the width only grows and
@@ -229,7 +228,7 @@ def _edge(
     +-inf chirp gives the record's source point too.
     """
     def margin(l_km: float) -> float:
-        return _QBER_LIMIT - _qber_stage(params, chirp_at(l_km), params._mu, l_km * _KM)[3]
+        return _QBER_LIMIT - _qber_stage(params, chirp_at(l_km), l_km * _KM)[3]
 
     c0 = chirp_at(0.0)
     p_sig, p_w, _, q = params._source
@@ -260,7 +259,7 @@ def _edge(
         # descend from L_f: a dead hi proves [g(hi), hi] dead
         l_km, probe, step = focal_km, False, math.inf
         while True:
-            p_sig, p_w, _, q = _qber_stage(params, c0, params._mu, l_km * _KM)
+            p_sig, p_w, _, q = _qber_stage(params, c0, l_km * _KM)
             f = _QBER_LIMIT - q
             if f > 0.0:
                 if probe:

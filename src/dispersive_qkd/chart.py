@@ -51,11 +51,9 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
+        step = mult * mag
+        if raw <= step:
             break
-    else:
-        step = 10.0 * mag
     first = math.ceil(lo / step) * step
     ticks = []
     t = first

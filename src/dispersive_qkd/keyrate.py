@@ -4,7 +4,9 @@ Per distance: dispersion broadens the pulse, jitter widens the measured
 arrival PDF, the acceptance window captures signal mass p_sig and neighbor
 leakage p_w, fiber loss passes the photon with probability eta, dark counts
 floor the error rate, and the sifted rate pays twice the binary entropy of
-the QBER for error correction and privacy amplification.
+the QBER for error correction and privacy amplification. One private stage,
+_qber_stage, writes the loss law and the QBER out; the record fixes its
+loss convention and dark counts once, when it is built.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ __all__ = [
     "DarkCountModel",
     "ScenarioParams",
     "ProtocolPoint",
-    "transmittance",
     "dark_probs",
-    "qber",
     "binary_entropy",
     "key_rate",
     "evaluate_point",
@@ -40,41 +40,28 @@ class DarkCountModel(str, Enum):
     EXACT_POISSON = "exact_poisson"  # p_zero = e^(-d*v), p_one = d*v*e^(-d*v)
 
 
-# Looking a member up on its Enum class takes about as long as a helper's
-# arithmetic, so the per-distance helpers compare against these.
-_LITERAL = TransmittanceConvention.LITERAL
-_EXACT_POISSON = DarkCountModel.EXACT_POISSON
-
 # unit scales, SI per human unit; config exports them as PS, KM and BETA_UNIT
 _PS = 1e-12  # seconds per picosecond
 _KM = 1e3  # meters per kilometer
 _BETA_UNIT = 1e-26  # s^2/m per beta_e26 unit
 
 
-def transmittance(
-    alpha: float, length_km: float, convention: TransmittanceConvention
-) -> float:
-    """Photon survival probability over `length_km` of fiber."""
-    if convention is _LITERAL:
-        return 10.0 ** (-alpha * length_km)
-    return 10.0 ** (-alpha * length_km / 10.0)
-
-
 def _threshold_distance(params: ScenarioParams, p_sig: float, p_w: float) -> float:
     """The distance (km) at which params' transmittance falls to the
     threshold transmittance eta* of the window masses p_sig and p_w: the
-    inverse of transmittance there, read from the record's mu and loss in
-    decades per km. Not positive where eta* >= 1 (-inf where eta* = inf),
-    and inf where eta* rounds to 0, which the transmittance never reaches.
+    inverse of _qber_stage's loss law there, read from the record's mu and
+    loss divisor. Not positive where eta* >= 1 (-inf where eta* = inf), and
+    inf where eta* rounds to 0, which the transmittance never reaches.
     """
     eta_star = _threshold_transmittance(p_sig, p_w, params._mu)
-    return -math.log10(eta_star) / params._decades if eta_star > 0.0 else math.inf
+    per_km = params.alpha / params._loss_divisor
+    return -math.log10(eta_star) / per_km if eta_star > 0.0 else math.inf
 
 
 def dark_probs(mean_count: float, model: DarkCountModel) -> tuple[float, float]:
     """(p_zero, p_one): no dark count / exactly one dark count in a window
     that holds `mean_count` = rate * window dark counts on average."""
-    if model is _EXACT_POISSON:
+    if model is DarkCountModel.EXACT_POISSON:
         e = math.exp(-mean_count)
         return e, mean_count * e
     if mean_count >= 1.0:
@@ -83,28 +70,6 @@ def dark_probs(mean_count: float, model: DarkCountModel) -> tuple[float, float]:
             "use the exact_poisson model for this regime"
         )
     return 1.0 - mean_count, mean_count * (1.0 - mean_count)
-
-
-def qber(eta: float, p_sig: float, p_w: float, p_det: float, mu: float) -> float:
-    """Error fraction of the sifted key, given mu = rate * window.
-
-    Errors come from a surviving neighbor photon caught while the signal was
-    missed, or from a lone dark count; either flips the recorded bit half of
-    the time. That is 0.25 err_mass / p_raw with err_mass = eta leak p_zero +
-    (1 - p_det) p_one and leak = p_w (1 - eta p_sig), which reads the dark
-    counts only through p_one / p_zero = mu under both models. Divided by
-    p_zero it is 0.5 (eta leak + D mu) / (p_det + D mu) with D = 1 - p_det,
-    exact where p_zero and p_one underflow. Without dark counts eta cancels
-    as well, which keeps it exact down to eta = 0. The 1/2 is applied after
-    the division, where it is exact for every normal ratio; applied first,
-    it rounds a sum of one subnormal ulp to 0. At mu = 0 with p_sig = p_w =
-    0 the ratio is 0/0, and qber returns the sentinel 0.5.
-    """
-    leak = p_w * (1.0 - eta * p_sig)
-    if mu > 0.0:
-        d_mu = (1.0 - p_det) * mu
-        return (eta * leak + d_mu) / (p_det + d_mu) * 0.5
-    return leak / (p_sig + leak) * 0.5 if p_sig + leak > 0.0 else 0.5
 
 
 def binary_entropy(q: float) -> float:
@@ -124,23 +89,28 @@ _QBER_LIMIT = 0.11002786443835955
 
 
 def _threshold_transmittance(p_sig: float, p_w: float, mu: float) -> float:
-    """The transmittance eta* at which qber reaches _QBER_LIMIT, at fixed
-    window masses and 0 < mu < 1; inf where no eta > 0 reaches it.
+    """The transmittance eta* at which _qber_stage's QBER reaches
+    _QBER_LIMIT, at fixed window masses and 0 < mu < 1; inf where no eta > 0
+    reaches it.
 
-    With A = p_sig, W = p_w and Q = _QBER_LIMIT, qber < Q holds exactly
+    With A = p_sig, W = p_w and Q = _QBER_LIMIT, the QBER lies below Q exactly
     where F(eta) = (1/2 - Q) mu + eta [W/2 - (A + W)(Q + (1/2 - Q) mu)]
     - (1/2 - Q)(1 - mu) A W eta^2 < 0. The constant term is positive and the
     eta^2 term not, so F has one positive root where A W > 0, and the key is
     live exactly above it. Where A W = 0 F is linear, with a positive root
     only where its slope is negative (A > 0 = W). The root is taken from
     q = -(b + sgn(b) sqrt(b^2 - 4ac)) / 2 as c / q or q / a, with no
-    cancellation (Numerical Recipes, 3rd ed., section 5.6).
+    cancellation (Numerical Recipes, 3rd ed., section 5.6). Where c = (1/2 -
+    Q) mu is subnormal it has lost the digits of mu, or rounded to 0 at mu
+    of one subnormal ulp, so there mu multiplies the quotient instead.
     """
     h = 0.5 - _QBER_LIMIT
     a = -h * (1.0 - mu) * p_sig * p_w
     b = 0.5 * p_w - (p_sig + p_w) * (_QBER_LIMIT + h * mu)
     c = h * mu
     if b < 0.0:
+        if c < sys.float_info.min:
+            return mu * (2.0 * h / (math.sqrt(b * b - 4.0 * a * c) - b))
         return 2.0 * c / (math.sqrt(b * b - 4.0 * a * c) - b)
     if a < 0.0:
         return (b + math.sqrt(b * b - 4.0 * a * c)) / (-2.0 * a)
@@ -166,8 +136,9 @@ class ScenarioParams:
     Building a record checks its fields, then derives what every evaluation
     of it shares, as attributes that are not fields: _mu, the mean dark
     count rate * window; _dark, dark_probs' (p_zero, p_one) for it, whose
-    call is the one check of the linearized model's domain; _decades, the
-    loss in decades of transmittance per km; and _source, _qber_stage's
+    call is the one check of the linearized model's domain; _loss_divisor,
+    the divisor of alpha * L in the loss law's exponent, 10.0 under the db
+    convention and 1.0 under the literal one; and _source, _qber_stage's
     (p_sig, p_w, p_det, qber) at L = 0, where the width is sigma at any
     chirp. Every secure-range search of the record, at any chirp along any
     path, reads its source point there. Equality, hashing and repr read the
@@ -188,9 +159,9 @@ class ScenarioParams:
     transmittance_convention: TransmittanceConvention = TransmittanceConvention.DB
 
     def __post_init__(self) -> None:
-        # the helpers compare members by identity, so a model named by its
-        # value (as a config file does) becomes its member here; an unknown
-        # name is a ValueError
+        # dark_probs and the loss divisor compare members by identity, so a
+        # model or convention named by its value (as a config file does)
+        # becomes its member here; an unknown name is a ValueError
         if type(self.dark_model) is not DarkCountModel:
             object.__setattr__(self, "dark_model", DarkCountModel(self.dark_model))
         if type(self.transmittance_convention) is not TransmittanceConvention:
@@ -222,9 +193,9 @@ class ScenarioParams:
             raise ValueError(f"dark_rate * window must be finite, got {mu}")
         object.__setattr__(self, "_mu", mu)
         object.__setattr__(self, "_dark", dark_probs(mu, self.dark_model))
-        decades = self.alpha if self.transmittance_convention is _LITERAL else self.alpha / 10.0
-        object.__setattr__(self, "_decades", decades)
-        object.__setattr__(self, "_source", _qber_stage(self, self.chirp, mu, 0.0))
+        literal = self.transmittance_convention is TransmittanceConvention.LITERAL
+        object.__setattr__(self, "_loss_divisor", 1.0 if literal else 10.0)
+        object.__setattr__(self, "_source", _qber_stage(self, self.chirp, 0.0))
 
     def _at_chirp(self, chirp: float) -> ScenarioParams:
         """This record with its chirp replaced: replace(self, chirp=chirp),
@@ -252,7 +223,7 @@ class ProtocolPoint:
     still exact: it reads the dark counts through mu = rate * window alone,
     and without them the transmittance cancels from it. Only at mu = 0 with
     p_sig = p_w = 0, where it is 0/0, does it carry the 0.5 sentinel, which
-    the qber function returns there.
+    _qber_stage returns there.
     """
 
     p_sig: float
@@ -296,10 +267,10 @@ class ProtocolPoint:
 
 
 def _qber_stage(
-    params: ScenarioParams, chirp: float, mu: float, distance: float
+    params: ScenarioParams, chirp: float, distance: float
 ) -> tuple[float, float, float, float]:
     """(p_sig, p_w, p_det, qber) at one propagation distance (meters) and
-    source chirp, given mu = params._mu.
+    source chirp.
 
     The pipeline up to the QBER, in one place. evaluate_point passes
     params.chirp and adds the rate tail from the record's dark-count
@@ -311,18 +282,37 @@ def _qber_stage(
     the pulse convolved with the Gaussian jitter, hypot(sigma_L, jitter). A
     wrong bit needs exactly one of the two neighbors, each landing with mass
     q, in the window: p_w = 2 q (1 - q), since both landing is a discarded
-    double count. A click comes from the signal photon, else from a leaked
-    neighbor that survived while the signal missed: p_det = eta (p_sig +
-    p_w (1 - eta p_sig)). qber returns the 0.5 sentinel where it is 0/0.
+    double count. The fiber passes a photon with probability eta =
+    10^(-alpha L / d), L in km, with the record's loss divisor d: 10 for
+    alpha in dB/km, 1 under the literal convention. A click comes from the
+    signal photon, else from a leaked neighbor that survived while the
+    signal missed: p_det = eta (p_sig + leak) with leak = p_w (1 - eta
+    p_sig).
+
+    Errors come from a surviving neighbor photon caught while the signal was
+    missed, or from a lone dark count; either flips the recorded bit half of
+    the time. So the QBER is 0.25 err_mass / p_raw with err_mass = eta leak
+    p_zero + (1 - p_det) p_one, which reads the dark counts only through
+    p_one / p_zero = mu = params._mu under both models. Divided by p_zero it
+    is 0.5 (eta leak + D mu) / (p_det + D mu) with D = 1 - p_det, exact where
+    p_zero and p_one underflow. Without dark counts eta cancels as well,
+    which keeps it exact down to eta = 0. The 1/2 is applied after the
+    division, where it is exact for every normal ratio; applied first, it
+    rounds a sum of one subnormal ulp to 0. At mu = 0 with p_sig = p_w = 0
+    the ratio is 0/0, and the stage returns the sentinel 0.5.
     """
     sigma_l = broadened_sigma(params.sigma, chirp, params.beta, distance)
     sigma_tot = math.hypot(sigma_l, params.jitter)
     p_sig = p_signal(sigma_tot, params.window)
     q = shifted_window_mass(sigma_tot, params.window, params.period)
     p_w = 2.0 * q * (1.0 - q)
-    eta = transmittance(params.alpha, distance / _KM, params.transmittance_convention)
-    p_det = eta * (p_sig + p_w * (1.0 - eta * p_sig))
-    return p_sig, p_w, p_det, qber(eta, p_sig, p_w, p_det, mu)
+    eta = 10.0 ** (-params.alpha * (distance / _KM) / params._loss_divisor)
+    leak = p_w * (1.0 - eta * p_sig)
+    p_det = eta * (p_sig + leak)
+    if params._mu > 0.0:
+        d_mu = (1.0 - p_det) * params._mu
+        return p_sig, p_w, p_det, (eta * leak + d_mu) / (p_det + d_mu) * 0.5
+    return p_sig, p_w, p_det, leak / (p_sig + leak) * 0.5 if p_sig + leak > 0.0 else 0.5
 
 
 def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
@@ -335,7 +325,7 @@ def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     basis mismatches) and the key rate. Sweeps and the CLI's point read this
     record.
     """
-    p_sig, p_w, p_det, q_err = _qber_stage(params, params.chirp, params._mu, distance)
+    p_sig, p_w, p_det, q_err = _qber_stage(params, params.chirp, distance)
     p_zero, p_one = params._dark
     p_raw = (p_det * p_zero + (1.0 - p_det) * p_one) / 2.0
     return ProtocolPoint(

@@ -6,11 +6,12 @@ propagated pulse, quadrature moments for its width, a jitter convolution
 for the detected spread, and adaptive Gauss-Kronrod quadrature plus a
 bisection root finder underneath them all. `composed_point` rebuilds the
 per-distance pipeline from the record's fields, the public formula
-functions and the four one-line combinations the QBER stage writes inline
-(the detected spread, the wrong-bit mass, the click probability and the
-raw-key probability), in the same float order; it is the reference for
-`evaluate_point`; `reference_range` repeats `max_distance`'s search over
-it, `bisection_range` the plain bisection that search replaced, and
+functions and what the QBER stage and `evaluate_point` write inline: the
+detected spread, the wrong-bit mass, the loss law (`transmittance`), the
+click probability and the QBER (`qber`), and the raw-key probability, in
+the same float order. It is the reference for `evaluate_point`;
+`reference_range` repeats `max_distance`'s search over it,
+`bisection_range` the plain bisection that search replaced, and
 `best_grid_range` takes the best reference range over a chirp grid, the
 brute-force reference for the best chirp, and `live_points` scans a
 distance range on a 10 m grid, the brute-force reference for a far edge.
@@ -39,8 +40,6 @@ from dispersive_qkd.keyrate import (
     _threshold_transmittance,
     dark_probs,
     key_rate,
-    qber,
-    transmittance,
 )
 
 
@@ -377,14 +376,35 @@ def moments(
 _QBER_LIMIT = 0.11002786443835955
 
 
+def transmittance(params: ScenarioParams, l_km: float) -> float:
+    """The loss law from the fields alone: 10^(-alpha L / 10) with alpha in
+    dB/km, 10^(-alpha L) under the literal convention, in the stage's float
+    order (dividing by 1.0 is exact)."""
+    literal = params.transmittance_convention is TransmittanceConvention.LITERAL
+    return 10.0 ** (-params.alpha * l_km / (1.0 if literal else 10.0))
+
+
+def qber(eta: float, p_sig: float, p_w: float, mu: float) -> tuple[float, float]:
+    """(p_det, QBER) at transmittance eta, window masses p_sig and p_w and
+    mean dark count mu, in the stage's float order: the click probability
+    eta (p_sig + leak) with leak = p_w (1 - eta p_sig), then 0.5 (eta leak +
+    D mu) / (p_det + D mu) with D = 1 - p_det, at mu = 0 the eta-free 0.5
+    leak / (p_sig + leak), and the sentinel 0.5 where that is 0/0."""
+    leak = p_w * (1.0 - eta * p_sig)
+    p_det = eta * (p_sig + leak)
+    if mu > 0.0:
+        d_mu = (1.0 - p_det) * mu
+        return p_det, (eta * leak + d_mu) / (p_det + d_mu) * 0.5
+    return p_det, leak / (p_sig + leak) * 0.5 if p_sig + leak > 0.0 else 0.5
+
+
 def threshold_transmittance(p_sig: float, p_w: float, mu: float) -> float:
-    """The transmittance at which qber reaches _QBER_LIMIT at fixed window
-    masses: bisection of keyrate.qber in eta on [0, 1] down to adjacent
+    """The transmittance at which the QBER reaches _QBER_LIMIT at fixed
+    window masses: bisection of qber in eta on [0, 1] down to adjacent
     floats. Needs the key live at eta = 1; at eta = 0 the QBER is 1/2."""
 
     def secure(eta: float) -> bool:
-        p_det = eta * (p_sig + p_w * (1.0 - eta * p_sig))
-        return qber(eta, p_sig, p_w, p_det, mu) < _QBER_LIMIT
+        return qber(eta, p_sig, p_w, mu)[1] < _QBER_LIMIT
 
     dead, live = 0.0, 1.0
     if secure(dead) or not secure(live):
@@ -399,19 +419,18 @@ def threshold_transmittance(p_sig: float, p_w: float, mu: float) -> float:
 
 def composed_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     """The pipeline rebuilt from the public functions, with the detected
-    spread, the wrong-bit mass, the click probability and the raw-key
-    probability written out in the package's float order, from the fields
-    alone: mu and the dark-count probabilities are computed here, not read
-    from the record."""
+    spread, the wrong-bit mass, the loss law, the click probability, the
+    QBER and the raw-key probability written out in the package's float
+    order, from the fields alone: mu, the loss convention and the
+    dark-count probabilities are read here, not from the record."""
     sigma_l = broadened_sigma(params.sigma, params.chirp, params.beta, distance)
     sigma_tot = math.hypot(sigma_l, params.jitter)
     p_sig = p_signal(sigma_tot, params.window)
     q = shifted_window_mass(sigma_tot, params.window, params.period)
     p_w = 2.0 * q * (1.0 - q)
-    eta = transmittance(params.alpha, distance / 1000.0, params.transmittance_convention)
-    p_det = eta * (p_sig + p_w * (1.0 - eta * p_sig))
+    eta = transmittance(params, distance / 1000.0)
     mu = params.dark_rate * params.window
-    q_err = qber(eta, p_sig, p_w, p_det, mu)
+    p_det, q_err = qber(eta, p_sig, p_w, mu)
     p_zero, p_one = dark_probs(mu, params.dark_model)
     p_raw = (p_det * p_zero + (1.0 - p_det) * p_one) / 2.0
     return ProtocolPoint(

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -342,21 +343,21 @@ def test_descent_steps_to_the_top_where_eta_star_rounds_to_0(monkeypatch):
     assert abs(got - 23.306) <= analysis._L_TOL_KM
 
 
-def test_descent_stops_where_eta_star_rounds_to_0_at_every_point(monkeypatch):
-    # mu is one subnormal ulp, so eta* rounds to 0 at every point and each
-    # dead point proves nothing below itself; L_f = 76,214 km is dead, and a
-    # descent _L_TOL_KM at a time would take 7.5 million evaluations down to
-    # the edge where the transmittance underflows. The second zero step in
-    # a row stops it, and [0, b] brackets the edge.
-    params = ScenarioParams(
-        sigma=6.257687260357256e-10, chirp=0.1, beta=5.087095195635695e-28,
-        alpha=0.27869356057514527, dark_rate=3.3409642211e-313,
-        period=6.307505746626643e-09, jitter=5.233840627765336e-12,
-        window=1.478811544037639e-11,
-        transmittance_convention=TransmittanceConvention.LITERAL,
-    )
-    assert params._mu == 5e-324
-    assert _dead_at_focal_point(params) and abs(_focal_km(params) - 76214.3) <= 0.1
+# A focusing record whose mean dark count is one subnormal ulp, dead at its
+# focal point L_f = 76,214 km at C = 0.1, whose key dies where the few
+# photons left stop outweighing the lone dark count
+SUBNORMAL_MU = ScenarioParams(
+    sigma=6.257687260357256e-10, chirp=0.1, beta=5.087095195635695e-28,
+    alpha=0.27869356057514527, dark_rate=3.3409642211e-313,
+    period=6.307505746626643e-09, jitter=5.233840627765336e-12,
+    window=1.478811544037639e-11,
+    transmittance_convention=TransmittanceConvention.LITERAL,
+)
+
+
+def _count_widths(monkeypatch):
+    """Count evaluations, the calls of keyrate.broadened_sigma; more than
+    1000 fail at once, as a descent that walks down _L_TOL_KM at a time."""
     real_width = keyrate.broadened_sigma
     calls = [0]
 
@@ -366,13 +367,45 @@ def test_descent_stops_where_eta_star_rounds_to_0_at_every_point(monkeypatch):
         return real_width(*args)
 
     monkeypatch.setattr(keyrate, "broadened_sigma", width)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "chirp, edge_km, evaluations",
+    [(0.05, 1150.8564, 9), (0.1, 1150.8542, 8), (1.0, 1150.8574, 8)],
+    ids=["C0.05", "C0.1", "C1"],
+)
+def test_descent_certifies_the_edge_at_one_subnormal_ulp_of_dark_counts(
+    monkeypatch, chirp, edge_km, evaluations
+):
+    # (1/2 - Q) mu rounds to 0 at mu = 5e-324, but eta* multiplies mu in
+    # last and stays positive, so each dead point still proves the stretch
+    # below it dead and the descent lands on the edge in a few steps
+    params = SUBNORMAL_MU._at_chirp(chirp)
+    assert params._mu == 5e-324
+    assert _dead_at_focal_point(params)
+    calls = _count_widths(monkeypatch)
     l_max = max_distance(params)
-    assert calls[0] <= 30
-    assert abs(l_max - 1150.858) <= 0.001
+    assert calls[0] == evaluations
+    assert abs(l_max - edge_km) <= 1e-4
     assert evaluate_point(params, (l_max - 0.005) * KM).qber < _QBER_LIMIT
     assert not evaluate_point(params, (l_max + 0.005) * KM).qber < _QBER_LIMIT
-    monkeypatch.setattr(keyrate, "broadened_sigma", real_width)
     assert reference_range(params) == l_max
+
+
+def test_descent_stops_at_a_second_zero_step_where_eta_star_rounds_to_0(monkeypatch):
+    # with eta* 0 at every point each dead point proves nothing below
+    # itself; from L_f = 76,214 km a descent _L_TOL_KM at a time would take
+    # 7.5 million evaluations. The second zero step in a row stops it, and
+    # regula falsi shrinks [0, b] to the edge
+    assert abs(_focal_km(SUBNORMAL_MU) - 76214.3) <= 0.1
+    monkeypatch.setattr(keyrate, "_threshold_transmittance", lambda p_sig, p_w, mu: 0.0)
+    calls = _count_widths(monkeypatch)
+    l_max = max_distance(SUBNORMAL_MU)
+    assert calls[0] <= 30
+    assert abs(l_max - 1150.8578) <= 1e-4
+    assert evaluate_point(SUBNORMAL_MU, (l_max - 0.005) * KM).qber < _QBER_LIMIT
+    assert not evaluate_point(SUBNORMAL_MU, (l_max + 0.005) * KM).qber < _QBER_LIMIT
 
 
 # bench chirp_scan seed 3, draw 150, at C = -1.5: live at L = 0 and dead at
@@ -524,6 +557,57 @@ def test_max_distance_after_a_slow_descent_finds_the_far_edge():
     params = SLOW_DESCENT_SPLIT
     far_km = live_points(params, 0.0, 14.0)[-1] + 0.005  # 10 m brute scan
     assert abs(max_distance(params) - far_km) <= analysis._L_TOL_KM
+
+
+def _compensating_chirp(params, c_min, c_max, l_km):
+    """optimal_chirp's path c(L) at l_km, in its float order."""
+    bl = params.beta * (l_km * KM)
+    c = params.sigma * params.sigma / bl if bl else math.copysign(math.inf, params.beta)
+    return min(max(c, c_min), c_max)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    params=domain_params(),
+    offset=st.one_of(st.just(0.0), st.floats(min_value=-30.0, max_value=30.0)),
+)
+@example(params=DESCENT_SPLIT, offset=0.0)
+@example(params=SEED_3_DESCENT_SPLIT, offset=0.0)
+@example(params=SEED_3_GROWING_STEP, offset=0.0)
+@example(params=SLOW_DESCENT, offset=0.0)
+@example(params=SLOW_DESCENT_SPLIT, offset=0.0)
+@example(params=SUBNORMAL_MU, offset=0.0)
+def test_each_search_returns_the_secant_of_a_bracket_at_most_the_tolerance_wide(
+    params, offset
+):
+    # a search with a positive range returns its last secant, and that
+    # secant's bracket is at most _L_TOL_KM wide, give or take the rounding
+    # of its ends: cold, with a prediction `offset` km off the cold edge,
+    # and along optimal_chirp's path, whose chirp at that edge it returns
+    calls = []
+    real = analysis._secant
+
+    def secant(lo, f_lo, hi, f_hi):
+        calls.append((lo, hi, real(lo, f_lo, hi, f_hi)))
+        return calls[-1][2]
+
+    def last_secant():
+        lo, hi, x = calls[-1]
+        assert hi - lo <= analysis._L_TOL_KM + 4.0 * math.ulp(hi), (lo, hi)
+        calls.clear()
+        return x
+
+    with mock.patch.object(analysis, "_secant", secant):
+        cold = _outcome(lambda: max_distance(params))
+        if isinstance(cold, float) and cold > 0.0:
+            assert last_secant() == cold
+            warm = _outcome(lambda: max_distance(params, near=cold + offset))
+            if isinstance(warm, float):
+                assert last_secant() == warm
+        calls.clear()
+        c_star = _outcome(lambda: optimal_chirp(params, -2.0, 2.0))
+        if isinstance(c_star, float) and calls:
+            assert _compensating_chirp(params, -2.0, 2.0, last_secant()) == c_star
 
 
 def _count_calls(monkeypatch, owner, name: str, calls: Counter | None = None) -> Counter:
@@ -787,6 +871,32 @@ def test_optimal_chirp_builds_no_parameter_record(monkeypatch):
     built = _count_calls(monkeypatch, ScenarioParams, "__post_init__")
     optimal_chirp(params, -2.0, 2.0)
     assert built["__post_init__"] == 0
+
+
+@pytest.mark.parametrize(
+    "jitter_ps, best_window_ps, peak_km, limit_km, at_50ps_km",
+    [(4, 18.5, 43.161, 42.927, 42.501), (25, 22.0, 37.540, 37.178, 36.949)],
+    ids=["jitter4", "jitter25"],
+)
+def test_range_against_window_peaks_between_the_zero_limit_and_50_ps(
+    jitter_ps, best_window_ps, peak_km, limit_km, at_50ps_km
+):
+    # what the model predicts where acceptance criterion 07 fails: on the
+    # defaults at C = 0 the range peaks at a window near 19 ps
+    # (4 ps jitter) or 22 ps (25 ps jitter), and as the window goes to 0,
+    # where p_sig, p_w and mu all scale with it, it tends to a limit that
+    # lies below the peak but above the 50 ps range. The peak is flat to a
+    # few cm over +-0.5 ps, so its window is pinned to a step of the grid
+    def l_max(window_ps):
+        return max_distance(ScenarioParams(jitter=jitter_ps * PS, window=window_ps * PS))
+
+    ranges = {w: l_max(w) for w in (1.0 + 0.5 * k for k in range(99))}
+    best = max(ranges, key=ranges.get)
+    assert abs(best - best_window_ps) <= 0.5
+    assert abs(ranges[best] - peak_km) <= 0.01
+    assert abs(ranges[50.0] - at_50ps_km) <= 0.01
+    assert abs(l_max(0.001) - limit_km) <= 0.01
+    assert ranges[50.0] < l_max(0.001) < ranges[best]
 
 
 def test_qber_limit_is_where_the_rate_factor_dies():

@@ -27,42 +27,48 @@ from dispersive_qkd.keyrate import (
     dark_probs,
     evaluate_point,
     key_rate,
-    qber,
-    transmittance,
 )
-from oracles import composed_point, domain_params, threshold_transmittance
+from oracles import composed_point, domain_params, qber, threshold_transmittance, transmittance
 
 PS = 1e-12
 KM = 1e3
-DB = TransmittanceConvention.DB
 LITERAL = TransmittanceConvention.LITERAL
 LINEARIZED = DarkCountModel.PAPER_LINEARIZED
 POISSON = DarkCountModel.EXACT_POISSON
 WINDOW = 50 * PS
 
 
-def test_transmittance_db_convention():
-    assert transmittance(0.2, 0.0, DB) == 1.0
-    assert abs(transmittance(0.2, 50.0, DB) - 0.1) <= 1e-15
-    assert abs(transmittance(0.2, 100.0, DB) - 0.01) <= 1e-16
-
-
-def test_transmittance_literal_convention():
-    assert abs(transmittance(0.2, 1.0, LITERAL) - 10.0 ** -0.2) <= 1e-15
-    # face-value exponent: 10 dB-convention kilometers collapse to one
-    assert transmittance(0.2, 5.0, LITERAL) == transmittance(0.2, 50.0, DB)
-
-
-def _stage_with_masses(p_sig, p_w, distance):
-    """_qber_stage on the defaults at `distance` with the window masses
-    replaced: p_signal returns p_sig and the neighbor mass q gives p_w."""
-    params = ScenarioParams()
+def _stage_with_masses(p_sig, p_w, distance, **fields):
+    """_qber_stage on the defaults, or on `fields` over them, at `distance`
+    with the window masses replaced: p_signal returns p_sig and the
+    neighbor mass q gives p_w."""
+    params = ScenarioParams(**fields)
     q = 0.5 * (1.0 - math.sqrt(1.0 - 2.0 * p_w))  # 2 q (1 - q) = p_w
     with (
         mock.patch.object(keyrate, "p_signal", return_value=p_sig),
         mock.patch.object(keyrate, "shifted_window_mass", return_value=q),
     ):
-        return _qber_stage(params, params.chirp, params._mu, distance)
+        return _qber_stage(params, params.chirp, distance)
+
+
+def _eta(distance, **fields):
+    """The stage's transmittance at `distance`: its click probability with
+    the whole pulse in the window and no neighbor in it."""
+    return _stage_with_masses(1.0, 0.0, distance, **fields)[2]
+
+
+def test_transmittance_db_convention():
+    assert _eta(0.0) == 1.0
+    assert abs(_eta(50 * KM) - 0.1) <= 1e-15
+    assert abs(_eta(100 * KM) - 0.01) <= 1e-16
+
+
+def test_transmittance_literal_convention():
+    assert abs(_eta(1 * KM, transmittance_convention=LITERAL) - 10.0 ** -0.2) <= 1e-15
+    # face-value exponent: 10 dB-convention kilometers collapse to one
+    assert _eta(5 * KM, transmittance_convention=LITERAL) == _eta(50 * KM)
+    # a convention named by its value is the member, with the same loss law
+    assert _eta(5 * KM, transmittance_convention="literal") == _eta(50 * KM)
 
 
 def test_p_detect_reference():
@@ -112,24 +118,30 @@ def test_p_raw_key_reference():
 
 
 def test_qber_reference():
-    assert qber(0.5, 0.5, 0.0, 0.3, 0.0) == 0.0
-    assert qber(1.0, 1.0, 0.2, 1.0, 0.0) == 0.0
-    got = qber(0.1, 0.9, 0.01, 0.090910, 0.0)
+    # without dark counts the QBER is 0.5 leak / (p_sig + leak) with leak =
+    # p_w (1 - eta p_sig): 0 with no neighbor in the window, 0 at eta = 1
+    # with the signal always caught, and about 0.005005 at 50 km (eta = 0.1)
+    assert _stage_with_masses(0.5, 0.0, 30 * KM, dark_rate=0.0)[3] == 0.0
+    assert _stage_with_masses(1.0, 0.2, 0.0, dark_rate=0.0)[3] == 0.0
+    got = _stage_with_masses(0.9, 0.01, 50 * KM, dark_rate=0.0)[3]
     assert abs(got - 0.005005) <= 1e-6
 
 
 def test_qber_degenerate_denominator():
     # 0/0 only without dark counts and without light in the window, where
-    # qber returns the sentinel 0.5
-    assert qber(0.1, 0.0, 0.0, 0.0, 0.0) == 0.5
-    assert qber(0.1, 0.0, 0.0, 0.0, 5000.0) == 0.5
+    # the stage returns the sentinel 0.5; with dark counts it is D mu / D mu
+    assert _stage_with_masses(0.0, 0.0, 50 * KM, dark_rate=0.0)[3] == 0.5
+    mu_5000 = {"dark_rate": 1e14, "dark_model": POISSON}
+    assert _stage_with_masses(0.0, 0.0, 50 * KM, **mu_5000)[3] == 0.5
 
 
 def test_qber_halves_after_the_division_at_a_subnormal_mean_dark_count():
     # with no photon through and mu one subnormal ulp the lone dark count
-    # is the whole error mass: qber is 1/2. Halving the numerator before the
-    # division would round 5e-324 to 0 and read 0.0.
-    assert qber(0.0, 0.9, 0.01, 0.0, 5e-324) == 0.5
+    # is the whole error mass: the QBER is 1/2. Halving the numerator before
+    # the division would round 5e-324 to 0 and read 0.0.
+    one_ulp = {"dark_rate": 5e-324 / WINDOW}
+    assert ScenarioParams(**one_ulp)._mu == 5e-324
+    assert _stage_with_masses(0.9, 0.01, 1e5 * KM, **one_ulp)[2:] == (0.0, 0.5)
     params = ScenarioParams(
         sigma=0.3e-9, chirp=-1.0, window=5e-9, period=100e-9, jitter=0.0, dark_rate=1.2e-315
     )
@@ -290,8 +302,7 @@ def test_scenario_params_builds_its_source_point_at_the_edges_of_its_fields(kwar
     # a record evaluates its source point when it is built, so a record that
     # passes the field checks must not fail there
     params = ScenarioParams(**kwargs)
-    mu = params.dark_rate * params.window
-    assert params._source == _qber_stage(params, params.chirp, mu, 0.0)
+    assert params._source == _qber_stage(params, params.chirp, 0.0)
     assert 0.0 <= params._source[3] <= 0.5
 
 
@@ -361,8 +372,7 @@ def test_record_source_point_is_the_source_at_any_chirp(params, chirp):
     # at L = 0 the width is sigma at any chirp, so the source point a record
     # computes when it is built is, bit for bit, the one at every chirp, and
     # the copy _at_chirp makes carries it unchanged
-    mu = params.dark_rate * params.window
-    assert params._source == _qber_stage(params, chirp, mu, 0.0)
+    assert params._source == _qber_stage(params, chirp, 0.0)
     assert params._at_chirp(chirp)._source == dataclasses.replace(params, chirp=chirp)._source
 
 
@@ -381,7 +391,7 @@ def test_at_chirp_checks_the_chirp():
 def test_threshold_transmittance_is_where_the_qber_crosses(p_sig, p_w, mu):
     # where the key is live at eta = 1, the closed form matches a bisection
     # of the QBER in eta
-    live = qber(1.0, p_sig, p_w, p_sig + p_w * (1.0 - p_sig), mu) < _QBER_LIMIT
+    live = qber(1.0, p_sig, p_w, mu)[1] < _QBER_LIMIT
     got = _threshold_transmittance(p_sig, p_w, mu)
     if live:
         expected = threshold_transmittance(p_sig, p_w, mu)
@@ -431,16 +441,16 @@ def test_threshold_transmittance_is_inf_without_signal(p_w, mu):
 @settings(deadline=None, max_examples=150)
 @given(params=domain_params(), distance=st.floats(min_value=0.0, max_value=500.0))
 def test_threshold_distance_inverts_the_transmittance(convention, params, distance):
-    # the public transmittance at the threshold distance of a point's masses
-    # is their eta*: each rounding of the exponent costs an ulp of log10
-    # eta*, so the bound grows with |ln eta*|
+    # the loss law at the threshold distance of a point's masses is their
+    # eta*: each rounding of the exponent costs an ulp of log10 eta*, so the
+    # bound grows with |ln eta*|
     assume(params.dark_rate * params.window < 1.0 and params.alpha > 0.0)
     params = dataclasses.replace(params, transmittance_convention=convention)
-    p_sig, p_w, _, _ = _qber_stage(params, params.chirp, params._mu, distance * KM)
+    p_sig, p_w, _, _ = _qber_stage(params, params.chirp, distance * KM)
     eta_star = _threshold_transmittance(p_sig, p_w, params._mu)
     assume(0.0 < eta_star < 1.0)
     l_km = _threshold_distance(params, p_sig, p_w)
-    eta = transmittance(params.alpha, l_km, params.transmittance_convention)
+    eta = transmittance(params, l_km)
     assert l_km > 0.0
     assert abs(eta - eta_star) <= 4.0 * max(1.0, -math.log(eta_star)) * math.ulp(eta_star)
 
@@ -454,14 +464,21 @@ def test_threshold_distance_is_not_positive_where_the_source_is_dead():
     assert _threshold_distance(params, p_sig, p_w) <= 0.0
 
 
-def test_threshold_distance_is_inf_where_eta_star_rounds_to_0():
-    # one subnormal ulp of dark counts per window: (1/2 - Q) mu rounds to 0,
-    # and so does eta*, which no finite distance's transmittance reaches
+def test_threshold_distance_is_finite_at_one_subnormal_ulp_of_dark_counts():
+    # one subnormal ulp of dark counts per window: c = (1/2 - Q) mu rounds
+    # to 0, so eta* multiplies mu in last. It is then the subnormal nearest
+    # the root c / -b (the root's next term, of relative order a c / b^2,
+    # lies far below an ulp), and the transmittance falls to it at 16126 km
     params = ScenarioParams(dark_rate=5e-324 / WINDOW)
     assert params._mu == 5e-324
     p_sig, p_w, _, _ = params._source
-    assert _threshold_transmittance(p_sig, p_w, params._mu) == 0.0
-    assert _threshold_distance(params, p_sig, p_w) == math.inf
+    eta_star = _threshold_transmittance(p_sig, p_w, params._mu)
+    h = Fraction(0.5) - Fraction(_QBER_LIMIT)
+    a, w = Fraction(p_sig), Fraction(p_w)
+    b = w / 2 - (a + w) * (Fraction(_QBER_LIMIT) + h * Fraction(5e-324))
+    assert abs(Fraction(eta_star) - h * Fraction(5e-324) / -b) <= Fraction(5e-324) / 2
+    assert eta_star == 3e-323
+    assert abs(_threshold_distance(params, p_sig, p_w) - 16126.4032) <= 1e-4
 
 
 def test_no_noise_reduction():
@@ -471,7 +488,7 @@ def test_no_noise_reduction():
     for l_m in (0.0, 10 * KM, 30 * KM):
         point = evaluate_point(params, l_m)
         assert point.p_w == 0.0
-        eta = transmittance(0.2, l_m / KM, DB)
+        eta = transmittance(params, l_m / KM)
         assert point.key_rate == eta * point.p_sig / 2.0
 
 
@@ -561,7 +578,7 @@ def test_qber_with_dark_counts_matches_its_exact_definition(model, mu, l_km):
     # by p_zero, in mu = p_one / p_zero
     params = ScenarioParams(dark_model=model, dark_rate=mu / WINDOW)
     point = evaluate_point(params, l_km * KM)
-    eta = Fraction(transmittance(params.alpha, l_km, DB))
+    eta = Fraction(transmittance(params, l_km))
     a, w = Fraction(point.p_sig), Fraction(point.p_w)
     p_det = eta * (a + w * (1 - eta * a))
     if point.p_zero > 0.0:
