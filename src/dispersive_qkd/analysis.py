@@ -321,12 +321,12 @@ def max_distance(params: ScenarioParams, near: float | None = None) -> float:
     splits the secure set, that is the far edge, not the near one: the
     search descends in one loop from the focal point, each dead point
     proving the stretch down to the next one dead, until a live point, the
-    focal point itself where the rate is live there. Without dark counts, without loss, or with mu >= 1
-    under exact Poisson, the loop stops at a dead focal point and the search
-    runs between 0 and it, and so it does below the lowest dead point where
-    the descent's steps shrink too slowly to pay; there it may stop at a
-    near edge. Raises NonConvergenceError where the QBER is still below the
-    threshold past _BRACKET_CEILING_KM.
+    focal point itself where the rate is live there. Without dark counts,
+    without loss, or with mu >= 1 under exact Poisson, the loop stops at a
+    dead focal point and the search runs between 0 and it, and so it does
+    below the lowest dead point where the descent's steps shrink too slowly
+    to pay; there it may stop at a near edge. Raises NonConvergenceError
+    where the QBER is still below the threshold past _BRACKET_CEILING_KM.
 
     near, a predicted edge in km, only saves evaluations where it is close:
     the search checks _L_TOL_KM / 2 either side of it first, before a focal

@@ -9,15 +9,17 @@ per-distance pipeline from the record's fields, the public formula
 functions and what the QBER stage and `evaluate_point` write inline: the
 detected spread, the wrong-bit mass, the loss law (`transmittance`), the
 click probability and the QBER (`qber`), and the raw-key probability, in
-the same float order. It is the reference for `evaluate_point`;
-`reference_range` repeats `max_distance`'s search over it,
-`bisection_range` the plain bisection that search replaced, and
-`best_grid_range` takes the best reference range over a chirp grid, the
-brute-force reference for the best chirp, and `live_points` scans a
-distance range on a 10 m grid, the brute-force reference for a far edge.
-`threshold_transmittance` bisects the QBER in the transmittance, the
-reference for its closed form. `domain_params` draws `ScenarioParams` over
-the documented robustness domain.
+the same float order. It is the reference for `evaluate_point`. The
+secure-range search is checked against its definition, not against a copy
+of its steps: `live_points` scans a distance range on a 10 m grid, the
+brute-force reference for a far edge, `bisection_range` is the plain
+bisection the search replaced, and `best_grid_range` takes the longest
+`max_distance` over a chirp grid, the brute-force reference for the best
+chirp. `threshold_transmittance` bisects the QBER in the transmittance,
+the reference for its closed form. `domain_record` builds a
+`ScenarioParams` of the documented robustness domain from a source of
+draws: `domain_params` draws it by Hypothesis, and the pinned-results test
+by a seeded `random.Random`.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from typing import Callable
 
 from hypothesis import strategies as st
 
-from dispersive_qkd.analysis import NonConvergenceError
+from dispersive_qkd.analysis import NonConvergenceError, max_distance
 from dispersive_qkd.detection import broadened_sigma, p_signal, shifted_window_mass
 from dispersive_qkd.keyrate import (
     DarkCountModel,
     ProtocolPoint,
     ScenarioParams,
     TransmittanceConvention,
-    _threshold_transmittance,
     dark_probs,
     key_rate,
 )
@@ -445,154 +446,6 @@ def live_points(params: ScenarioParams, a_km: float, b_km: float) -> list[float]
     return [l_km for l_km in grid if composed_point(params, l_km * 1e3).key_rate > 0.0]
 
 
-def reference_range(params: ScenarioParams, near: float | None = None) -> float:
-    """max_distance's documented search, over composed_point's pipeline.
-
-    0.0 if dead at the source. The focal point is L_f = C sigma^2 / ((1 +
-    C^2) beta) where C beta > 0 and L_f < 1e7 km. The predicted edge g is
-    `near`, or, with beta = 0, 0 < mu < 1 and alpha > 0, the distance at
-    which the transmittance falls to the threshold transmittance of the
-    source's window masses: the width is constant there, so that is the
-    edge. Where g - 5 m lies above L_f (above 0 without one) and g + 5 m
-    below 1e7 km, the search checks g + 5 m first, and if that is dead
-    g - 5 m: if that is live the result is the secant of the two, and if
-    it is dead it is the top. Past L_f the width only grows, so a live
-    point there proves L_f live: L_f is checked only where no probe ran or
-    both probe points are dead. Where it is live it is the bracket's live
-    end. The top is 50 km above the live end, 0 or L_f, unless a probe or
-    the descent set it.
-    Where the rate is dead at L_f and 0 < mu < 1, alpha > 0, the search
-    descends from L_f: from a dead b to threshold_km(b), the distance at
-    which the transmittance falls to the threshold transmittance of the
-    window masses at b, or to b - 10 m where that step is shorter, and b -
-    10 m, if secure, ends it at the secant of b - 10 m and b. The width
-    falls with L below L_f and the threshold transmittance does not fall as
-    the width grows, so a dead b proves [threshold_km(b), b] dead. Where
-    threshold_km(b) is secure, it and b bracket the edge. The descent
-    stops, and 0 and b bracket it, where the next point would not lie above
-    0 or where the ratio r of the step to the last one predicts more
-    evaluations to the edge (steps down to one under 10 m, then 1 / (1 - r)
-    checks 10 m apart) than log2(b / 10 m); a step that proves nothing
-    (threshold_km(b) >= b) restarts r, and a second such step in a row
-    counts as r = 1. Outside that domain 0 and L_f bracket it. A live top
-    doubles until the rate dies (giving up past 1e7 km).
-    Illinois regula falsi on the QBER margin then shrinks every bracket to
-    10 m. Its halving is the one safeguard, and each step lands at least
-    5 m inside the bracket, which ends the loop. The result is the secant
-    of the last bracket's ends at their true margins, not the halved ones:
-    it lies inside that bracket, at most 10 m wide, and in the median under
-    1 mm from the edge (measured figures at analysis._L_TOL_KM).
-    Live means qber below its threshold, which with dark counts is where
-    key_rate > 0; the interpolation reads the raw margin, the threshold
-    minus qber.
-    """
-    # kept apart from analysis's own constants
-    l_hint, tol, ceiling = 50.0, 0.01, 1e7
-
-    def margin(l_km: float) -> float:
-        return _QBER_LIMIT - composed_point(params, l_km * 1e3).qber
-
-    def secant(a: float, f_a: float, b: float, f_b: float) -> float:
-        return a + (b - a) * f_a / (f_a - f_b)
-
-    f_lo = margin(0.0)
-    if not f_lo > 0.0:
-        return 0.0
-    mu = params.dark_rate * params.window
-    has_eta_star = 0.0 < mu < 1.0 and params.alpha > 0.0
-    per_km = params.alpha
-    if params.transmittance_convention is not TransmittanceConvention.LITERAL:
-        per_km /= 10.0
-
-    def threshold_km(l_km: float) -> float:
-        # where the transmittance falls to the threshold transmittance of
-        # the window masses at l_km; l_km itself where the root does not exist
-        point = composed_point(params, l_km * 1e3)
-        eta_star = _threshold_transmittance(point.p_sig, point.p_w, mu)
-        return -math.log10(eta_star) / per_km if eta_star > 0.0 else l_km
-
-    def descent_cost(step: float, ratio: float) -> float:
-        # evaluations to the fixed point if each step is ratio of the last:
-        # steps down to one under 10 m, then 1 / (1 - ratio) 10 m checks
-        if ratio >= 1.0:
-            return math.inf
-        cost = 1.0 / (1.0 - ratio)
-        if step > tol and ratio > 0.0:
-            cost += math.log(step / tol) / -math.log(ratio)
-        return cost
-
-    l_f, g = 0.0, near
-    if params.chirp * params.beta > 0.0:
-        c, s = params.chirp, params.sigma
-        l_f = c * (s * s) / ((1.0 + c * c) * params.beta) / 1e3
-        if l_f >= ceiling:
-            l_f = 0.0
-    if params.beta == 0.0 and has_eta_star:
-        source = composed_point(params, 0.0)
-        eta_star = _threshold_transmittance(source.p_sig, source.p_w, mu)
-        if 0.0 < eta_star < 1.0:
-            g = -math.log10(eta_star) / per_km
-    lo, f_hi = 0.0, None
-    if g is not None and l_f < g - tol / 2 and g + tol / 2 <= ceiling:
-        hi = g + tol / 2
-        f_hi = margin(hi)
-        if not f_hi > 0.0:
-            below = g - tol / 2
-            f = margin(below)
-            if f > 0.0:
-                return secant(below, f, hi, f_hi)
-            hi, f_hi = below, f
-    if l_f > 0.0 and not (f_hi is not None and f_hi > 0.0):
-        f = margin(l_f)
-        if f > 0.0:
-            lo, f_lo = l_f, f
-        else:
-            hi, f_hi = l_f, f
-        # descend from the dead L_f: [threshold_km(hi), hi] is dead
-        last_step = math.inf
-        while f <= 0.0 and has_eta_star:
-            x = threshold_km(hi)
-            if last_step > 0.0:
-                ratio = (hi - x) / last_step
-            else:  # after a step that proved nothing: restart, or stop at a second
-                ratio = 1.0 if x >= hi else 0.0
-            last_step = hi - x
-            short = not x < hi - tol
-            if short:
-                x = hi - tol
-            if not x > 0.0 or descent_cost(last_step, ratio) > math.log2(hi / tol):
-                break  # bracket [0, hi]
-            f = margin(x)
-            if f > 0.0 and short:
-                return secant(x, f, hi, f_hi)
-            if f > 0.0:
-                lo, f_lo = x, f
-            else:
-                hi, f_hi = x, f
-    if f_hi is None:
-        hi = lo + l_hint
-        f_hi = margin(hi)
-    while f_hi > 0.0:
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        if hi > ceiling:
-            raise NonConvergenceError(f"rate still positive at {lo} km")
-        f_hi = margin(hi)
-    true_lo, true_hi = f_lo, f_hi
-    last = None
-    while hi - lo > tol:
-        x = min(max(secant(lo, f_lo, hi, f_hi), lo + tol / 2), hi - tol / 2)
-        f = margin(x)
-        if f > 0.0:
-            if last == "lo":
-                f_hi /= 2
-            lo, f_lo, true_lo, last = x, f, f, "lo"
-        else:
-            if last == "hi":
-                f_lo /= 2
-            hi, f_hi, true_hi, last = x, f, f, "hi"
-    return secant(lo, true_lo, hi, true_hi)
-
-
 def bisection_range(params: ScenarioParams) -> float:
     """The far edge by plain bisection of qber below its threshold (with
     dark counts, key_rate > 0) over the composed pipeline, the search
@@ -621,51 +474,45 @@ def bisection_range(params: ScenarioParams) -> float:
 
 
 def best_grid_range(params: ScenarioParams, c_min: float, c_max: float, points: int) -> float:
-    """Longest reference_range over `points` evenly spaced chirps in
+    """Longest max_distance over `points` evenly spaced chirps in
     [c_min, c_max], ends included."""
     step = (c_max - c_min) / (points - 1)
-    return max(
-        reference_range(replace(params, chirp=c_min + k * step)) for k in range(points)
-    )
+    return max(max_distance(replace(params, chirp=c_min + k * step)) for k in range(points))
 
 
-def _decades(lo: float, hi: float):
-    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(
-        lambda e: 10.0 ** e
+def domain_record(uniform: Callable[[float, float], float], pick: Callable) -> ScenarioParams:
+    """A ScenarioParams over the documented robustness domain, from a
+    source of draws: uniform(lo, hi), a float in [lo, hi], and
+    pick(options), one item of a tuple. Sigma, jitter, window and period
+    span three decades (windows may overlap), beta = 0 and jitter = 0
+    included, |C| up to 10, dark_rate * window from 1e-9 up to 2 under
+    exact_poisson and up to 0.999 under paper_linearized, whose records
+    need it below 1 after rounding, and both transmittance conventions."""
+
+    def decades(lo: float, hi: float) -> float:
+        return 10.0 ** uniform(math.log10(lo), math.log10(hi))
+
+    window = decades(1.0, 1000.0) * 1e-12
+    dark_model = pick(tuple(DarkCountModel))
+    exposure = decades(1e-9, 2.0 if dark_model is DarkCountModel.EXACT_POISSON else 0.999)
+    return ScenarioParams(
+        sigma=decades(1.0, 1000.0) * 1e-12,
+        chirp=uniform(-10.0, 10.0),
+        beta=pick((0.0, -1.0, 1.0)) * decades(0.1, 10.0) * 1e-26,
+        alpha=uniform(0.15, 0.3),
+        dark_rate=exposure / window,
+        period=decades(10.0, 10000.0) * 1e-12,
+        jitter=pick((0.0, 1.0)) * decades(0.1, 100.0) * 1e-12,
+        window=window,
+        dark_model=dark_model,
+        transmittance_convention=pick(tuple(TransmittanceConvention)),
     )
 
 
 @st.composite
 def domain_params(draw) -> ScenarioParams:
-    """ScenarioParams over the documented robustness domain: sigma, jitter,
-    window and period across three decades (windows may overlap), beta = 0
-    and jitter = 0 included, |C| up to 10, dark_rate * window from 1e-9 up
-    to 2 under exact_poisson and below 1, the record's bound, under
-    paper_linearized, both transmittance conventions."""
-    window = draw(_decades(1.0, 1000.0)) * 1e-12
-    dark_model = draw(st.sampled_from(DarkCountModel))
-    if dark_model is DarkCountModel.EXACT_POISSON:
-        exposure = draw(_decades(1e-9, 2.0))
-    else:
-        exposure = draw(_decades(1e-9, 1.0).filter(lambda e: e / window * window < 1.0))
-    return ScenarioParams(
-        sigma=draw(_decades(1.0, 1000.0)) * 1e-12,
-        chirp=draw(st.floats(min_value=-10.0, max_value=10.0)),
-        beta=draw(
-            st.one_of(
-                st.just(0.0),
-                st.builds(
-                    lambda mag, sign: sign * mag * 1e-26,
-                    _decades(0.1, 10.0),
-                    st.sampled_from((-1.0, 1.0)),
-                ),
-            )
-        ),
-        alpha=draw(st.floats(min_value=0.15, max_value=0.3)),
-        dark_rate=exposure / window,
-        period=draw(_decades(10.0, 10000.0)) * 1e-12,
-        jitter=draw(st.one_of(st.just(0.0), _decades(0.1, 100.0))) * 1e-12,
-        window=window,
-        dark_model=dark_model,
-        transmittance_convention=draw(st.sampled_from(TransmittanceConvention)),
+    """domain_record's records, drawn by Hypothesis."""
+    return domain_record(
+        lambda lo, hi: draw(st.floats(min_value=lo, max_value=hi)),
+        lambda options: draw(st.sampled_from(options)),
     )

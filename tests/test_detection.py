@@ -260,21 +260,35 @@ def test_shifted_window_mass_against_quadrature():
         assert abs(got - ref) <= 1e-8 * ref
 
 
+# the defaults' detected spread at L = 0, hypot(sigma, jitter)
+_SOURCE_SPREAD = math.hypot(10 * PS, 25 * PS)
+
+
 @pytest.mark.parametrize(
     "sigma_tot, window, period",
     [
         (10 * PS, 50 * PS, 100 * PS),
         (1.0, 2.0, 8.0),
         (4 * PS, 25 * PS, 100 * PS),  # mass ~2e-106
+        # windows narrow against the spread, where the two upper tails
+        # cancel: 6e-7 off at 1e-20 s, 1.4% at 1e-24 s, 0 from 1e-26 s down
+        (_SOURCE_SPREAD, 1e-20, 100 * PS),
+        (_SOURCE_SPREAD, 1e-24, 100 * PS),
+        (_SOURCE_SPREAD, 1e-26, 100 * PS),
+        (_SOURCE_SPREAD, 1e-300, 100 * PS),
+        (4 * PS, 1e-20, 100 * PS),  # mass ~1e-145
+        (1.0, 1e-3, 0.5),  # the series at u = 4.8e-4, x = 0.35
     ],
 )
 def test_shifted_window_mass_saturated_relative_accuracy(sigma_tot, window, period):
     # window edges many sigma out: a difference of erf values near 1 would
-    # lose every digit here, the difference of upper tails keeps them
+    # lose every digit here, the difference of upper tails keeps them. The
+    # quadrature runs over the offset from the period, so that a narrow
+    # window's edges do not round into each other
     tight = QuadratureSpec(abs_tol=1e-300, rel_tol=1e-12)
-    lo = (period - window / 2.0) / sigma_tot
-    hi = (period + window / 2.0) / sigma_tot
-    ref = integrate(gaussian(1.0), lo, hi, tight).real
+    center = gaussian(1.0)
+    half = window / 2.0 / sigma_tot
+    ref = integrate(lambda u: center(period / sigma_tot + u), -half, half, tight).real
     got = shifted_window_mass(sigma_tot, window, period)
     assert ref > 0.0
     assert abs(got - ref) <= 1e-9 * ref
