@@ -202,6 +202,26 @@ def test_max_distance_sets_a_focal_point_past_the_ceiling_aside():
     assert abs(max_distance(FOCAL_POINT_PAST_THE_CEILING) - 327.4714206439197) <= 1e-6
 
 
+def test_max_distance_equals_reference_search():
+    # the reference search's results, over test_pinned_ranges' 200 seeded
+    # draws and named records: every outcome, a range, 0.0 when dead at the
+    # source, NonConvergenceError and ValueError, within a relative 1e-9
+    import test_pinned_ranges as pinned
+
+    moved = pinned.moved_rows(pinned.COLD)
+    assert not moved, f"{len(moved)} rows moved, the first {moved[:3]}"
+
+
+def test_max_distance_with_a_prediction_equals_reference_search():
+    # as above, with a prediction within 20 m of the cold edge: the probe
+    # 5 m on either side of it runs before the focal point, and skips it
+    # where a probe point is live
+    import test_pinned_ranges as pinned
+
+    moved = pinned.moved_rows(pinned.WARM)
+    assert not moved, f"{len(moved)} rows moved, the first {moved[:3]}"
+
+
 @settings(deadline=None, max_examples=200)
 @given(params=domain_params())
 def test_max_distance_is_an_extinction_edge_no_shorter_than_bisection(params):
