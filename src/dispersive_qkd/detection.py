@@ -96,7 +96,8 @@ def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float
     off at the defaults' spread with a 1e-24 s window, and exactly 0 from
     about 1e-26 s down. The series needs d to be a normal float: a
     subnormal d carries fewer bits, and the mass, at most 1.13 d, then lies
-    below the normal range and reads 0.
+    below the normal range and reads 0. A period past about 1e154 spreads
+    (x * x overflows) reads 0 too.
     """
     if not sigma_tot > 0:
         raise ValueError(f"sigma_tot must be > 0, got {sigma_tot}")
@@ -109,7 +110,10 @@ def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float
     if half < _MIDPOINT_BELOW * scale:  # d < _MIDPOINT_BELOW, one product on the common path
         x, d = period / scale, half / scale
         if d * (1.0 + x) < _MIDPOINT_BELOW and d >= _NORMAL_MIN:
-            series = 1.0 + (4.0 * x * x - 2.0) * d * d / 6.0
+            # x d < _MIDPOINT_BELOW keeps the correction finite where x * x
+            # overflows, and the mass there reads exp(-inf) = 0
+            xd = x * d
+            series = 1.0 + (4.0 * xd * xd - 2.0 * d * d) / 6.0
             return _2_OVER_SQRTPI * d * math.exp(-x * x) * series
     mass = 0.5 * (erfc((period - half) / scale) - erfc((period + half) / scale))
     # where the two tails nearly coincide, rounding can dip a few ulp below 0

@@ -486,15 +486,21 @@ def domain_record(uniform: Callable[[float, float], float], pick: Callable) -> S
     pick(options), one item of a tuple. Sigma, jitter, window and period
     span three decades (windows may overlap), beta = 0 and jitter = 0
     included, |C| up to 10, dark_rate * window from 1e-9 up to 2 under
-    exact_poisson and up to 0.999 under paper_linearized, whose records
-    need it below 1 after rounding, and both transmittance conventions."""
+    exact_poisson and below 1, the record's bound, under paper_linearized
+    (a draw of 1 steps down until it lies below 1 after rounding), and
+    both transmittance conventions."""
 
     def decades(lo: float, hi: float) -> float:
         return 10.0 ** uniform(math.log10(lo), math.log10(hi))
 
     window = decades(1.0, 1000.0) * 1e-12
     dark_model = pick(tuple(DarkCountModel))
-    exposure = decades(1e-9, 2.0 if dark_model is DarkCountModel.EXACT_POISSON else 0.999)
+    if dark_model is DarkCountModel.EXACT_POISSON:
+        exposure = decades(1e-9, 2.0)
+    else:
+        exposure = decades(1e-9, 1.0)
+        while exposure / window * window >= 1.0:
+            exposure = math.nextafter(exposure, 0.0)
     return ScenarioParams(
         sigma=decades(1.0, 1000.0) * 1e-12,
         chirp=uniform(-10.0, 10.0),

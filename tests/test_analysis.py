@@ -1,6 +1,9 @@
+import functools
 import math
+import random
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -34,6 +37,7 @@ from oracles import (
     bisection_range,
     composed_point,
     domain_params,
+    domain_record,
     live_points,
 )
 
@@ -200,26 +204,6 @@ def test_max_distance_sets_a_focal_point_past_the_ceiling_aside():
     # 0.01 m from the beta = 0 edge, 327.4714106 km
     assert _focal_km(FOCAL_POINT_PAST_THE_CEILING) > analysis._BRACKET_CEILING_KM
     assert abs(max_distance(FOCAL_POINT_PAST_THE_CEILING) - 327.4714206439197) <= 1e-6
-
-
-def test_max_distance_equals_reference_search():
-    # the reference search's results, over test_pinned_ranges' 200 seeded
-    # draws and named records: every outcome, a range, 0.0 when dead at the
-    # source, NonConvergenceError and ValueError, within a relative 1e-9
-    import test_pinned_ranges as pinned
-
-    moved = pinned.moved_rows(pinned.COLD)
-    assert not moved, f"{len(moved)} rows moved, the first {moved[:3]}"
-
-
-def test_max_distance_with_a_prediction_equals_reference_search():
-    # as above, with a prediction within 20 m of the cold edge: the probe
-    # 5 m on either side of it runs before the focal point, and skips it
-    # where a probe point is live
-    import test_pinned_ranges as pinned
-
-    moved = pinned.moved_rows(pinned.WARM)
-    assert not moved, f"{len(moved)} rows moved, the first {moved[:3]}"
 
 
 @settings(deadline=None, max_examples=200)
@@ -1209,3 +1193,121 @@ def test_run_scenario_fig4a_beta_ordering():
 def test_run_scenario_rejects_unknown_name():
     with pytest.raises(ValueError):
         run_scenario("fig9")
+
+
+# The secure-range search's results, pinned over a fixed record set. The
+# tests above hold the search to its definition: an edge within _L_TOL_KM,
+# no nearer than bisection, the secant of a bracket at most _L_TOL_KM wide.
+# A change of its steps that keeps every result inside that bracket
+# (another Illinois factor, say) passes them all; this table catches it.
+# Per record it holds the outcome, a value or the name of the error raised,
+# of max_distance cold, of max_distance with a prediction within 20 m of the
+# cold edge, and of optimal_chirp on [-2, 2], plus the evaluations
+# (keyrate.broadened_sigma calls) of all of them; each column is checked by
+# one test below. The records are 200 oracles.domain_record draws from a
+# seeded random.Random, whose draws, unlike Hypothesis's, do not change
+# between versions, and this module's named records. Values match within a
+# relative PINNED_REL_TOL, so that last-bit differences between C libraries
+# pass; evaluations match exactly. A change that moves the numerics on
+# purpose re-pins the table with
+#
+#     PYTHONPATH=src python tests/test_analysis.py
+
+PINNED_TABLE = Path(__file__).with_name("pinned_ranges.txt")
+PINNED_REL_TOL = 1e-9
+COLD, WARM, C_STAR = 1, 2, 3
+
+
+def _pinned_records() -> list[tuple[str, ScenarioParams, float]]:
+    """(label, record, prediction offset in km) of each row, in order."""
+    rng = random.Random(33)
+    rows = [(f"draw-{i:03d}", domain_record(rng.uniform, rng.choice)) for i in range(200)]
+    rows += [
+        ("defaults", ScenarioParams()),
+        ("dark_rate=1e9", ScenarioParams(dark_rate=1e9)),
+        ("underflow-bracket", ScenarioParams(dark_rate=0.0, beta=0.0)),
+        ("underflow-bisection", ScenarioParams(dark_rate=0.0, alpha=100.0)),
+        ("window=1e-26", ScenarioParams(window=1e-26)),
+        ("SPLIT_SETS-live", SPLIT_SETS["live at L_f"]),
+        ("SPLIT_SETS-dead", SPLIT_SETS["dead at L_f"]),
+        ("FOCAL_POINT_PAST_THE_CEILING", FOCAL_POINT_PAST_THE_CEILING),
+        ("DESCENT_SPLIT", DESCENT_SPLIT),
+        ("SEED_3_DESCENT_SPLIT", SEED_3_DESCENT_SPLIT),
+        ("SEED_3_GROWING_STEP", SEED_3_GROWING_STEP),
+        ("SLOW_DESCENT", SLOW_DESCENT),
+        ("SLOW_DESCENT_SPLIT", SLOW_DESCENT_SPLIT),
+        ("SPLIT_WITHOUT_ETA_STAR", SPLIT_WITHOUT_ETA_STAR),
+    ]
+    rows += [(f"SUBNORMAL_MU-C{c:g}", SUBNORMAL_MU._at_chirp(c)) for c in (0.05, 0.1, 1.0)]
+    return [(label, params, rng.uniform(-0.02, 0.02)) for label, params in rows]
+
+
+@functools.cache
+def _pinned_results() -> tuple[int, list[tuple]]:
+    """The evaluations the searches made, and (label, cold, warm, c_star)
+    of each record, warm "-" where the cold search raised."""
+    rows = []
+
+    def run():
+        for label, params, offset in _pinned_records():
+            cold = _outcome(lambda: max_distance(params))
+            warm = "-"
+            if isinstance(cold, float):
+                warm = _outcome(lambda: max_distance(params, near=cold + offset))
+            c_star = _outcome(lambda: optimal_chirp(params, -2.0, 2.0))
+            rows.append((label, cold, warm, c_star))
+
+    with pytest.MonkeyPatch.context() as mp:
+        return _counted_evaluations(mp, run), rows
+
+
+def _token(outcome) -> str:
+    """An outcome as the table writes it: a float's repr, an error's type
+    name, or "-"."""
+    if isinstance(outcome, type):
+        return outcome.__name__
+    return outcome if isinstance(outcome, str) else repr(outcome)
+
+
+def _moved_rows(column: int) -> list[tuple]:
+    """The rows whose outcome in `column` (COLD, WARM or C_STAR) is off the
+    table, once the rows are checked to be the table's, in order."""
+    _, rows = _pinned_results()
+    pinned = [line.split() for line in PINNED_TABLE.read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == [row[0] for row in pinned]
+
+    def moved(got, token: str) -> bool:
+        if isinstance(got, float) and token[-1].isdigit():
+            return not abs(got - float(token)) <= PINNED_REL_TOL * abs(float(token))
+        return _token(got) != token
+
+    return [row for row, want in zip(rows, pinned) if moved(row[column], want[column])]
+
+
+def test_max_distance_equals_reference_search():
+    # the cold column: every outcome, a range, 0.0 when dead at the source,
+    # NonConvergenceError and ValueError. It holds the results of the
+    # test-side copy of the search that the table replaced
+    moved = _moved_rows(COLD)
+    assert not moved, f"{len(moved)} rows moved, the first {moved[:3]}"
+
+
+def test_max_distance_with_a_prediction_equals_reference_search():
+    # the warm column, with a prediction within 20 m of the cold edge: the
+    # probe 5 m on either side of it runs before the focal point, and skips
+    # it where a probe point is live
+    moved = _moved_rows(WARM)
+    assert not moved, f"{len(moved)} rows moved, the first {moved[:3]}"
+
+
+def test_optimal_chirp_and_the_evaluations_match_the_pinned_table():
+    moved = _moved_rows(C_STAR)
+    assert not moved, f"{len(moved)} rows moved, the first {moved[:3]}"
+    _, pinned_evaluations = PINNED_TABLE.read_text().splitlines()[0].split()
+    assert _pinned_results()[0] == int(pinned_evaluations)
+
+
+if __name__ == "__main__":
+    evaluations, rows = _pinned_results()
+    lines = [" ".join(map(_token, row)) for row in rows]
+    PINNED_TABLE.write_text("\n".join([f"evaluations {evaluations}", *lines]) + "\n")

@@ -294,6 +294,14 @@ def test_shifted_window_mass_saturated_relative_accuracy(sigma_tot, window, peri
     assert abs(got - ref) <= 1e-9 * ref
 
 
+def test_shifted_window_mass_reads_0_where_the_period_squared_overflows():
+    # the series branch at x = 7e159 spreads: x * x is inf and the mass,
+    # exp(-x^2) below every float, reads 0, not 0 * inf = nan
+    assert shifted_window_mass(1e-70, 1e-240, 1e90) == 0.0
+    params = ScenarioParams(sigma=1e-70, jitter=0.0, period=1e90, window=1e-240)
+    assert evaluate_point(params, 0.0).p_w == 0.0
+
+
 def test_window_mass_closed_forms_match_quadrature_random():
     rng = random.Random(1183)
     for _ in range(12):
