@@ -161,9 +161,10 @@ def _edge(
 
     The threshold transmittance eta* of a point's window masses is the
     transmittance at which the QBER reaches the threshold at that point's
-    width; where 0 < mu < 1 and alpha > 0 it exists and does not fall as
-    the width grows. g(L), keyrate._threshold_distance of the masses at L,
-    is the distance at which the transmittance falls to their eta*.
+    width; where it exists (keyrate._threshold_distance says where) it does
+    not fall as the width grows. g(L), keyrate._threshold_distance of the
+    masses at L, is the distance at which the transmittance falls to their
+    eta*, and 0.0 where it does not exist.
 
     A predicted edge g is checked first: `near`, where the caller has one,
     or with beta = 0, where there is no focal point and the width is
@@ -191,16 +192,15 @@ def _edge(
     bracket. Near a far edge where eta* climbs almost as fast as the
     transmittance falls, the steps shrink slowly, so each step is weighed
     first. The loop stops, and [0, b] is the bracket for the last dead b,
-    where eta* does not exist (mu = 0, alpha = 0, or mu >= 1 under exact
-    Poisson; b is then L_f), where the next point would not lie above 0, or
-    where _descent_evaluations at the ratio of this step to the last exceeds
-    log2(b / _L_TOL_KM). A zero step, where g(b) is not below b, restarts
-    that ratio, and a second zero step in a row counts as a ratio of 1:
-    where eta* rounds to 0 at every point, the loop would otherwise walk
-    down _L_TOL_KM at a time. [b, L_f] is already dead, so no secure point
-    above b is missed. A bracket with 0 as its live end is not certified:
-    where the set splits inside it, the search may stop at a near edge.
-    Below a dead L_f the result does not depend on `near`.
+    where the next point would not lie above 0 (at L_f where eta* does not
+    exist), or where _descent_evaluations at the ratio of this step to the
+    last exceeds log2(b / _L_TOL_KM). A zero step, where g(b) is not below
+    b, restarts that ratio, and a second zero step in a row counts as a
+    ratio of 1: where eta* rounds to 0 at every point, the loop would
+    otherwise walk down _L_TOL_KM at a time. [b, L_f] is already dead, so
+    no secure point above b is missed. A bracket with 0 as its live end is
+    not certified: where the set splits inside it, the search may stop at a
+    near edge. Below a dead L_f the result does not depend on `near`.
 
     Elsewhere the top starts _L_HINT_KM above the live end, and a secure top
     doubles until it is not. Above the live end the width only grows and
@@ -235,14 +235,13 @@ def _edge(
     f_lo = _QBER_LIMIT - q
     if not f_lo > 0.0:
         return 0.0
-    has_eta_star = 0.0 < params._mu < 1.0 and params.alpha > 0.0
     lo, f_hi, g, focal_km = 0.0, None, near, 0.0
     if c0 * params.beta > 0.0:
         s2 = params.sigma * params.sigma
         focal_km = c0 * s2 / ((1.0 + c0 * c0) * params.beta) / _KM
         if not focal_km < _BRACKET_CEILING_KM:
             focal_km = 0.0
-    elif params.beta == 0.0 and has_eta_star:
+    elif params.beta == 0.0:
         if 0.0 < (g_src := _threshold_distance(params, p_sig, p_w)) < math.inf:
             g = g_src
     half_tol = 0.5 * _L_TOL_KM
@@ -267,8 +266,6 @@ def _edge(
                 lo, f_lo = l_km, f
                 break
             hi, f_hi = l_km, f
-            if not has_eta_star:
-                break
             l_km = min(_threshold_distance(params, p_sig, p_w), hi)
             if step > 0.0:
                 ratio = (hi - l_km) / step
@@ -321,12 +318,13 @@ def max_distance(params: ScenarioParams, near: float | None = None) -> float:
     splits the secure set, that is the far edge, not the near one: the
     search descends in one loop from the focal point, each dead point
     proving the stretch down to the next one dead, until a live point, the
-    focal point itself where the rate is live there. Without dark counts,
-    without loss, or with mu >= 1 under exact Poisson, the loop stops at a
-    dead focal point and the search runs between 0 and it, and so it does
-    below the lowest dead point where the descent's steps shrink too slowly
-    to pay; there it may stop at a near edge. Raises NonConvergenceError
-    where the QBER is still below the threshold past _BRACKET_CEILING_KM.
+    focal point itself where the rate is live there. Where the threshold
+    transmittance does not exist (keyrate._threshold_distance says where),
+    the loop stops at a dead focal point and the search runs between 0 and
+    it, and so it does below the lowest dead point where the descent's steps
+    shrink too slowly to pay; there it may stop at a near edge. Raises
+    NonConvergenceError where the QBER is still below the threshold past
+    _BRACKET_CEILING_KM.
 
     near, a predicted edge in km, only saves evaluations where it is close:
     the search checks _L_TOL_KM / 2 either side of it first, before a focal

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_2_SQRT2 = 2.0 * _SQRT2
 _2_OVER_SQRTPI = 2.0 / math.sqrt(math.pi)
 # where shifted_window_mass's two error bounds meet: the erfc difference's
 # eps (1 + x)^2 / u at x <= 27 (beyond it the mass underflows) and the
@@ -55,10 +56,8 @@ def broadened_sigma(sigma: float, chirp: float, beta: float, length: float) -> f
         raise ValueError(f"propagation distance must be >= 0 m and finite, got {length}")
     s2 = sigma * sigma
     bl = beta * length
-    try:
-        width = math.sqrt(((s2 - chirp * bl) ** 2 + bl * bl) / s2)
-    except OverflowError:
-        width = math.inf
+    d = s2 - chirp * bl
+    width = math.sqrt((d * d + bl * bl) / s2)
     if not width < math.inf:  # also the nan of 0 * inf
         raise ValueError(
             f"broadened width overflows a float at sigma={sigma:g} s, chirp={chirp:g}, "
@@ -68,12 +67,18 @@ def broadened_sigma(sigma: float, chirp: float, beta: float, length: float) -> f
 
 
 def p_signal(sigma_tot: float, window: float) -> float:
-    """Mass of the centered detection Gaussian inside the window."""
+    """Mass of the centered detection Gaussian inside the window,
+    erf(window / (2 sqrt(2) sigma_tot)). It reads window / sigma_tot alone,
+    so where 2 sqrt(2) sigma_tot overflows, past about 6.4e307 s, both are
+    quartered first: exactly, or where the quotient underflows anyway."""
     if not sigma_tot > 0:
         raise ValueError(f"sigma_tot must be > 0, got {sigma_tot}")
     if not window > 0:
         raise ValueError(f"window must be > 0, got {window}")
-    return erf(window / (2.0 * _SQRT2 * sigma_tot))
+    scale = _2_SQRT2 * sigma_tot
+    if scale == math.inf:
+        window, scale = 0.25 * window, 0.25 * _2_SQRT2 * sigma_tot
+    return erf(window / scale)
 
 
 def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float:
@@ -97,7 +102,10 @@ def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float
     about 1e-26 s down. The series needs d to be a normal float: a
     subnormal d carries fewer bits, and the mass, at most 1.13 d, then lies
     below the normal range and reads 0. A period past about 1e154 spreads
-    (x * x overflows) reads 0 too.
+    (x * x overflows) reads 0 too. The mass reads window / sigma_tot and
+    period / sigma_tot alone, so where s (past about 1.27e308 s) or P + h
+    overflows, all three are halved first: exactly, or where the mass
+    underflows anyway.
     """
     if not sigma_tot > 0:
         raise ValueError(f"sigma_tot must be > 0, got {sigma_tot}")
@@ -107,6 +115,10 @@ def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float
         raise ValueError(f"period must be > 0, got {period}")
     scale = _SQRT2 * sigma_tot
     half = 0.5 * window
+    upper = period + half
+    if scale + upper == math.inf:
+        scale, half, period = 0.5 * _SQRT2 * sigma_tot, 0.25 * window, 0.5 * period
+        upper = period + half
     if half < _MIDPOINT_BELOW * scale:  # d < _MIDPOINT_BELOW, one product on the common path
         x, d = period / scale, half / scale
         if d * (1.0 + x) < _MIDPOINT_BELOW and d >= _NORMAL_MIN:
@@ -115,7 +127,7 @@ def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float
             xd = x * d
             series = 1.0 + (4.0 * xd * xd - 2.0 * d * d) / 6.0
             return _2_OVER_SQRTPI * d * math.exp(-x * x) * series
-    mass = 0.5 * (erfc((period - half) / scale) - erfc((period + half) / scale))
+    mass = 0.5 * (erfc((period - half) / scale) - erfc(upper / scale))
     # where the two tails nearly coincide, rounding can dip a few ulp below 0
     return mass if mass > 0.0 else 0.0
 

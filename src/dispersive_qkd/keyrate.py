@@ -52,9 +52,18 @@ def _threshold_distance(params: ScenarioParams, p_sig: float, p_w: float) -> flo
     inverse of _qber_stage's loss law there, read from the record's mu and
     loss divisor. Not positive where eta* >= 1 (-inf where eta* = inf), and
     inf where eta* rounds to 0, which the transmittance never reaches.
+
+    The one statement of eta*'s domain: it exists only where 0 < mu < 1,
+    and a distance reaches it only where the loss per km, alpha over the
+    loss divisor, is positive (alpha > 0, and not so small that the
+    quotient rounds to 0). Without dark counts, without loss, or with
+    mu >= 1 (exact Poisson) this returns 0.0, a distance that certifies
+    nothing, so it raises for no record.
     """
-    eta_star = _threshold_transmittance(p_sig, p_w, params._mu)
     per_km = params.alpha / params._loss_divisor
+    if not (0.0 < params._mu < 1.0 and per_km > 0.0):
+        return 0.0
+    eta_star = _threshold_transmittance(p_sig, p_w, params._mu)
     return -math.log10(eta_star) / per_km if eta_star > 0.0 else math.inf
 
 

@@ -111,10 +111,11 @@ def test_max_distance_dead_at_source_returns_zero():
 
 
 def test_max_distance_no_extinction_raises():
-    # lossless, dispersionless: the rate never dies
-    params = ScenarioParams(alpha=0.0, beta=0.0)
-    with pytest.raises(NonConvergenceError):
-        max_distance(params)
+    # lossless, dispersionless: the rate never dies. At alpha = 5e-324 the
+    # loss per km, alpha / 10, rounds to 0, and the transmittance is 1
+    for alpha in (0.0, 5e-324):
+        with pytest.raises(NonConvergenceError):
+            max_distance(ScenarioParams(alpha=alpha, beta=0.0))
 
 
 @pytest.mark.parametrize(

@@ -216,6 +216,10 @@ def test_p_signal_reference_values():
     assert abs(p_signal(1.0, 2.0) - 0.682689) <= 1e-6
     assert abs(p_signal(1.0, 40.0) - 1.0) <= 1e-12
     assert abs(p_signal(10 * PS, 50 * PS) - 0.987581) <= 1e-6
+    # the spread of ScenarioParams(jitter=1.5e308, window=1e308): 2 sqrt(2)
+    # sigma_tot overflows, but the mass reads window / sigma_tot alone
+    assert abs(p_signal(1.5e308, 1e308) - 0.261117) <= 1e-6
+    assert p_signal(1.5e308, 1e308) == p_signal(1.5e308 / 16, 1e308 / 16)
 
 
 def test_p_signal_monotonicity():
@@ -278,6 +282,11 @@ _SOURCE_SPREAD = math.hypot(10 * PS, 25 * PS)
         (_SOURCE_SPREAD, 1e-300, 100 * PS),
         (4 * PS, 1e-20, 100 * PS),  # mass ~1e-145
         (1.0, 1e-3, 0.5),  # the series at u = 4.8e-4, x = 0.35
+        # sqrt(2) sigma_tot overflows at ScenarioParams(jitter=1.5e308,
+        # window=1e308, period=1e308)'s spread, and period + window / 2 at
+        # the second
+        (1.5e308, 1e308, 1e308),
+        (1e308, 1e308, 1.7e308),
     ],
 )
 def test_shifted_window_mass_saturated_relative_accuracy(sigma_tot, window, period):

@@ -285,8 +285,9 @@ def test_scenario_params_accepts_domain_edges():
     # the extreme widths whose fourth power is still a normal float
     for sigma in (1e-76, 1e76):
         assert evaluate_point(ScenarioParams(sigma=sigma), 0.0).key_rate >= 0.0
-    # a 1e308 s jitter leaves no mass in the window: the QBER's 0.5 sentinel
-    assert ScenarioParams(jitter=1e308)._source == (0.0, 0.0, 0.0, 0.5)
+    # a 1e308 s jitter leaves erf(1.8e-319) of the signal in the window and
+    # no neighbor mass, so the dark counts hold the QBER at 0.5
+    assert ScenarioParams(jitter=1e308)._source == (1.9947e-319, 0.0, 1.9947e-319, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -462,6 +463,24 @@ def test_threshold_distance_is_not_positive_where_the_source_is_dead():
     assert q >= _QBER_LIMIT
     assert _threshold_transmittance(p_sig, p_w, params._mu) >= 1.0
     assert _threshold_distance(params, p_sig, p_w) <= 0.0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"dark_rate": 0.0},  # mu = 0
+        {"dark_model": POISSON, "dark_rate": 3e10},  # mu = 1.5
+        {"alpha": 0.0},
+        {"alpha": 5e-324},  # alpha / 10 rounds to 0
+    ],
+)
+def test_threshold_distance_is_0_outside_the_domain_of_eta_star(kwargs):
+    # without eta*, or without a loss per km to reach it, the threshold
+    # distance certifies nothing; the formula alone reads inf, -5.71 km and
+    # a division by 0 on the first three
+    params = ScenarioParams(**kwargs)
+    p_sig, p_w, _, _ = params._source
+    assert _threshold_distance(params, p_sig, p_w) == 0.0
 
 
 def test_threshold_distance_is_finite_at_one_subnormal_ulp_of_dark_counts():
