@@ -7,10 +7,9 @@ byte-identical markup; all coordinates are formatted with fixed precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
-__all__ = ["Series", "render_chart"]
+__all__ = ["render_chart"]
 
 _WIDTH = 760
 _HEIGHT = 480
@@ -31,19 +30,8 @@ _PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class Series:
-    label: str
-    x: Sequence[float]
-    y: Sequence[float]
-
-
 def _esc(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -54,9 +42,7 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         step = mult * mag
         if raw <= step:
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
+    ticks, t = [], math.ceil(lo / step) * step
     while t <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
@@ -64,25 +50,25 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
 
 
 def render_chart(
-    series: Sequence[Series],
+    series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     title: str,
     x_label: str,
     y_label: str,
     log_y: bool = False,
 ) -> str:
-    """Render line series to SVG text; log_y drops non-positive values."""
+    """Render (label, xs, ys) line series to SVG text; log_y drops
+    non-positive values."""
     pts_per_series: list[list[tuple[float, float]]] = []
-    for s in series:
+    for _, sx, sy in series:
         pts = [
             (float(x), float(y))
-            for x, y in zip(s.x, s.y)
+            for x, y in zip(sx, sy)
             if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0.0)
         ]
         pts_per_series.append(pts)
 
     all_pts = [p for pts in pts_per_series for p in pts]
-    out: list[str] = []
-    out.append('<?xml version="1.0" encoding="UTF-8"?>')
+    out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
@@ -102,8 +88,13 @@ def render_chart(
 
     xs, ys = zip(*all_pts)
     x_lo, x_hi = min(xs), max(xs)
-    if not x_hi > x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    # a span under 8 ulps widens by 0.5 either side, or by 4 ulps where that
+    # is more (from 2**50 on): the tick step, a fifth of the span or more, must
+    # exceed half an ulp, or `t += step` in _nice_ticks never moves t
+    ulp = math.ulp(max(-x_lo, x_hi))
+    if not x_hi - x_lo >= 8.0 * ulp:
+        pad = max(0.5, 4.0 * ulp)
+        x_lo, x_hi = x_lo - pad, x_hi + pad
     y_min, y_max = min(ys), max(ys)
     if log_y:
         hi_dec = math.ceil(math.log10(y_max))
@@ -112,7 +103,7 @@ def render_chart(
         y_lo, y_hi = float(lo_dec), float(hi_dec)
         if not y_hi > y_lo:
             y_hi = y_lo + 1.0
-        y_ticks = [(10.0 ** d, f"1e{d}") for d in range(int(y_lo), int(y_hi) + 1)]
+        y_ticks = [(d, f"1e{d}") for d in range(int(y_lo), int(y_hi) + 1)]
     else:
         y_lo = min(0.0, y_min)
         y_hi = y_max
@@ -123,14 +114,7 @@ def render_chart(
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
-
-    def px(x: float) -> float:
-        return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
-
-    def py(y: float) -> float:
-        v = math.log10(y) if log_y else y
-        v = min(max(v, y_lo), y_hi)
-        return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
 
     # axes box
     out.append(
@@ -139,25 +123,26 @@ def render_chart(
     )
 
     for t in _nice_ticks(x_lo, x_hi):
-        x = px(t)
+        x = _MARGIN_LEFT + (t - x_lo) / x_span * plot_w
         out.append(
-            f'<line x1="{_fmt(x)}" y1="{_MARGIN_TOP + plot_h}" x2="{_fmt(x)}" '
+            f'<line x1="{x:.2f}" y1="{_MARGIN_TOP + plot_h}" x2="{x:.2f}" '
             f'y2="{_MARGIN_TOP + plot_h + 5}" stroke="#000000" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{_fmt(x)}" y="{_MARGIN_TOP + plot_h + 20}" text-anchor="middle" '
+            f'<text x="{x:.2f}" y="{_MARGIN_TOP + plot_h + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{t:g}</text>'
         )
 
-    for t, label in y_ticks:
-        y = py(t)
+    # y ticks hold axis values: the decade exponent on a log axis
+    for v, label in y_ticks:
+        y = _MARGIN_TOP + (y_hi - v) / y_span * plot_h
         out.append(
-            f'<line x1="{_MARGIN_LEFT}" y1="{_fmt(y)}" '
-            f'x2="{_MARGIN_LEFT + plot_w}" y2="{_fmt(y)}" '
+            f'<line x1="{_MARGIN_LEFT}" y1="{y:.2f}" '
+            f'x2="{_MARGIN_LEFT + plot_w}" y2="{y:.2f}" '
             f'stroke="#dddddd" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{_MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
+            f'<text x="{_MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{label}</text>'
         )
 
@@ -173,10 +158,9 @@ def render_chart(
         f"{_esc(y_label)}</text>"
     )
 
-    # px and py inlined per point, same arithmetic, one format call: the
-    # y range spans every value, so only a log axis clips, at the bottom
-    x_span, y_span = x_hi - x_lo, y_hi - y_lo
-    for i, (s, pts) in enumerate(zip(series, pts_per_series)):
+    # each point maps as the ticks do, formatted in one call; the y range
+    # spans every value, so only a log axis clips, at the bottom
+    for i, ((label, _, _), pts) in enumerate(zip(series, pts_per_series)):
         color = _PALETTE[i % len(_PALETTE)]
         if pts:
             if log_y:
@@ -200,7 +184,7 @@ def render_chart(
         )
         out.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{_esc(s.label)}</text>'
+            f'font-size="11">{_esc(label)}</text>'
         )
 
     out.append("</svg>")

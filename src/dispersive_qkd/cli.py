@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import analysis
-from .chart import Series, render_chart
+from .chart import render_chart
 from .config import KM, PS, Config, parse_config, to_params
 from .keyrate import ProtocolPoint, ScenarioParams, evaluate_point
 
@@ -27,10 +27,6 @@ __all__ = ["main", "build_parser", "CSV_HEADER", "SCAN_CSV_HEADER"]
 _COLUMNS = ("L_km", "p_sig", "p_w", "p_det", "p_raw", "qber", "key_rate")
 CSV_HEADER = ",".join(_COLUMNS)
 SCAN_CSV_HEADER = "C,L_max_km"
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.10g}"
 
 
 def _rate_scale(cfg: Config) -> float:
@@ -48,9 +44,9 @@ def _row(l_km: float, p: ProtocolPoint, scale: float) -> tuple[float, ...]:
 def _csv(curve: analysis.Curve, scale: float) -> str:
     """CSV of a distance sweep (key rate times scale) or of a chirp scan.
 
-    Each row is one %-template of _fmt's format: for a float "%.10g" % v
-    is f"{v:.10g}", and one template per row costs far less than one
-    _fmt call per cell.
+    Each row is one %-template of the CLI's one number format, "%.10g",
+    which the printed values share: one template per row costs far less
+    than one format call per cell.
     """
     if isinstance(curve, analysis.ChirpScanResult):
         lines = [SCAN_CSV_HEADER] + ["%.10g,%.10g" % sample for sample in curve.samples]
@@ -64,16 +60,14 @@ def _chart(curves: Sequence[tuple[str, analysis.Curve]], title: str, cfg: Config
     """SVG of labeled curves: rate vs distance on a log axis, or range vs chirp."""
     if isinstance(curves[0][1], analysis.ChirpScanResult):
         series = [
-            Series(label=label, x=[c for c, _ in scan.samples],
-                   y=[l for _, l in scan.samples])
+            (label, [c for c, _ in scan.samples], [l for _, l in scan.samples])
             for label, scan in curves
         ]
         axes = ("chirp", "max secure distance (km)", False)
     else:
         scale = _rate_scale(cfg)
         series = [
-            Series(label=label, x=sweep.distances(),
-                   y=[k * scale for k in sweep.key_rates()])
+            (label, sweep.distances(), [k * scale for k in sweep.key_rates()])
             for label, sweep in curves
         ]
         units = "bits/s" if cfg.rate_units == "per_second" else "bits/window"
@@ -90,7 +84,7 @@ def cmd_point(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> 
     point = evaluate_point(params, cfg.distance_km * KM)
     values = _row(cfg.distance_km, point, _rate_scale(cfg))
     width = max(map(len, _COLUMNS))
-    out_lines = [f"{name:<{width}} = {_fmt(v)}" for name, v in zip(_COLUMNS, values)]
+    out_lines = [f"{name:<{width}} = {v:.10g}" for name, v in zip(_COLUMNS, values)]
     if point.degenerate:
         out_lines.append("# raw-key probability is zero: no key; qber reads 0.5 if undefined")
     sys.stdout.write("\n".join(out_lines) + "\n")
@@ -112,15 +106,15 @@ def cmd_sweep(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> 
 
 
 def cmd_lmax(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> int:
-    sys.stdout.write(f"L_max_km = {_fmt(analysis.max_distance(params))}\n")
+    sys.stdout.write(f"L_max_km = {analysis.max_distance(params):.10g}\n")
     return 0
 
 
 def cmd_optimize_chirp(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> int:
     grid = analysis.default_chirp_grid(cfg.c_min, cfg.c_max, cfg.c_step)
     scan = analysis.scan_chirp(params, grid)
-    sys.stdout.write(f"c_star = {_fmt(scan.c_star)}\n")
-    sys.stdout.write(f"L_max_km = {_fmt(scan.l_max_star)}\n")
+    sys.stdout.write(f"c_star = {scan.c_star:.10g}\n")
+    sys.stdout.write(f"L_max_km = {scan.l_max_star:.10g}\n")
     if scan.l_max_star == 0.0:
         sys.stderr.write(
             "warning: the key rate is zero at the source, where chirp has no effect; "

@@ -103,9 +103,11 @@ def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float
     subnormal d carries fewer bits, and the mass, at most 1.13 d, then lies
     below the normal range and reads 0. A period past about 1e154 spreads
     (x * x overflows) reads 0 too. The mass reads window / sigma_tot and
-    period / sigma_tot alone, so where s (past about 1.27e308 s) or P + h
-    overflows, all three are halved first: exactly, or where the mass
-    underflows anyway.
+    period / sigma_tot alone. It is computed in units of 2 s from the whole
+    window and twice the period, since half of a window below 2**-1021
+    would round away its last bit; where 2 (s + P + h) overflows, as for
+    spreads past about 6.4e307 s, all three are quartered first: exactly,
+    or where the mass underflows anyway.
     """
     if not sigma_tot > 0:
         raise ValueError(f"sigma_tot must be > 0, got {sigma_tot}")
@@ -113,21 +115,22 @@ def shifted_window_mass(sigma_tot: float, window: float, period: float) -> float
         raise ValueError(f"window must be > 0, got {window}")
     if not period > 0:
         raise ValueError(f"period must be > 0, got {period}")
-    scale = _SQRT2 * sigma_tot
-    half = 0.5 * window
-    upper = period + half
+    scale = _2_SQRT2 * sigma_tot
+    twice = 2.0 * period
+    upper = twice + window
     if scale + upper == math.inf:
-        scale, half, period = 0.5 * _SQRT2 * sigma_tot, 0.25 * window, 0.5 * period
-        upper = period + half
-    if half < _MIDPOINT_BELOW * scale:  # d < _MIDPOINT_BELOW, one product on the common path
-        x, d = period / scale, half / scale
+        sigma_tot, window, period = 0.25 * sigma_tot, 0.25 * window, 0.25 * period
+        scale, twice = _2_SQRT2 * sigma_tot, 2.0 * period
+        upper = twice + window
+    if window < _MIDPOINT_BELOW * scale:  # d < _MIDPOINT_BELOW, one product on the common path
+        x, d = twice / scale, window / scale
         if d * (1.0 + x) < _MIDPOINT_BELOW and d >= _NORMAL_MIN:
             # x d < _MIDPOINT_BELOW keeps the correction finite where x * x
             # overflows, and the mass there reads exp(-inf) = 0
             xd = x * d
             series = 1.0 + (4.0 * xd * xd - 2.0 * d * d) / 6.0
             return _2_OVER_SQRTPI * d * math.exp(-x * x) * series
-    mass = 0.5 * (erfc((period - half) / scale) - erfc(upper / scale))
+    mass = 0.5 * (erfc((twice - window) / scale) - erfc(upper / scale))
     # where the two tails nearly coincide, rounding can dip a few ulp below 0
     return mass if mass > 0.0 else 0.0
 

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dispersive_qkd import chart
 from dispersive_qkd.analysis import ChirpScanResult, SweepResult, max_distance
-from dispersive_qkd.chart import Series, render_chart
+from dispersive_qkd.chart import render_chart
 from dispersive_qkd.cli import CSV_HEADER, SCAN_CSV_HEADER, _csv, main
 from dispersive_qkd.config import (
     BETA_UNIT,
@@ -331,7 +332,7 @@ def test_sweep_stdout_and_svg(tmp_path, capsys):
     root = ET.fromstring(text)
     assert root.get("version") == "1.1"
     # the key-rate axis is logarithmic; a flat curve spans one decade
-    flat = render_chart([Series("flat", [0.0, 1.0], [1.0, 1.0])], "t", "x", "y", log_y=True)
+    flat = render_chart([("flat", [0.0, 1.0], [1.0, 1.0])], "t", "x", "y", log_y=True)
     labels = [t.text for t in ET.fromstring(flat).iter("{http://www.w3.org/2000/svg}text")]
     assert "1e0" in labels and "1e1" in labels
 
@@ -407,6 +408,29 @@ def test_optimize_chirp_boundary_warning(capsys):
     assert main(args) == 0
     captured = capsys.readouterr()
     assert "boundary" in captured.err
+
+
+@pytest.mark.parametrize(
+    "c_max, c_step", [("1e17", "0.05"), ("1.0000000000000002e17", "16")]
+)
+def test_optimize_chirp_chart_of_chirps_ulps_apart(tmp_path, capsys, monkeypatch, c_max, c_step):
+    # floats near 1e17 lie 16 apart: c - 0.5 rounds back to c, and a tick
+    # step under half an ulp would leave the tick loop at one tick for ever;
+    # the wrapper fails such a range before the loop starts
+    nice_ticks = chart._nice_ticks
+
+    def advancing(lo, hi):
+        step = (hi - lo) / 5  # or more
+        assert lo + step > lo and hi + step > hi
+        return nice_ticks(lo, hi)
+
+    monkeypatch.setattr(chart, "_nice_ticks", advancing)
+    svg = tmp_path / "scan.svg"
+    sets = ["--set", "c_min=1e17", "--set", f"c_max={c_max}", "--set", f"c_step={c_step}"]
+    assert main(["optimize-chirp", *sets, "--svg", str(svg)]) == 0
+    assert capsys.readouterr().out.startswith("c_star = 1e+17\n")
+    root = ET.fromstring(svg.read_text())
+    assert len(list(root.iter("{http://www.w3.org/2000/svg}polyline"))) == 1
 
 
 def test_optimize_chirp_step_wider_than_the_range_exits_2(capsys):

@@ -1,9 +1,10 @@
 import math
 import random
+import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from dispersive_qkd import keyrate
 from dispersive_qkd.detection import broadened_sigma, erf, p_signal, shifted_window_mass
@@ -309,6 +310,31 @@ def test_shifted_window_mass_reads_0_where_the_period_squared_overflows():
     assert shifted_window_mass(1e-70, 1e-240, 1e90) == 0.0
     params = ScenarioParams(sigma=1e-70, jitter=0.0, period=1e90, window=1e-240)
     assert evaluate_point(params, 0.0).p_w == 0.0
+
+
+def test_shifted_window_mass_keeps_the_bits_of_a_subnormal_window():
+    # half of a 1-ulp window rounds to 0 and of a 3-ulp one to 2 ulps; the
+    # mass reads window / sigma_tot, so it equals that of the inputs times
+    # 2**60, where the window is a normal float
+    assert shifted_window_mass(1e-70, 5e-324, 1e-70) == pytest.approx(1.195494223e-254, rel=1e-9)
+    assert shifted_window_mass(1e-70, 1.5e-323, 1e-70) == pytest.approx(3.586482669e-254, rel=1e-9)
+    params = ScenarioParams(sigma=1e-70, jitter=0.0, period=1e-70, window=5e-324)
+    assert params._source[1] == pytest.approx(2.390988446e-254, rel=1e-9)
+
+
+_NORMAL = st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max)
+
+
+@given(_NORMAL, _NORMAL, _NORMAL, st.integers(min_value=-2100, max_value=2100))
+@example(1e-70, 5e-324, 1e-70, 60)  # a 1-ulp window against its normal image
+def test_window_masses_read_only_ratios(sigma_tot, window, period, k):
+    # scaling all three inputs by 2**k changes no bit of either mass; the
+    # images are normal floats, whose frexp exponents lie in [-1021, 1024]
+    for v in (sigma_tot, window, period):
+        assume(-1021 <= math.frexp(v)[1] + k <= 1024)
+    s, w, p = (math.ldexp(v, k) for v in (sigma_tot, window, period))
+    assert p_signal(s, w).hex() == p_signal(sigma_tot, window).hex()
+    assert shifted_window_mass(s, w, p).hex() == shifted_window_mass(sigma_tot, window, period).hex()
 
 
 def test_window_mass_closed_forms_match_quadrature_random():

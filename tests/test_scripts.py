@@ -136,6 +136,43 @@ def test_result_digest_is_stable_and_sees_a_changed_result(capsys, monkeypatch):
     ]
 
 
+_BOX = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment
+
+# a comment line
+
+class Box:
+    """Class docstring."""
+
+    size = 2
+
+    def area(self):
+        """Function docstring,
+        over two lines."""
+        text = """a multi-line
+string"""
+        return math.prod(
+            [self.size,
+             len(text)],
+        )
+'''
+
+
+def test_code_lines_counts_code_and_sums_the_modules(capsys, monkeypatch, tmp_path):
+    # Box: the import, the class line, size, def, the string's two lines and
+    # the call's four; docstrings, comments and blank lines are not code
+    (tmp_path / "box.py").write_text(_BOX)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "one.py").write_text("x = 1\n")
+    status, out = _run(capsys, monkeypatch, "code_lines.py", str(tmp_path))
+    assert status is None
+    lines = out.splitlines()
+    assert lines == ["    10  box.py", f"     1  {Path('sub', 'one.py')}", "    11  total"]
+    assert sum(int(line.split()[0]) for line in lines[:-1]) == int(lines[-1].split()[0])
+
+
 def _bench_record(correct: bool = True, failed: int = 0, **values: float) -> dict:
     """A made-up result record of bench/run.py --trace 0, as its last line."""
     metrics = {name: {"value": value, "unit": "s"} for name, value in values.items()}
