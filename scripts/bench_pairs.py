@@ -7,7 +7,11 @@ Runs the benchmark command of BENCHMARK.json (`python3 bench/run.py`) with
 `--workload WORKLOAD --seed SEED --seconds 8 --trace 0` in each checkout,
 10 pairs, the parent first in the first pair and the side that goes first
 swapped in each pair after it, so that a slow spell of the host does not
-always fall on one side. Prints each run's end-to-end metrics as it ends,
+always fall on one side. Before the first pair it writes fresh bytecode
+for each checkout's src/ and bench/ with the benchmark's interpreter, so
+that no run compiles a module whose cached bytecode is missing or stale
+(as in a copied tree, and where PYTHONDONTWRITEBYTECODE keeps every run
+from caching it). Prints each run's end-to-end metrics as it ends,
 then, for each end-to-end metric of BENCHMARK.json, the parent's median and
 quartiles, the change's median, and in how many pairs the change read
 better by the metric's `better`; ties count for neither side. Exits 1 if
@@ -24,6 +28,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SECONDS = 8
+
+
+def compile_sources(python: str, checkout: Path) -> None:
+    """Rewrite the bytecode of checkout's src/ and bench/ with `python -m
+    compileall`, which writes even under PYTHONDONTWRITEBYTECODE."""
+    args = [python, "-m", "compileall", "-q", "-f", "src", "bench"]
+    subprocess.run(args, cwd=checkout, check=True, stdout=subprocess.DEVNULL)
 
 
 def run_bench(command: list[str], checkout: Path, workload: str, seed: int) -> dict:
@@ -70,6 +81,8 @@ def main() -> int:
     args = parser.parse_args()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     sides = {"parent": (args.parent, []), "change": (args.change, [])}
+    for checkout, _ in sides.values():
+        compile_sources(spec["command"][0], checkout)
     for pair in range(PAIRS):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         for side in order:

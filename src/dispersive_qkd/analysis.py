@@ -108,7 +108,8 @@ def sweep_distance(params: ScenarioParams, l_grid: Iterable[float]) -> SweepResu
     grid = _increasing(l_grid, "distance")
     if grid[0] < 0:
         raise GridError(f"distances must be >= 0 km, got {grid[0]}")
-    rows = tuple((l, evaluate_point(params, l * _KM)) for l in grid)
+    # built as a list: tuple() of a generator costs more per row
+    rows = tuple([(l, evaluate_point(params, l * _KM)) for l in grid])
     return SweepResult(rows=rows)
 
 
@@ -418,12 +419,17 @@ def default_chirp_grid(
 
     c_min == c_max gives the one-point grid [c_min]. A step wider than a
     range of positive width is an error: the grid would hold c_min alone.
+    So is a range whose count of steps overflows to inf, as its width does
+    at [-1e308, 1e308].
     """
     if not c_step > 0:
         raise GridError(f"c_step must be > 0, got {c_step}")
     if not c_min <= c_max:
         raise GridError(f"need c_min <= c_max, got [{c_min}, {c_max}]")
-    n = int(math.floor((c_max - c_min) / c_step + 1e-9))
+    steps = (c_max - c_min) / c_step
+    if not steps < math.inf:
+        raise GridError(f"the steps of {c_step} across [{c_min}, {c_max}] overflow to inf")
+    n = int(math.floor(steps + 1e-9))
     if n == 0 and c_min < c_max:
         raise GridError(
             f"c_step {c_step} is wider than [{c_min}, {c_max}]; the grid would hold c_min alone"

@@ -95,6 +95,9 @@ def render_chart(
     if not x_hi - x_lo >= 8.0 * ulp:
         pad = max(0.5, 4.0 * ulp)
         x_lo, x_hi = x_lo - pad, x_hi + pad
+    # no tick step divides a span that overflows
+    if not x_hi - x_lo < math.inf:
+        raise ValueError(f"x axis span [{x_lo}, {x_hi}] overflows")
     y_min, y_max = min(ys), max(ys)
     if log_y:
         hi_dec = math.ceil(math.log10(y_max))
@@ -110,6 +113,8 @@ def render_chart(
         if not y_hi > y_lo:
             y_hi = y_lo + 1.0
         y_hi += 0.05 * (y_hi - y_lo)  # headroom above the top curve
+        if not y_hi - y_lo < math.inf:
+            raise ValueError(f"y axis span [{y_lo}, {y_hi}] overflows")
         y_ticks = [(t, f"{t:g}") for t in _nice_ticks(y_lo, y_hi)]
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT

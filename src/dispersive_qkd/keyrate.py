@@ -255,19 +255,19 @@ class ProtocolPoint:
         qber: float,
         key_rate: float,
     ) -> None:
-        # one dict update in place of the generated frozen __init__'s
-        # object.__setattr__ call per field, which cost more than twice as
-        # much; every sweep row builds a point
-        self.__dict__.update(
-            p_sig=p_sig,
-            p_w=p_w,
-            p_det=p_det,
-            p_zero=p_zero,
-            p_one=p_one,
-            p_raw=p_raw,
-            qber=qber,
-            key_rate=key_rate,
-        )
+        # one store per field into the instance dict, in place of the
+        # generated frozen __init__'s object.__setattr__ call per field or a
+        # keyword dict for dict.update, both dearer; every sweep row builds
+        # a point
+        d = self.__dict__
+        d["p_sig"] = p_sig
+        d["p_w"] = p_w
+        d["p_det"] = p_det
+        d["p_zero"] = p_zero
+        d["p_one"] = p_one
+        d["p_raw"] = p_raw
+        d["qber"] = qber
+        d["key_rate"] = key_rate
 
     @property
     def degenerate(self) -> bool:
@@ -331,12 +331,13 @@ def evaluate_point(params: ScenarioParams, distance: float) -> ProtocolPoint:
     the rate tail: the window's dark-count probabilities, which the record
     derived when it was built, the raw-key bit probability p_raw (a click
     with no dark count, or a lone dark count without a click; the 1/2 sifts
-    basis mismatches) and the key rate. Sweeps and the CLI's point read this
+    basis mismatches) and the key rate. From a QBER of _QBER_LIMIT up to
+    the stage's largest, 1/2, 1 - 2 H(q) <= 0 and key_rate reads 0, so
+    there the rate is 0.0 without the entropy. Sweeps and the CLI's point read this
     record.
     """
     p_sig, p_w, p_det, q_err = _qber_stage(params, params.chirp, distance)
     p_zero, p_one = params._dark
     p_raw = (p_det * p_zero + (1.0 - p_det) * p_one) / 2.0
-    return ProtocolPoint(
-        p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, key_rate(p_raw, q_err)
-    )
+    rate = key_rate(p_raw, q_err) if q_err < _QBER_LIMIT else 0.0
+    return ProtocolPoint(p_sig, p_w, p_det, p_zero, p_one, p_raw, q_err, rate)

@@ -812,6 +812,20 @@ def test_secure_range_search_builds_no_point_record(monkeypatch):
     assert built["__init__"] == 2
 
 
+def test_sweep_across_the_edge_builds_a_point_per_row_and_rates_rows_below_the_limit(
+    monkeypatch,
+):
+    # past _QBER_LIMIT evaluate_point writes the rate 0.0 without key_rate
+    params = ScenarioParams()
+    grid = distance_grid([params], 40)
+    calls = _count_calls(monkeypatch, ProtocolPoint, "__init__")
+    _count_calls(monkeypatch, keyrate, "key_rate", calls)
+    rows = sweep_distance(params, grid).rows
+    below = sum(1 for _, point in rows if point.qber < _QBER_LIMIT)
+    assert 0 < below < len(rows) == 41
+    assert calls == {"__init__": 41, "key_rate": below}
+
+
 def test_secure_range_search_runs_no_dark_model_or_rate_tail(monkeypatch):
     # the search reads the QBER alone, through mu = rate * window, so it
     # never asks the dark model for p_zero and p_one nor computes the rate;
@@ -1108,6 +1122,17 @@ def test_default_chirp_grid_shape():
     with pytest.raises(GridError, match="c_min <= c_max"):
         default_chirp_grid(1.0, -1.0)
     assert default_chirp_grid(0.0, 0.0, 10.0) == [0.0]
+
+
+@pytest.mark.parametrize(
+    "c_min, c_max, c_step",
+    [(-1e308, 1e308, 1e308), (-math.inf, 0.0, 1.0), (0.0, 1e308, 1e-300)],
+)
+def test_default_chirp_grid_rejects_a_step_count_that_overflows(c_min, c_max, c_step):
+    # the width, or the width over the step, is inf: math.floor raised
+    # OverflowError, which is not a configuration error
+    with pytest.raises(GridError, match="overflow to inf"):
+        default_chirp_grid(c_min, c_max, c_step)
 
 
 def test_distance_grid_covers_secure_range():

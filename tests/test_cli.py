@@ -441,6 +441,27 @@ def test_optimize_chirp_step_wider_than_the_range_exits_2(capsys):
     assert captured.err.startswith("error: c_step 10.0 is wider than [-2.0, 2.0]")
 
 
+def test_optimize_chirp_range_whose_width_overflows_exits_2(capsys):
+    args = ["--set", "c_min=-1e308", "--set", "c_max=1e308", "--set", "c_step=1e308"]
+    assert main(["optimize-chirp", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the steps of 1e+308 across [-1e+308, 1e+308] overflow to inf\n"
+
+
+@pytest.mark.parametrize(
+    "xs, ys, axis",
+    [([-1e308, 1e308], [1.0, 1.0], "x"), ([1.7976931348623157e308] * 2, [1.0, 1.0], "x"),
+     ([0.0, 1.0], [-1e308, 1e308], "y"), ([0.0, 1.0], [0.0, 1.75e308], "y")],
+)
+def test_render_chart_names_the_axis_whose_span_overflows(xs, ys, axis):
+    # no tick step divides an infinite span: a ValueError naming the axis, not
+    # an OverflowError from _nice_ticks; the last two overflow only with the
+    # x pad of 4 ulps or the y headroom of 5%
+    with pytest.raises(ValueError, match=f"^{axis} axis span .* overflows$"):
+        render_chart([("a", xs, ys)], "t", "x", "y")
+
+
 def test_optimize_chirp_dead_at_source_warning(capsys):
     # chirp has no effect at L = 0, so the boundary advice would not help
     args = [

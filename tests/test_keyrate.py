@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dispersive_qkd import keyrate
-from dispersive_qkd.analysis import distance_grid
+from dispersive_qkd.analysis import NonConvergenceError, distance_grid, max_distance
 from dispersive_qkd.config import BETA_UNIT, Config, to_params
 from dispersive_qkd.detection import broadened_sigma, p_signal, shifted_window_mass
 from dispersive_qkd.keyrate import (
@@ -177,14 +177,50 @@ def test_key_rate_reference():
     assert abs(key_rate(0.4, 0.05) - 0.170882) <= 1e-5
 
 
+def _floats_from(x: float, toward: float, n: int):
+    """n consecutive floats from x, x first, stepping toward `toward`."""
+    for _ in range(n):
+        yield x
+        x = math.nextafter(x, toward)
+
+
 def test_key_rate_threshold():
-    # 1 - 2H(q) <= 0 on [0.110028, 1/2], the attainable QBER range
+    # 1 - 2H(q) <= 0 on [_QBER_LIMIT, 1/2], the attainable QBER range, where
+    # evaluate_point writes the rate 0.0 without calling key_rate; the
+    # 10,000 floats at either end of it included
     for q in (0.110028, 0.12, 0.2, 0.3, 0.4, 0.5):
         for p_raw in (1e-6, 0.1, 0.5):
             assert key_rate(p_raw, q) == 0.0
+    for q in [*_floats_from(_QBER_LIMIT, 1.0, 10_000), *_floats_from(0.5, 0.0, 10_000)]:
+        assert key_rate(0.5, q) == 0.0, q
     assert key_rate(0.3, 0.1099) > 0.0
     with pytest.raises(ValueError):
         key_rate(-0.1, 0.05)
+
+
+@given(q=st.floats(min_value=_QBER_LIMIT, max_value=0.5))
+def test_key_rate_is_0_from_the_qber_limit_to_one_half(q):
+    assert key_rate(0.5, q) == 0.0
+
+
+@settings(deadline=None, max_examples=150)
+@given(params=domain_params(), scale=st.floats(min_value=0.0, max_value=2.0))
+def test_evaluate_point_rate_is_key_rate_on_both_sides_of_the_edge(params, scale):
+    # the skip past _QBER_LIMIT reads as key_rate itself: bit for bit at the
+    # secure range's far edge, a tolerance either side of it, and at a
+    # drawn fraction of it up to twice it
+    try:
+        edge = max_distance(params)
+    except (NonConvergenceError, ValueError):
+        return
+    for l_km in (edge * scale, edge - 0.01, edge, edge + 0.01, 2.0 * edge + 1.0):
+        if l_km < 0.0:
+            continue
+        try:
+            point = evaluate_point(params, l_km * KM)
+        except ValueError:
+            continue
+        assert point.key_rate == key_rate(point.p_raw, point.qber), l_km
 
 
 def test_scenario_params_defaults():

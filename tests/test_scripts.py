@@ -209,3 +209,27 @@ def test_bench_pairs_fails_on_a_run_not_correct_or_with_failed_items():
         table, ok = summarize(metrics, parent, change)
         assert not ok
         assert table.splitlines()[0] == "2 pairs; runs not correct or with failed items: 1 of 4"
+
+
+# a toy bench/run.py: correct exactly where src/ and bench/ hold bytecode
+_TOY_BENCH = """import json, pathlib
+root = pathlib.Path(__file__).resolve().parents[1]
+fresh = all(any((root / d / "__pycache__").glob("*.pyc")) for d in ("src", "bench"))
+print(json.dumps({"correct": fresh, "failed": 0, "metrics": {}}))
+"""
+
+
+def test_bench_pairs_compiles_both_checkouts_before_the_first_pair(
+    capsys, monkeypatch, tmp_path
+):
+    # no run writes bytecode here, so only the compile step can have
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    checkouts = tmp_path / "parent", tmp_path / "change"
+    for checkout in checkouts:
+        (checkout / "src").mkdir(parents=True)
+        (checkout / "src" / "model.py").write_text("x = 1\n")
+        (checkout / "bench").mkdir()
+        (checkout / "bench" / "run.py").write_text(_TOY_BENCH)
+    status, out = _run(capsys, monkeypatch, "bench_pairs.py", *map(str, checkouts), "toy", "1")
+    assert status == 0, out
+    assert "runs not correct or with failed items: 0 of 20" in out
