@@ -7,7 +7,7 @@ byte-identical markup; all coordinates are formatted with fixed precision.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 __all__ = ["render_chart"]
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import analysis
 from .chart import render_chart
@@ -75,7 +75,7 @@ def _chart(curves: Sequence[tuple[str, analysis.Curve]], title: str, cfg: Config
     return render_chart(series, title, *axes)
 
 
-def _write_text(path: str | Path, content: str) -> None:
+def _write_text(path: str, content: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(content)
 
@@ -139,8 +139,7 @@ def cmd_reproduce(cfg: Config, params: ScenarioParams, args: argparse.Namespace)
         analysis.run_scenario(name, params, l_steps=cfg.l_steps, c_grid=grid)
         for name in args.figures or analysis.SCENARIOS
     ]
-    outdir = Path(args.out) if args.out else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out or ".", exist_ok=True)
     scale = _rate_scale(cfg)
     for result in results:
         files = [
@@ -148,9 +147,11 @@ def cmd_reproduce(cfg: Config, params: ScenarioParams, args: argparse.Namespace)
             for label, curve in result.curves
         ]
         files.append((f"{result.name}.svg", _chart(result.curves, result.name, cfg)))
+        # with no --out each file is written and reported by its bare name
         for name, content in files:
-            _write_text(outdir / name, content)
-            sys.stderr.write(f"wrote {outdir / name}\n")
+            path = os.path.join(args.out or "", name)
+            _write_text(path, content)
+            sys.stderr.write(f"wrote {path}\n")
     return 0
 
 

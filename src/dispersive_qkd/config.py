@@ -8,8 +8,8 @@ converted exactly once at the ScenarioParams boundary.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields
-from typing import Callable, Mapping, Sequence
 
 from .keyrate import _BETA_UNIT as BETA_UNIT, _KM as KM, _PS as PS
 from .keyrate import DarkCountModel, ScenarioParams, TransmittanceConvention

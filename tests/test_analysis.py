@@ -564,7 +564,8 @@ def test_each_search_returns_the_secant_of_a_bracket_at_most_the_tolerance_wide(
     # a search with a positive range returns its last secant, and that
     # secant's bracket is at most _L_TOL_KM wide, give or take the rounding
     # of its ends: cold, with a prediction `offset` km off the cold edge,
-    # and along optimal_chirp's path, whose chirp at that edge it returns
+    # and along optimal_chirp's path, whose edge it returns with the chirp
+    # there
     calls = []
     real = analysis._secant
 
@@ -586,9 +587,12 @@ def test_each_search_returns_the_secant_of_a_bracket_at_most_the_tolerance_wide(
             if isinstance(warm, float):
                 assert last_secant() == warm
         calls.clear()
-        c_star = _outcome(lambda: optimal_chirp(params, -2.0, 2.0))
-        if isinstance(c_star, float) and calls:
-            assert _compensating_chirp(params, -2.0, 2.0, last_secant()) == c_star
+        best = _outcome(lambda: optimal_chirp(params, -2.0, 2.0))
+        if isinstance(best, tuple) and best[1] > 0.0:
+            c_star, l_star = best
+            assert last_secant() == l_star
+            if params.beta != 0.0:
+                assert _compensating_chirp(params, -2.0, 2.0, l_star) == c_star
 
 
 def _count_calls(monkeypatch, owner, name: str, calls: Counter | None = None) -> Counter:
@@ -702,23 +706,25 @@ def test_scan_chirp_evaluation_budget(monkeypatch):
     # plain bisection took 1,245: 15 per grid chirp, plus c_star's searches;
     # a cold search per grid chirp took 644, the scan by linear continuation
     # from midpoint edges 504, by second-order continuation from secant edges
-    # 306, and with the source point read from the record 223
+    # 306, with the source point read from the record 223, and with
+    # optimal_chirp's own range in place of a second search at c_star 216
     grid = default_chirp_grid()
     params = ScenarioParams()
-    assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(params, grid)) <= 223
+    assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(params, grid)) <= 216
 
 
 def test_figures_evaluation_budget(monkeypatch):
-    # run_scenario over the six figures with defaults makes 13,395, counting
+    # run_scenario over the six figures with defaults makes 13,303, counting
     # one evaluation of the source point per record a figure builds: fig1
-    # 3,261, fig2 2,454, fig3a 692, fig3b 3,141, fig4a 699, fig4b 3,148
-    # (14,386 while each search evaluated its source; 16,744 with midpoint
-    # edges and linear continuation, fig3a 1,547 and fig4a 1,513)
+    # 3,261, fig2 2,454, fig3a 669, fig3b 3,118, fig4a 676, fig4b 3,125
+    # (13,395 while each scan searched again at c_star; 14,386 while each
+    # search evaluated its source; 16,744 with midpoint edges and linear
+    # continuation, fig3a 1,547 and fig4a 1,513)
     def run():
         for name in analysis.SCENARIOS:
             run_scenario(name)
 
-    assert 0 < _counted_evaluations(monkeypatch, run) <= 13_395
+    assert 0 < _counted_evaluations(monkeypatch, run) <= 13_303
 
 
 PREDICTED = {
@@ -768,8 +774,8 @@ def test_max_distance_without_dispersion_is_the_threshold_transmittance_edge(mon
 
 
 def test_scan_chirp_without_dispersion_evaluation_budget(monkeypatch):
-    # 2 evaluations per grid chirp and for c_star's range (1,148 from 50 km,
-    # 246 while each search evaluated the source)
+    # 2 evaluations per grid chirp and for optimal_chirp's range (1,148 from
+    # 50 km, 246 while each search evaluated the source)
     grid = default_chirp_grid()
     params = ScenarioParams(beta=0.0)
     assert 0 < _counted_evaluations(monkeypatch, lambda: scan_chirp(params, grid)) <= 164
@@ -987,17 +993,20 @@ DARK_HEAVY = ScenarioParams(
 
 
 def test_optimal_chirp_defaults_and_edges():
-    c_star = optimal_chirp(ScenarioParams(), -2.0, 2.0)
+    c_star, l_star = optimal_chirp(ScenarioParams(), -2.0, 2.0)
     assert -0.35 <= c_star <= -0.15
-    # beta = 0: chirp has no effect, the grid value nearest 0
+    assert l_star > max_distance(ScenarioParams())
+    # beta = 0: chirp has no effect, the grid value nearest 0 and the range
+    # at any chirp
     no_dispersion = ScenarioParams(beta=0.0)
-    assert optimal_chirp(no_dispersion, -2.0, 2.0) == 0.0
-    assert optimal_chirp(no_dispersion, 0.5, 2.0) == 0.5
-    assert optimal_chirp(no_dispersion, -2.0, -0.5) == -0.5
-    # dead at the source: the grid edge on beta's side
+    l_flat = max_distance(no_dispersion)
+    assert optimal_chirp(no_dispersion, -2.0, 2.0) == (0.0, l_flat)
+    assert optimal_chirp(no_dispersion, 0.5, 2.0) == (0.5, l_flat)
+    assert optimal_chirp(no_dispersion, -2.0, -0.5) == (-0.5, l_flat)
+    # dead at the source: the grid edge on beta's side, and no range
     dead = ScenarioParams(sigma=60 * PS, jitter=4 * PS)
-    assert optimal_chirp(dead, -2.0, 2.0) == -2.0
-    assert optimal_chirp(replace(dead, beta=-dead.beta), -2.0, 2.0) == 2.0
+    assert optimal_chirp(dead, -2.0, 2.0) == (-2.0, 0.0)
+    assert optimal_chirp(replace(dead, beta=-dead.beta), -2.0, 2.0) == (2.0, 0.0)
     with pytest.raises(GridError):
         optimal_chirp(ScenarioParams(), 1.0, -1.0)
 
@@ -1022,15 +1031,41 @@ def test_optimal_chirp_reaches_a_fine_chirp_grid(params):
     point = _outcome(lambda: evaluate_point(params, 0.0))
     assume(params.beta != 0.0 and isinstance(point, ProtocolPoint))
     assume(point.key_rate > 0.0 and point.p_one <= point.p_zero)
-    c_star = optimal_chirp(params, -2.0, 2.0)
-    best = best_grid_range(params, -2.0, 2.0, 161)
-    assert max_distance(replace(params, chirp=c_star)) >= best - 0.01
+    _, l_star = optimal_chirp(params, -2.0, 2.0)
+    assert l_star >= best_grid_range(params, -2.0, 2.0, 161) - 0.01
+
+
+@settings(deadline=None, max_examples=200)
+@given(params=domain_params())
+@example(params=DARK_HEAVY)
+def test_optimal_chirp_returns_the_fixed_chirp_edge_at_its_chirp(params):
+    # the envelope theorem: where c(L*) lies inside the grid the margin's
+    # derivative in C is 0 at (L*, c(L*)), so the path's far edge L* is
+    # also the secure range at the fixed chirp c(L*), within the search's
+    # resolution, under either dark model and with mu = rate * window up to
+    # 2 (DARK_HEAVY, at mu = 1.2: 2e-8 km apart). With beta = 0 the chirp
+    # has no effect, and the pair is the grid value nearest 0 and
+    # max_distance's range, to the bit
+    got = _outcome(lambda: optimal_chirp(params, -2.0, 2.0))
+    if params.beta == 0.0:
+        expected = _outcome(lambda: max_distance(params))
+        assert got == ((0.0, expected) if isinstance(expected, float) else expected)
+        return
+    c_star, l_star = got
+    tol = analysis._L_TOL_KM
+    at_c_star = replace(params, chirp=c_star)
+    assert abs(l_star - max_distance(at_c_star)) <= tol
+    if l_star == 0.0:  # dead at the source, at every chirp
+        assert not params._source[3] < _QBER_LIMIT
+        return
+    if l_star > tol:
+        assert evaluate_point(at_c_star, (l_star - tol) * KM).qber < _QBER_LIMIT
+    assert not evaluate_point(at_c_star, (l_star + tol) * KM).qber < _QBER_LIMIT
 
 
 def test_scan_chirp_keeps_a_sample_that_beats_the_closed_form():
     grid = default_chirp_grid()
-    c_ref = optimal_chirp(DARK_HEAVY, grid[0], grid[-1])
-    l_ref = max_distance(replace(DARK_HEAVY, chirp=c_ref))
+    _, l_ref = optimal_chirp(DARK_HEAVY, grid[0], grid[-1])
     scan = scan_chirp(DARK_HEAVY, grid)
     assert (scan.c_star, scan.l_max_star) == max(scan.samples, key=lambda s: s[1])
     assert scan.l_max_star > l_ref + 0.05
@@ -1044,7 +1079,7 @@ def test_scan_chirp_keeps_the_closed_form_best_chirp_of_fig3a():
     scan = dict(run_scenario("fig3a").curves)["j4ps"]
     params = replace(ScenarioParams(), window=50 * PS, jitter=4 * PS)
     grid = default_chirp_grid()
-    assert scan.c_star == optimal_chirp(params, grid[0], grid[-1])
+    assert (scan.c_star, scan.l_max_star) == optimal_chirp(params, grid[0], grid[-1])
     assert round(scan.c_star, 4) == -0.2006
 
 
@@ -1107,7 +1142,7 @@ def test_optimal_chirp_mirrors_under_beta_flip(params, ends):
     got = _outcome(lambda: optimal_chirp(params, c_min, c_max))
     mirror = replace(params, beta=-params.beta)
     mirrored = _outcome(lambda: optimal_chirp(mirror, -c_max, -c_min))
-    assert mirrored == (-got if isinstance(got, float) else got)
+    assert mirrored == ((-got[0], got[1]) if isinstance(got, tuple) else got)
 
 
 def test_default_chirp_grid_shape():
@@ -1122,16 +1157,26 @@ def test_default_chirp_grid_shape():
     with pytest.raises(GridError, match="c_min <= c_max"):
         default_chirp_grid(1.0, -1.0)
     assert default_chirp_grid(0.0, 0.0, 10.0) == [0.0]
+    assert len(default_chirp_grid(0.0, 99_999.0, 1.0)) == 100_000  # the bound
 
 
 @pytest.mark.parametrize(
     "c_min, c_max, c_step",
-    [(-1e308, 1e308, 1e308), (-math.inf, 0.0, 1.0), (0.0, 1e308, 1e-300)],
+    [
+        (-1e308, 1e308, 1e308),
+        (-math.inf, 0.0, 1.0),
+        (0.0, 1e308, 1e-300),
+        (-2.0, 2.0, 1e-300),
+        (-2.0, 2.0, 1e-9),
+        (0.0, 100_000.0, 1.0),
+    ],
 )
 def test_default_chirp_grid_rejects_a_step_count_that_overflows(c_min, c_max, c_step):
     # the width, or the width over the step, is inf: math.floor raised
-    # OverflowError, which is not a configuration error
-    with pytest.raises(GridError, match="overflow to inf"):
+    # OverflowError, which is not a configuration error. A finite count past
+    # the bound of 100,000 chirps, 4e300 or 4e9 steps across [-2, 2], built
+    # its list until memory ran out
+    with pytest.raises(GridError, match="makes over 100000 chirps"):
         default_chirp_grid(c_min, c_max, c_step)
 
 
@@ -1228,20 +1273,20 @@ def test_run_scenario_rejects_unknown_name():
 # (another Illinois factor, say) passes them all; this table catches it.
 # Per record it holds the outcome, a value or the name of the error raised,
 # of max_distance cold, of max_distance with a prediction within 20 m of the
-# cold edge, and of optimal_chirp on [-2, 2], plus the evaluations
-# (keyrate.broadened_sigma calls) of all of them; each column is checked by
-# one test below. The records are 200 oracles.domain_record draws from a
-# seeded random.Random, whose draws, unlike Hypothesis's, do not change
-# between versions, and this module's named records. Values match within a
-# relative PINNED_REL_TOL, so that last-bit differences between C libraries
-# pass; evaluations match exactly. A change that moves the numerics on
+# cold edge, and of optimal_chirp on [-2, 2], its chirp and its range, plus
+# the evaluations (keyrate.broadened_sigma calls) of all of them; each
+# column is checked by one test below. The records are 200
+# oracles.domain_record draws from a seeded random.Random, whose draws,
+# unlike Hypothesis's, do not change between versions, and this module's
+# named records. Values match within a relative PINNED_REL_TOL, so that
+# last-bit differences between C libraries pass; evaluations match exactly. A change that moves the numerics on
 # purpose re-pins the table with
 #
 #     PYTHONPATH=src python tests/test_analysis.py
 
 PINNED_TABLE = Path(__file__).with_name("pinned_ranges.txt")
 PINNED_REL_TOL = 1e-9
-COLD, WARM, C_STAR = 1, 2, 3
+COLD, WARM, C_STAR, L_STAR = 1, 2, 3, 4
 
 
 def _pinned_records() -> list[tuple[str, ScenarioParams, float]]:
@@ -1270,8 +1315,9 @@ def _pinned_records() -> list[tuple[str, ScenarioParams, float]]:
 
 @functools.cache
 def _pinned_results() -> tuple[int, list[tuple]]:
-    """The evaluations the searches made, and (label, cold, warm, c_star)
-    of each record, warm "-" where the cold search raised."""
+    """The evaluations the searches made, and (label, cold, warm, c_star,
+    l_star) of each record, warm "-" where the cold search raised, c_star
+    and l_star each the error where optimal_chirp raised."""
     rows = []
 
     def run():
@@ -1280,8 +1326,8 @@ def _pinned_results() -> tuple[int, list[tuple]]:
             warm = "-"
             if isinstance(cold, float):
                 warm = _outcome(lambda: max_distance(params, near=cold + offset))
-            c_star = _outcome(lambda: optimal_chirp(params, -2.0, 2.0))
-            rows.append((label, cold, warm, c_star))
+            best = _outcome(lambda: optimal_chirp(params, -2.0, 2.0))
+            rows.append((label, cold, warm, *(best if isinstance(best, tuple) else (best, best))))
 
     with pytest.MonkeyPatch.context() as mp:
         return _counted_evaluations(mp, run), rows
@@ -1296,8 +1342,8 @@ def _token(outcome) -> str:
 
 
 def _moved_rows(column: int) -> list[tuple]:
-    """The rows whose outcome in `column` (COLD, WARM or C_STAR) is off the
-    table, once the rows are checked to be the table's, in order."""
+    """The rows whose outcome in `column` (COLD, WARM, C_STAR or L_STAR) is
+    off the table, once the rows are checked to be the table's, in order."""
     _, rows = _pinned_results()
     pinned = [line.split() for line in PINNED_TABLE.read_text().splitlines()[1:]]
     assert [row[0] for row in rows] == [row[0] for row in pinned]
@@ -1327,8 +1373,9 @@ def test_max_distance_with_a_prediction_equals_reference_search():
 
 
 def test_optimal_chirp_and_the_evaluations_match_the_pinned_table():
-    moved = _moved_rows(C_STAR)
-    assert not moved, f"{len(moved)} rows moved, the first {moved[:3]}"
+    for column in (C_STAR, L_STAR):
+        moved = _moved_rows(column)
+        assert not moved, f"{len(moved)} rows moved, the first {moved[:3]}"
     _, pinned_evaluations = PINNED_TABLE.read_text().splitlines()[0].split()
     assert _pinned_results()[0] == int(pinned_evaluations)
 

@@ -446,7 +446,7 @@ def test_optimize_chirp_range_whose_width_overflows_exits_2(capsys):
     assert main(["optimize-chirp", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: the steps of 1e+308 across [-1e+308, 1e+308] overflow to inf\n"
+    assert captured.err == "error: c_step 1e+308 on [-1e+308, 1e+308] makes over 100000 chirps\n"
 
 
 @pytest.mark.parametrize(
