@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from .keyrate import (
     _BETA_UNIT,
@@ -49,10 +50,13 @@ maximize_scalar = None
 # in the median and 5 m at worst
 _L_HINT_KM = 50.0
 _L_TOL_KM = 0.01
+_HALF_TOL_KM = 0.5 * _L_TOL_KM
 _BRACKET_CEILING_KM = 1e7
-# the most chirps default_chirp_grid builds (its default grid has 81): a
-# step of 1e-300 across [-2, 2] would ask for 4e300 and exhaust memory
-_MAX_CHIRPS = 100_000
+# the most chirps default_chirp_grid builds (its default grid has 81) and
+# the most intervals distance_grid takes (400 by default): a chirp step of
+# 1e-300 across [-2, 2], or l_steps = 1e11, would ask for a list that
+# exhausts memory
+_MAX_GRID = 100_000
 
 
 class NonConvergenceError(RuntimeError):
@@ -137,12 +141,14 @@ def _secant(lo: float, f_lo: float, hi: float, f_hi: float) -> float:
 
 
 def _edge(
-    params: ScenarioParams, chirp_at: Callable[[float], float], near: float | None = None
+    params: ScenarioParams, margin: Callable[[float], float], c0: float, near: float | None = None
 ) -> float:
-    """Far edge (km) of the secure set along the chirp path L -> chirp_at(L):
-    where the pipeline of params with the source chirp chirp_at(L) has
-    qber < _QBER_LIMIT at L km; 0.0 if L = 0 lies outside it. The one
-    secure-range search, shared by max_distance and optimal_chirp.
+    """Far edge (km) of the secure set along a chirp path from the source
+    chirp c0: where the QBER margin margin(L) = _QBER_LIMIT - qber of the
+    pipeline of params, at the path's chirp at L km, is positive; 0.0 if
+    L = 0 lies outside it. The one secure-range search, shared by
+    max_distance, whose path holds params.chirp, and optimal_chirp. The
+    caller builds the margin and knows c0; the search takes no chirp path.
 
     With dark counts that is where key_rate > 0. Without them the
     transmittance cancels from the QBER, so the QBER still decides where the
@@ -150,13 +156,14 @@ def _edge(
 
     The source point comes with the record: params._source, computed when
     it was built, is the stage at L = 0 at any chirp, so no search evaluates
-    L = 0. Each further step runs keyrate._qber_stage, the pipeline up to
-    the QBER, with the path's chirp passed in: it reads the record's mu =
-    rate * window and loss divisor, and no step reads the dark model, runs
-    the rate tail, or builds a ProtocolPoint or a ScenarioParams.
+    L = 0, and a record dead there returns 0.0 before anything else. Each
+    further step runs keyrate._qber_stage, the pipeline up to the QBER,
+    through the margin, which passes the path's chirp in: it reads the
+    record's mu = rate * window and loss divisor, and no step reads the dark
+    model, runs the rate tail, or builds a ProtocolPoint or a ScenarioParams.
 
-    The sign of the QBER margin _QBER_LIMIT - qber decides the side of every
-    point. Where the source chirp c0 = chirp_at(0) focuses (c0 beta > 0),
+    The sign of the margin decides the side of every point. Where the
+    source chirp c0 focuses (c0 beta > 0),
     the pulse narrows down to the focal point L_f = c0 sigma^2 /
     ((1 + c0^2) beta), so the secure set may die and start again before
     L_f; past L_f the width only grows, so the margin only falls. L_f is
@@ -225,16 +232,12 @@ def _edge(
     still below the threshold past _BRACKET_CEILING_KM: a secure range that
     never ends.
 
-    The anchor and the descent hold along a path whose chirp is c0 up to
-    past L_f, and optimal_chirp's is: it is c0 up to sigma^2 / (|c0|
-    |beta|), which exceeds L_f by the factor (1 + c0^2) / c0^2. So every
-    point at or below L_f is evaluated at c0, and at L = 0 its clipped
-    +-inf chirp gives the record's source point too.
+    The contract both callers meet: the margin's chirp is c0 from 0 to past
+    L_f, since the anchor and the descent, which evaluates the window
+    masses at c0 itself, hold only along such a path. max_distance's path
+    holds c0 = params.chirp throughout. optimal_chirp's is c0 up to sigma^2
+    / (|c0| |beta|), which exceeds L_f by the factor (1 + c0^2) / c0^2.
     """
-    def margin(l_km: float) -> float:
-        return _QBER_LIMIT - _qber_stage(params, chirp_at(l_km), l_km * _KM)[3]
-
-    c0 = chirp_at(0.0)
     p_sig, p_w, _, q = params._source
     f_lo = _QBER_LIMIT - q
     if not f_lo > 0.0:
@@ -248,13 +251,12 @@ def _edge(
     elif params.beta == 0.0:
         if 0.0 < (g_src := _threshold_distance(params, p_sig, p_w)) < math.inf:
             g = g_src
-    half_tol = 0.5 * _L_TOL_KM
     # past L_f the margin only falls, so a secure probe there proves L_f secure
-    if g is not None and focal_km < g - half_tol and g + half_tol <= _BRACKET_CEILING_KM:
-        hi = g + half_tol
+    if g is not None and focal_km < g - _HALF_TOL_KM and g + _HALF_TOL_KM <= _BRACKET_CEILING_KM:
+        hi = g + _HALF_TOL_KM
         f_hi = margin(hi)
         if not f_hi > 0.0:
-            l_km = g - half_tol
+            l_km = g - _HALF_TOL_KM
             if (f := margin(l_km)) > 0.0:
                 return _secant(l_km, f, hi, f_hi)
             hi, f_hi = l_km, f
@@ -296,7 +298,7 @@ def _edge(
     m_lo, m_hi = f_lo, f_hi
     side = 0  # the end the last step replaced: -1 lo, +1 hi
     while hi - lo > _L_TOL_KM:
-        l_km = min(max(_secant(lo, f_lo, hi, f_hi), lo + half_tol), hi - half_tol)
+        l_km = min(max(_secant(lo, f_lo, hi, f_hi), lo + _HALF_TOL_KM), hi - _HALF_TOL_KM)
         f = margin(l_km)
         if f > 0.0:
             lo, f_lo, m_lo = l_km, f, f
@@ -315,10 +317,12 @@ def max_distance(params: ScenarioParams, near: float | None = None) -> float:
     """Largest secure distance in km; 0.0 if the rate is dead at L = 0.
 
     The far edge of the set where qber < _QBER_LIMIT (with dark counts,
-    where key_rate > 0) at params' own chirp, found by _edge from the
-    source point the record carries, so it never evaluates L = 0: the
-    secant of its last bracket, which holds the edge and is at most
-    _L_TOL_KM wide (measured errors at _L_TOL_KM). Where a focusing chirp
+    where key_rate > 0) at params' own chirp: the secant of _edge's last
+    bracket, which holds the edge and is at most _L_TOL_KM wide (measured
+    errors at _L_TOL_KM). _edge takes the QBER margin at that chirp, one
+    Python call around the stage per step, and the chirp itself as its
+    source chirp c0; it starts from the source point the record carries,
+    so it never evaluates L = 0. Where a focusing chirp
     splits the secure set, that is the far edge, not the near one: the
     search descends in one loop from the focal point, each dead point
     proving the stretch down to the next one dead, until a live point, the
@@ -335,7 +339,8 @@ def max_distance(params: ScenarioParams, near: float | None = None) -> float:
     point below it. Whatever its value, the result lies in a bracket at
     most _L_TOL_KM wide around the same edge as the one without it.
     """
-    return _edge(params, lambda _: params.chirp, near)
+    c = params.chirp
+    return _edge(params, lambda l_km: _QBER_LIMIT - _qber_stage(params, c, l_km * _KM)[3], c, near)
 
 
 def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> tuple[float, float]:
@@ -348,7 +353,8 @@ def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> tuple[f
     ch. 3). Where the key rate falls as the detected width grows, the best
     chirp at L is c(L) = clip(sigma^2 / (beta L), c_min, c_max), the best
     range L* is the far edge of the secure set along c(L), found by _edge
-    from the focal point of c(0) like max_distance's, and this returns
+    with the QBER margin along c(L) and c(0) as its source chirp, from the
+    focal point of c(0) like max_distance's, and this returns
     c(L*) and L*. With beta = 0 the chirp has no effect and this returns the
     value nearest 0 and max_distance(params); where the rate is dead at the
     source, c(0), the edge on beta's side, and 0.0.
@@ -380,7 +386,10 @@ def optimal_chirp(params: ScenarioParams, c_min: float, c_max: float) -> tuple[f
         c = s2 / bl if bl else math.copysign(math.inf, params.beta)
         return min(max(c, c_min), c_max)
 
-    l_star = _edge(params, chirp_at)
+    def margin(l_km: float) -> float:
+        return _QBER_LIMIT - _qber_stage(params, chirp_at(l_km), l_km * _KM)[3]
+
+    l_star = _edge(params, margin, chirp_at(0.0))
     return chirp_at(l_star), l_star
 
 
@@ -409,17 +418,18 @@ def scan_chirp(params: ScenarioParams, c_grid: Iterable[float]) -> ChirpScanResu
     """
     grid = _increasing(c_grid, "chirp")
     ranges = []
+    # the last three samples, newest first, and the prediction from them
+    l_1 = l_2 = l_3 = near = None
     for c in grid:
-        if len(ranges) > 2:
-            near = 3.0 * (ranges[-1] - ranges[-2]) + ranges[-3]
-        elif len(ranges) > 1:
-            near = 2.0 * ranges[-1] - ranges[-2]
-        else:
-            near = None
-        ranges.append(max_distance(params._at_chirp(c), near=near))
+        l_3, l_2, l_1 = l_2, l_1, max_distance(params._at_chirp(c), near)
+        ranges.append(l_1)
+        if l_3 is not None:
+            near = 3.0 * (l_1 - l_2) + l_3
+        elif l_2 is not None:
+            near = 2.0 * l_1 - l_2
     samples = tuple(zip(grid, ranges))
     # max keeps the first of equal items: a sample wins only where longer
-    c_star, l_star = max((optimal_chirp(params, grid[0], grid[-1]), *samples), key=lambda s: s[1])
+    c_star, l_star = max((optimal_chirp(params, grid[0], grid[-1]), *samples), key=itemgetter(1))
     return ChirpScanResult(samples=samples, c_star=c_star, l_max_star=l_star)
 
 
@@ -430,7 +440,7 @@ def default_chirp_grid(
 
     c_min == c_max gives the one-point grid [c_min]. A step wider than a
     range of positive width is an error: the grid would hold c_min alone.
-    So is a grid of more than _MAX_CHIRPS chirps, checked on the count of
+    So is a grid of more than _MAX_GRID chirps, checked on the count of
     steps before any is built, and so a range whose count of steps
     overflows to inf, as its width does at [-1e308, 1e308].
     """
@@ -439,8 +449,8 @@ def default_chirp_grid(
     if not c_min <= c_max:
         raise GridError(f"need c_min <= c_max, got [{c_min}, {c_max}]")
     steps = (c_max - c_min) / c_step + 1e-9  # slack for a rounded last step
-    if not steps < _MAX_CHIRPS:
-        raise GridError(f"c_step {c_step} on [{c_min}, {c_max}] makes over {_MAX_CHIRPS} chirps")
+    if not steps < _MAX_GRID:
+        raise GridError(f"c_step {c_step} on [{c_min}, {c_max}] makes over {_MAX_GRID} chirps")
     n = int(steps)
     if n == 0 and c_min < c_max:
         raise GridError(
@@ -460,10 +470,13 @@ def distance_grid(
 
     Without l_max the top is 1.2x the longest secure range among the
     variants, or l_min + 1 km where that does not lie above l_min (every
-    variant dead at the source, say).
+    variant dead at the source, say). More than _MAX_GRID intervals is an
+    error, checked before any search or list.
     """
     if steps < 1:
         raise GridError(f"steps must be >= 1, got {steps}")
+    if steps > _MAX_GRID:
+        raise GridError(f"steps must be <= {_MAX_GRID}, got {steps}")
     if l_max is None:
         l_max = 1.2 * max(max_distance(p) for p in variants)
         if not l_max > l_min:

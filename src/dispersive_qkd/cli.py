@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from collections.abc import Sequence
 
 from . import analysis
 from .chart import render_chart
-from .config import KM, PS, Config, parse_config, to_params
+from .config import KM, PS, Config, ConfigError, parse_config, to_params
 from .keyrate import ProtocolPoint, ScenarioParams, evaluate_point
 
 __all__ = ["main", "build_parser", "CSV_HEADER", "SCAN_CSV_HEADER"]
@@ -30,10 +31,20 @@ SCAN_CSV_HEADER = "C,L_max_km"
 
 
 def _rate_scale(cfg: Config) -> float:
-    """Key-rate multiplier: 1 per window, or windows per second."""
-    if cfg.rate_units == "per_second":
-        return 1.0 / (cfg.period_ps * PS)
-    return 1.0
+    """Key-rate multiplier: 1 per window, or windows per second.
+
+    A ConfigError where 1 / period overflows (period_ps = 1e-300, say),
+    which would print every live key rate as inf and a dead one as nan.
+    to_params has rejected a period that rounds to 0 before any command
+    runs, and each command that scales takes the scale before it evaluates
+    anything.
+    """
+    if cfg.rate_units != "per_second":
+        return 1.0
+    scale = 1.0 / (cfg.period_ps * PS)
+    if not math.isfinite(scale):
+        raise ConfigError(f"per_second needs a finite 1 / period, got period_ps={cfg.period_ps}")
+    return scale
 
 
 def _row(l_km: float, p: ProtocolPoint, scale: float) -> tuple[float, ...]:
@@ -81,8 +92,9 @@ def _write_text(path: str, content: str) -> None:
 
 
 def cmd_point(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> int:
+    scale = _rate_scale(cfg)
     point = evaluate_point(params, cfg.distance_km * KM)
-    values = _row(cfg.distance_km, point, _rate_scale(cfg))
+    values = _row(cfg.distance_km, point, scale)
     width = max(map(len, _COLUMNS))
     out_lines = [f"{name:<{width}} = {v:.10g}" for name, v in zip(_COLUMNS, values)]
     if point.degenerate:
@@ -92,10 +104,11 @@ def cmd_point(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> 
 
 
 def cmd_sweep(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> int:
+    scale = _rate_scale(cfg)
     l_max = cfg.l_max_km if cfg.l_max_km >= 0 else None  # negative: auto-scale
     grid = analysis.distance_grid([params], cfg.l_steps, cfg.l_min_km, l_max)
     sweep = analysis.sweep_distance(params, grid)
-    csv = _csv(sweep, _rate_scale(cfg))
+    csv = _csv(sweep, scale)
     if args.out is None:
         sys.stdout.write(csv)
     else:
@@ -132,6 +145,7 @@ def cmd_optimize_chirp(cfg: Config, params: ScenarioParams, args: argparse.Names
 
 
 def cmd_reproduce(cfg: Config, params: ScenarioParams, args: argparse.Namespace) -> int:
+    scale = _rate_scale(cfg)
     grid = analysis.default_chirp_grid(cfg.c_min, cfg.c_max, cfg.c_step)
     # every figure is computed before any file is written, so an unknown
     # name or a failed search leaves nothing behind
@@ -140,7 +154,6 @@ def cmd_reproduce(cfg: Config, params: ScenarioParams, args: argparse.Namespace)
         for name in args.figures or analysis.SCENARIOS
     ]
     os.makedirs(args.out or ".", exist_ok=True)
-    scale = _rate_scale(cfg)
     for result in results:
         files = [
             (f"{result.name}_{label}.csv", _csv(curve, scale))

@@ -212,10 +212,13 @@ class ScenarioParams:
         when this record was built. The derived attributes are carried
         unchanged; for the source point that is exact because at L = 0,
         chirp * beta * 0.0 is +-0.0, so the width is the same float at any
-        finite chirp. scan_chirp builds one per grid chirp."""
+        finite chirp. scan_chirp builds one per grid chirp, so the chirp is
+        stored into the copied dict, with no keyword dict for update()."""
         _check_chirp(chirp)
         record = object.__new__(ScenarioParams)
-        record.__dict__.update(self.__dict__, chirp=chirp)
+        d = record.__dict__
+        d.update(self.__dict__)
+        d["chirp"] = chirp
         return record
 
 

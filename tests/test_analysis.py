@@ -1063,6 +1063,40 @@ def test_optimal_chirp_returns_the_fixed_chirp_edge_at_its_chirp(params):
     assert not evaluate_point(at_c_star, (l_star + tol) * KM).qber < _QBER_LIMIT
 
 
+def test_optimal_chirp_on_a_one_chirp_range_is_max_distance_at_it(monkeypatch):
+    # the one search takes each caller's margin: optimal_chirp's along its
+    # clipped path, max_distance's at the record's own chirp. On [c, c] the
+    # path holds c at every distance, so the two margins are one function,
+    # and over the bench's chirp_scan draws of seeds 1 and 2 with beta != 0
+    # the two results agree to the bit
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    pairs = 0
+    for seed in (1, 2):
+        for params in workloads.ChirpScan(seed).inputs:
+            if params.beta == 0.0:
+                continue
+            for c in (-2.0, -0.35, 0.0, 0.7, 2.0):
+                expected = _outcome(lambda: (c, max_distance(params._at_chirp(c))))
+                assert _outcome(lambda: optimal_chirp(params, c, c)) == expected, (params, c)
+                pairs += 1
+    assert pairs == 1_735
+
+
+def test_edge_at_a_dead_source_returns_0_before_its_margin():
+    # a record dead at L = 0 is dead at every chirp: no margin is evaluated,
+    # whatever the path's source chirp or the prediction
+    dead = ScenarioParams(jitter=200 * PS)
+    assert not dead._source[3] < _QBER_LIMIT
+
+    def margin(l_km: float) -> float:
+        raise AssertionError(f"margin evaluated at {l_km} km")
+
+    assert analysis._edge(dead, margin, dead.chirp) == 0.0
+    assert analysis._edge(dead, margin, 1.0, 20.0) == 0.0
+
+
 def test_scan_chirp_keeps_a_sample_that_beats_the_closed_form():
     grid = default_chirp_grid()
     _, l_ref = optimal_chirp(DARK_HEAVY, grid[0], grid[-1])
@@ -1197,6 +1231,15 @@ def test_distance_grid_covers_secure_range():
     assert distance_grid([], 2, l_min=10.0, l_max=30.0) == [10.0, 20.0, 30.0]
     with pytest.raises(GridError):
         distance_grid([params], 0)
+
+
+def test_distance_grid_bounds_its_intervals():
+    # 1e11 intervals built their list until memory ran out; the count is
+    # checked first, before the variants' searches, which None would fail
+    assert len(distance_grid([], 100_000, l_max=1.0)) == 100_001  # the bound
+    for steps in (100_001, 10**11):
+        with pytest.raises(GridError, match="steps must be <= 100000"):
+            distance_grid([None], steps)
 
 
 def test_run_scenario_fig1_shape():

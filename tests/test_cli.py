@@ -247,6 +247,36 @@ def test_point_per_second_units(capsys):
     shown = out.split("key_rate = ")[1].split()[0]
     per_window = evaluate_point(to_params(Config()), 0.0).key_rate
     assert shown == f"{per_window / (100 * PS):.10g}"
+    # per window, a period whose inverse overflows is a valid record
+    capsys.readouterr()
+    assert main(["point", "--set", "period_ps=1e-300"]) == 0
+
+
+@pytest.mark.parametrize("command", [["point"], ["sweep", "--set", "l_steps=3"], ["reproduce"]])
+def test_per_second_scale_that_overflows_exits_2(command, tmp_path, capsys):
+    # 1 / (1e-300 ps) overflows: live rows printed inf and the dead row nan
+    # (inf * 0), and the command exited 0. Each command takes the scale
+    # before it evaluates anything, so reproduce writes nothing
+    out = tmp_path / "figs"
+    args = [*command, "--set", "period_ps=1e-300", "--set", "rate_units=per_second"]
+    if command == ["reproduce"]:
+        args += ["--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: per_second needs a finite 1 / period, got period_ps=1e-300\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "reproduce"])
+def test_distance_steps_past_the_bound_exit_2(command, tmp_path, capsys):
+    # l_steps = 1e11 built its distance list until memory ran out
+    out = tmp_path / "figs"
+    assert main([command, "--set", "l_steps=100000000000", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: steps must be <= 100000, got 100000000000\n"
+    assert not out.exists()
 
 
 def test_sweep_csv_contract(tmp_path, capsys):
