@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Count pipeline evaluations over the bench's chirp scans and the six figures.
+"""Count evaluations and records built over the bench's chirp scans and figures.
 
     python scripts/count_evaluations.py [SEED ...]
 
 An evaluation is a call of keyrate.broadened_sigma, which every evaluation
 makes exactly once: through evaluate_point, a search's steps, or the source
-point a parameter record computes when it is built. For each seed (1 to 4
-by default) this scans every input of one bench chirp_scan pass
-(bench/workloads.py, ChirpScan(seed).inputs, built before counting starts)
-on its grid; then it runs run_scenario over the six figures with defaults,
-counting the records each figure builds. Prints one line per seed and per
-figure, each count first, and a total for each group. It only reads bench/.
+point a parameter record computes when it is built. A parameter record
+built is a call of ScenarioParams.__post_init__ (the constructor and
+dataclasses.replace) or of ScenarioParams._at_chirp (a copy with another
+chirp). For each seed (1 to 4 by default) this scans every input of one
+bench chirp_scan pass (bench/workloads.py, ChirpScan(seed).inputs, built
+before counting starts) on its grid; then it runs run_scenario over the six
+figures with defaults, counting the records each figure builds. Prints one
+line per seed and per figure, the evaluations, then the records, then the
+label, and a total for each group. It only reads bench/.
 """
 
 import argparse
@@ -19,26 +22,43 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from dispersive_qkd import analysis, keyrate
+from dispersive_qkd.keyrate import ScenarioParams
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @contextmanager
 def counted():
-    """Yield a one-item list that counts keyrate.broadened_sigma calls while
-    the block runs; the real function is restored on exit."""
-    calls = [0]
-    real = keyrate.broadened_sigma
+    """Yield a two-item list that counts, while the block runs, calls of
+    keyrate.broadened_sigma (evaluations) and of ScenarioParams.__post_init__
+    and ScenarioParams._at_chirp (records built); the real functions are
+    restored on exit."""
+    counts = [0, 0]
+    targets = [
+        (keyrate, "broadened_sigma", 0),
+        (ScenarioParams, "__post_init__", 1),
+        (ScenarioParams, "_at_chirp", 1),
+    ]
+    reals = [getattr(owner, name) for owner, name, _ in targets]
 
-    def wrapper(*args):
-        calls[0] += 1
-        return real(*args)
+    def wrap(real, i):
+        def wrapper(*args):
+            counts[i] += 1
+            return real(*args)
 
-    keyrate.broadened_sigma = wrapper
+        return wrapper
+
+    for (owner, name, i), real in zip(targets, reals):
+        setattr(owner, name, wrap(real, i))
     try:
-        yield calls
+        yield counts
     finally:
-        keyrate.broadened_sigma = real
+        for (owner, name, _), real in zip(targets, reals):
+            setattr(owner, name, real)
+
+
+def show(counts: list[int], label: str) -> None:
+    print(f"{counts[0]:8d} {counts[1]:8d}  {label}")
 
 
 def main() -> None:
@@ -48,22 +68,22 @@ def main() -> None:
     sys.path.insert(0, str(BENCH))  # bench/ imports its modules by bare name
     import workloads
 
-    total = 0
+    total = [0, 0]
     for seed in args.seeds:
         scans = workloads.ChirpScan(seed)
-        with counted() as calls:
+        with counted() as counts:
             for params in scans.inputs:
                 analysis.scan_chirp(params, scans.grid)
-        total += calls[0]
-        print(f"{calls[0]:8d}  chirp_scan seed {seed}")
-    print(f"{total:8d}  chirp_scan total")
-    total = 0
+        total = [t + n for t, n in zip(total, counts)]
+        show(counts, f"chirp_scan seed {seed}")
+    show(total, "chirp_scan total")
+    total = [0, 0]
     for name in analysis.SCENARIOS:
-        with counted() as calls:
+        with counted() as counts:
             analysis.run_scenario(name)
-        total += calls[0]
-        print(f"{calls[0]:8d}  {name}")
-    print(f"{total:8d}  figures total")
+        total = [t + n for t, n in zip(total, counts)]
+        show(counts, name)
+    show(total, "figures total")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ from .keyrate import (
     _QBER_LIMIT,
     ProtocolPoint,
     ScenarioParams,
+    _check_chirp,
     _qber_stage,
     _threshold_distance,
     evaluate_point,
@@ -147,8 +148,9 @@ def _edge(
     chirp c0: where the QBER margin margin(L) = _QBER_LIMIT - qber of the
     pipeline of params, at the path's chirp at L km, is positive; 0.0 if
     L = 0 lies outside it. The one secure-range search, shared by
-    max_distance, whose path holds params.chirp, and optimal_chirp. The
-    caller builds the margin and knows c0; the search takes no chirp path.
+    max_distance, whose path holds one chirp, and optimal_chirp. The
+    caller builds the margin and knows c0; the search takes no chirp path
+    and never reads params.chirp.
 
     With dark counts that is where key_rate > 0. Without them the
     transmittance cancels from the QBER, so the QBER still decides where the
@@ -235,7 +237,7 @@ def _edge(
     The contract both callers meet: the margin's chirp is c0 from 0 to past
     L_f, since the anchor and the descent, which evaluates the window
     masses at c0 itself, hold only along such a path. max_distance's path
-    holds c0 = params.chirp throughout. optimal_chirp's is c0 up to sigma^2
+    holds c0, its chirp, throughout. optimal_chirp's is c0 up to sigma^2
     / (|c0| |beta|), which exceeds L_f by the factor (1 + c0^2) / c0^2.
     """
     p_sig, p_w, _, q = params._source
@@ -313,33 +315,41 @@ def _edge(
     return _secant(lo, m_lo, hi, m_hi)
 
 
-def max_distance(params: ScenarioParams, near: float | None = None) -> float:
+def max_distance(
+    params: ScenarioParams, near: float | None = None, *, chirp: float | None = None
+) -> float:
     """Largest secure distance in km; 0.0 if the rate is dead at L = 0.
 
     The far edge of the set where qber < _QBER_LIMIT (with dark counts,
-    where key_rate > 0) at params' own chirp: the secant of _edge's last
-    bracket, which holds the edge and is at most _L_TOL_KM wide (measured
-    errors at _L_TOL_KM). _edge takes the QBER margin at that chirp, one
-    Python call around the stage per step, and the chirp itself as its
-    source chirp c0; it starts from the source point the record carries,
-    so it never evaluates L = 0. Where a focusing chirp
-    splits the secure set, that is the far edge, not the near one: the
-    search descends in one loop from the focal point, each dead point
-    proving the stretch down to the next one dead, until a live point, the
-    focal point itself where the rate is live there. Where the threshold
-    transmittance does not exist (keyrate._threshold_distance says where),
-    the loop stops at a dead focal point and the search runs between 0 and
-    it, and so it does below the lowest dead point where the descent's steps
-    shrink too slowly to pay; there it may stop at a near edge. Raises
-    NonConvergenceError where the QBER is still below the threshold past
-    _BRACKET_CEILING_KM.
+    where key_rate > 0) at `chirp`, or at params' own chirp where that is
+    None: the secant of _edge's last bracket, which holds the edge and is
+    at most _L_TOL_KM wide (measured errors at _L_TOL_KM). _edge takes the
+    QBER margin at that chirp, one Python call around the stage per step,
+    and the chirp itself as its source chirp c0; it starts from the source
+    point the record carries, the same at any chirp, so it never evaluates
+    L = 0. So the result at `chirp` is, bit for bit, the one of a record
+    built with that chirp, and scan_chirp passes each grid chirp here with
+    its caller's record, copying none. A non-finite chirp raises
+    ValueError, also where the rate is dead at L = 0.
+
+    Where a focusing chirp splits the secure set, that is the far edge, not
+    the near one: the search descends in one loop from the focal point,
+    each dead point proving the stretch down to the next one dead, until a
+    live point, the focal point itself where the rate is live there. Where
+    the threshold transmittance does not exist
+    (keyrate._threshold_distance says where), the loop stops at a dead
+    focal point and the search runs between 0 and it, and so it does below
+    the lowest dead point where the descent's steps shrink too slowly to
+    pay; there it may stop at a near edge. Raises NonConvergenceError where
+    the QBER is still below the threshold past _BRACKET_CEILING_KM.
 
     near, a predicted edge in km, only saves evaluations where it is close:
     the search checks _L_TOL_KM / 2 either side of it first, before a focal
     point below it. Whatever its value, the result lies in a bracket at
     most _L_TOL_KM wide around the same edge as the one without it.
     """
-    c = params.chirp
+    c = params.chirp if chirp is None else chirp
+    _check_chirp(c)
     return _edge(params, lambda l_km: _QBER_LIMIT - _qber_stage(params, c, l_km * _KM)[3], c, near)
 
 
@@ -407,9 +417,12 @@ def scan_chirp(params: ScenarioParams, c_grid: Iterable[float]) -> ChirpScanResu
     wide around the same edge as max_distance's cold result (measured
     errors at _L_TOL_KM), and equals it
     where that returns 0.0 or the rate is dead at the focal point, where
-    the search descends from the focal point whatever the prediction. The
-    width at L = 0 is sigma at any chirp, so a source dead at one grid
-    chirp is dead at all.
+    the search descends from the focal point whatever the prediction. Each
+    search reads params itself, max_distance(params, near, chirp=c), so no
+    record is built or copied per grid chirp: the width at L = 0 is sigma
+    at any chirp, so the source point params carries is each chirp's, and
+    a source dead at one grid chirp is dead at all. A non-finite chirp
+    raises ValueError.
 
     The best chirp and its range are optimal_chirp's over the grid's span,
     one search along its path and none at the chirp it returns; a grid
@@ -421,7 +434,7 @@ def scan_chirp(params: ScenarioParams, c_grid: Iterable[float]) -> ChirpScanResu
     # the last three samples, newest first, and the prediction from them
     l_1 = l_2 = l_3 = near = None
     for c in grid:
-        l_3, l_2, l_1 = l_2, l_1, max_distance(params._at_chirp(c), near)
+        l_3, l_2, l_1 = l_2, l_1, max_distance(params, near, chirp=c)
         ranges.append(l_1)
         if l_3 is not None:
             near = 3.0 * (l_1 - l_2) + l_3

@@ -212,8 +212,12 @@ class ScenarioParams:
         when this record was built. The derived attributes are carried
         unchanged; for the source point that is exact because at L = 0,
         chirp * beta * 0.0 is +-0.0, so the width is the same float at any
-        finite chirp. scan_chirp builds one per grid chirp, so the chirp is
-        stored into the copied dict, with no keyword dict for update()."""
+        finite chirp. Its one caller in the package is run_scenario, for
+        the fig3b/fig4b sweep records; the chirp is stored into the copied
+        dict, with no keyword dict for update(). A copy keeps its attributes
+        in that dict, where attribute reads cost more than on a record its
+        constructor built, so scan_chirp passes each grid chirp to
+        max_distance instead of building a copy."""
         _check_chirp(chirp)
         record = object.__new__(ScenarioParams)
         d = record.__dict__

@@ -800,13 +800,50 @@ def test_max_distance_first_top_at_the_threshold_distance(monkeypatch):
 
 
 def test_scan_chirp_builds_no_parameter_record(monkeypatch):
-    # each grid chirp's record copies the validated one with only the chirp
-    # checked; replace(params, chirp=c) ran __post_init__ 82 times here
+    # each grid chirp's search runs on the caller's record, its chirp passed
+    # to max_distance; replace(params, chirp=c) ran __post_init__ 82 times
+    # here, and later _at_chirp built 81 copies that skipped it
     params = ScenarioParams()
     built = _count_calls(monkeypatch, ScenarioParams, "__post_init__")
+    _count_calls(monkeypatch, ScenarioParams, "_at_chirp", built)
+    records = []
+    real = analysis.max_distance
+
+    def recorded(record, *args, **kwargs):
+        records.append(record)
+        return real(record, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "max_distance", recorded)
     result = scan_chirp(params, default_chirp_grid())
-    assert built["__post_init__"] == 0
-    assert len(result.samples) == 81
+    assert built == {}
+    assert len(records) == len(result.samples) == 81
+    assert all(record is params for record in records)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    params=domain_params(),
+    chirp=st.floats(min_value=-10.0, max_value=10.0),
+    near=st.none() | st.floats(min_value=-50.0, max_value=500.0),
+)
+def test_max_distance_at_a_chirp_is_the_range_of_the_record_at_that_chirp(params, chirp, near):
+    # the search reads the record's chirp nowhere but its margin and source
+    # chirp, and the source point is the same at any chirp, so passing the
+    # chirp gives the copy's result to the bit
+    got = _outcome(lambda: max_distance(params, near, chirp=chirp))
+    assert got == _outcome(lambda: max_distance(params._at_chirp(chirp), near))
+
+
+@pytest.mark.parametrize("chirp", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "params", [ScenarioParams(), ScenarioParams(jitter=200 * PS)], ids=["live", "dead at L=0"]
+)
+def test_max_distance_and_scan_chirp_reject_a_non_finite_chirp(params, chirp):
+    # checked before the search, so also where the source is dead
+    with pytest.raises(ValueError, match="chirp must be finite"):
+        max_distance(params, chirp=chirp)
+    with pytest.raises(ValueError, match="chirp must be finite"):
+        scan_chirp(params, [chirp])
 
 
 def test_secure_range_search_builds_no_point_record(monkeypatch):

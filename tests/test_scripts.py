@@ -97,23 +97,42 @@ def test_count_evaluations_matches_a_direct_count(capsys, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script adds bench/
     status, out = _run(capsys, monkeypatch, "count_evaluations.py", "3")
     assert status is None
-    lines = [line.split(None, 1) for line in out.splitlines()]
-    counts = {label: int(count) for count, label in lines}
+    lines = [line.split(None, 2) for line in out.splitlines()]
+    counts = {label: (int(evals), int(records)) for evals, records, label in lines}
     assert list(counts) == [
         "chirp_scan seed 3", "chirp_scan total", *SCENARIOS, "figures total"
     ]
-    assert counts["chirp_scan seed 3"] == counts["chirp_scan total"] > 0
-    calls = [0]
-    real = keyrate.broadened_sigma
+    assert counts["chirp_scan seed 3"] == counts["chirp_scan total"]
+    # each scan searches on its caller's record: 15,552 records, one per
+    # grid chirp, while scan_chirp copied the record at each
+    assert counts["chirp_scan seed 3"][0] > 0 == counts["chirp_scan seed 3"][1]
+    monkeypatch.syspath_prepend(str(SCRIPTS.parent / "bench"))
+    import workloads
 
-    def counted(*args):
-        calls[0] += 1
-        return real(*args)
+    scans = workloads.ChirpScan(3)  # the inputs are built before counting
+    calls = [0, 0]
 
-    monkeypatch.setattr(keyrate, "broadened_sigma", counted)
+    def count(owner, name, column):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls[column] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(keyrate, "broadened_sigma", 0)
+    count(ScenarioParams, "__post_init__", 1)
+    count(ScenarioParams, "_at_chirp", 1)
+    for params in scans.inputs:
+        scan_chirp(params, scans.grid)
+    assert counts["chirp_scan seed 3"] == tuple(calls)
+    calls[:] = [0, 0]
     for name in SCENARIOS:
         run_scenario(name)
-    assert counts["figures total"] == sum(counts[name] for name in SCENARIOS) == calls[0]
+    figures = tuple(sum(counts[name][i] for name in SCENARIOS) for i in (0, 1))
+    assert counts["figures total"] == figures == tuple(calls)
+    assert all(counts[name][1] > 0 for name in SCENARIOS)
 
 
 def test_result_digest_is_stable_and_sees_a_changed_result(capsys, monkeypatch):
